@@ -306,14 +306,25 @@ def graph_to_dict(graph: ArrangementGraph) -> dict:
     }
 
 
+def _load_json(path: str, error: type[ValueError]):
+    """Parse a JSON file; every way it can fail raises ``error`` with a
+    one-line message."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # json's only other ValueError: the int digit limit
+        raise error(f"{path} holds an integer with too many digits") from exc
+    except RecursionError as exc:
+        raise error(f"{path} nests arrays or objects too deeply") from exc
+
+
 def load_arrangement(path: str) -> ArrangementGraph:
     """Read an arrangement JSON file; raises :class:`ArrangementFormatError`
     on bad JSON or schema, :class:`InvalidArrangementError` on bad data."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ArrangementFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ArrangementFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return require_valid(graph_from_dict(data))
+    return require_valid(graph_from_dict(_load_json(path, ArrangementFormatError)))

@@ -53,22 +53,21 @@ class VerificationMismatch(Exception):
 
 
 def _auto_dispatch(graph: ArrangementGraph):
-    """Most specific applicable formula, cross-checked against the general
-    one at runtime."""
+    """Most specific applicable formula; a reduced graph is cross-checked
+    against the independent reduced display at runtime."""
     if all(c.degree == 1 for c in graph.components):
         result, name = spectrum_hyperplane(graph), "hyperplane"
     elif all(br.mult == 1 for p in graph.points for br in p.branches):
         result, name = spectrum_smooth_components(graph), "smooth"
-    elif graph.is_reduced():
-        result, name = spectrum_reduced(graph), "reduced"
     else:
-        return spectrum_general(graph)
-    general = spectrum_general(graph)
-    if result != general:
-        raise VerificationMismatch(
-            f"auto-dispatched {name} formula disagrees with the general formula: "
-            f"{format_spectrum(result)} vs {format_spectrum(general)}"
-        )
+        result, name = spectrum_general(graph), "general"
+    if graph.is_reduced():
+        reduced = spectrum_reduced(graph)
+        if result != reduced:
+            raise VerificationMismatch(
+                f"auto-dispatched {name} formula disagrees with the reduced formula: "
+                f"{format_spectrum(result)} vs {format_spectrum(reduced)}"
+            )
     return result
 
 
@@ -221,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--formula",
         choices=sorted(_FORMULAS),
         default="auto",
-        help="formula to apply; auto picks the most specific one and cross-checks it",
+        help="formula to apply; auto picks the most specific one and cross-checks reduced input",
     )
     p_compute.add_argument("--style", choices=("plain", "latex", "json"), default="plain")
     p_compute.add_argument(

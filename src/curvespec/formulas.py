@@ -1,9 +1,14 @@
 """Closed-form spectrum formulas for curve arrangements with ordinary points.
 
-Each function here evaluates one closed combinatorial display directly,
-without delegating to the others, so the specializations double as
-independent implementations: every specialized function must agree with
-:func:`spectrum_general` on its own domain, and the test suite checks that.
+One kernel evaluates the general display (:func:`spectrum_general`).  It
+sees a singular point only through its type, so it runs once per type, not
+once per point.  :func:`spectrum_smooth_components` and
+:func:`spectrum_hyperplane` are that kernel behind a domain check: their
+agreement with the general formula tests the check, not a second
+implementation.  The reduced, irreducible-power, binary and isolated
+displays are separate code that shares no formula code with the kernel, so
+each of them is an independent check of the general formula on its own
+domain, and the test suite checks that.
 
 Shared shape of all the plane-curve formulas: for each j in [1, d] (d the
 total degree) three integer coefficients are produced at the exponents
@@ -18,6 +23,7 @@ via generalized binomials (binom(-1, 2) = 1 matters: it produces the
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -54,8 +60,13 @@ class TwistCoefficients:
     ev: Mapping[str, int]
 
 
-def _twist(graph: ArrangementGraph, data, j: int) -> TwistCoefficients:
+def twist_coefficients(graph: ArrangementGraph, j: int) -> TwistCoefficients:
+    """Evaluate u0(j) and uv(j) for a valid graph and 1 <= j <= d."""
+    require_valid(graph)
+    data = derived(graph)
     d = data.total_degree
+    if not 1 <= j <= d:
+        raise ValueError(f"j must lie in [1, {d}], got {j}")
     ceil_by_comp = {c.id: ceil_div(j * c.multiplicity, d) for c in graph.components}
     e0 = sum(ceil_by_comp[c.id] * c.degree for c in graph.components) - j
     ev = {}
@@ -63,15 +74,6 @@ def _twist(graph: ArrangementGraph, data, j: int) -> TwistCoefficients:
         total = sum(ceil_by_comp[br.component] * br.mult for br in point.branches)
         ev[point.id] = total - ceil_div(j * data.point_mult[point.id], d)
     return TwistCoefficients(j, e0, ev)
-
-
-def twist_coefficients(graph: ArrangementGraph, j: int) -> TwistCoefficients:
-    """Evaluate u0(j) and uv(j) for a valid graph and 1 <= j <= d."""
-    require_valid(graph)
-    data = derived(graph)
-    if not 1 <= j <= data.total_degree:
-        raise ValueError(f"j must lie in [1, {data.total_degree}], got {j}")
-    return _twist(graph, data, j)
 
 
 def _three_level_spectrum(d: int, rows) -> Spectrum:
@@ -87,32 +89,56 @@ def _three_level_spectrum(d: int, rows) -> Spectrum:
     return Spectrum(terms)
 
 
-def spectrum_general(graph: ArrangementGraph) -> Spectrum:
-    """Spectrum of a possibly non-reduced ordinary curve arrangement."""
-    require_valid(graph)
-    data = derived(graph)
-    d = data.total_degree
-    d_red = data.reduced_degree
+def _general_display(graph: ArrangementGraph) -> Spectrum:
+    """The general display of a valid graph, evaluated once per point type.
+
+    A point enters only through its type, the multiset of (m_l, m_{v,l})
+    over its branches.  So each j costs one ceiling per distinct component
+    multiplicity and one step per type, however many points share a type.
+    """
+    comp_mult = {c.id: c.multiplicity for c in graph.components}
+    histogram = Counter(
+        tuple(sorted((comp_mult[br.component], br.mult) for br in p.branches)) for p in graph.points
+    )
+    degree_by_mult: dict[int, int] = {}
+    for c in graph.components:
+        degree_by_mult[c.multiplicity] = degree_by_mult.get(c.multiplicity, 0) + c.degree
+    d = sum(m * deg for m, deg in degree_by_mult.items())
+    d_red = sum(degree_by_mult.values())
     comp_pairs = sum(binom(c.degree, 2) for c in graph.components)
-    branch_pairs = {p.id: sum(binom(br.mult, 2) for br in p.branches) for p in graph.points}
+    types = []
+    for branches, count in histogram.items():
+        # uv(j) = sum_m ceil(j*m/d) * weight[m] - ceil(j*m_v/d)
+        weight: dict[int, int] = {}
+        for m, mult in branches:
+            weight[m] = weight.get(m, 0) + mult
+        m_v = sum(m * w for m, w in weight.items())
+        m_red = sum(weight.values())
+        pairs = sum(binom(mult, 2) for _, mult in branches)
+        types.append((tuple(weight.items()), m_v, m_red, pairs, count))
 
     rows = []
     for j in range(1, d + 1):
-        tw = _twist(graph, data, j)
-        u0 = tw.e0
+        ceil_by_mult = {m: ceil_div(j * m, d) for m in degree_by_mult}
+        u0 = sum(ceil_by_mult[m] * deg for m, deg in degree_by_mult.items()) - j
         n0 = binom(d_red - u0 - 1, 2)
         n1 = (u0 - 1) * (d_red - u0 - 1) + comp_pairs
         n2 = binom(u0 - 1, 2)
-        for point in graph.points:
-            uv = tw.ev[point.id]
-            m_red = data.reduced_point_mult[point.id]
-            n0 -= binom(m_red - uv - 1, 2)
-            n1 -= uv * (m_red - uv - 1) + branch_pairs[point.id]
-            n2 -= binom(uv, 2)
+        for weight, m_v, m_red, pairs, count in types:
+            uv = sum(ceil_by_mult[m] * w for m, w in weight) - ceil_div(j * m_v, d)
+            n0 -= count * binom(m_red - uv - 1, 2)
+            n1 -= count * (uv * (m_red - uv - 1) + pairs)
+            n2 -= count * binom(uv, 2)
         if j == d:
             n2 -= 1
         rows.append((j, n0, n1, n2))
     return _three_level_spectrum(d, rows)
+
+
+def spectrum_general(graph: ArrangementGraph) -> Spectrum:
+    """Spectrum of a possibly non-reduced ordinary curve arrangement."""
+    require_valid(graph)
+    return _general_display(graph)
 
 
 def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
@@ -146,7 +172,9 @@ def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
 
 def spectrum_smooth_components(graph: ArrangementGraph) -> Spectrum:
     """Spectrum when every component is a smooth curve, i.e. every branch
-    multiplicity m_{v,l} is 1 (so the per-branch pair counts vanish)."""
+    multiplicity m_{v,l} is 1 (so the per-branch pair counts vanish).
+
+    The general display behind a domain check."""
     require_valid(graph)
     bad = [
         (p.id, br.component)
@@ -156,62 +184,19 @@ def spectrum_smooth_components(graph: ArrangementGraph) -> Spectrum:
     ]
     if bad:
         raise ValueError(f"smooth-components formula needs every branch multiplicity 1; got {bad}")
-    data = derived(graph)
-    d = data.total_degree
-    d_red = data.reduced_degree
-    comp_pairs = sum(binom(c.degree, 2) for c in graph.components)
-
-    rows = []
-    for j in range(1, d + 1):
-        ceil_by_comp = {c.id: ceil_div(j * c.multiplicity, d) for c in graph.components}
-        u0 = sum(ceil_by_comp[c.id] * c.degree for c in graph.components) - j
-        n0 = binom(d_red - u0 - 1, 2)
-        n1 = (u0 - 1) * (d_red - u0 - 1) + comp_pairs
-        n2 = binom(u0 - 1, 2)
-        for point in graph.points:
-            m_red = data.reduced_point_mult[point.id]
-            uv = sum(ceil_by_comp[br.component] for br in point.branches) - ceil_div(
-                j * data.point_mult[point.id], d
-            )
-            n0 -= binom(m_red - uv - 1, 2)
-            n1 -= uv * (m_red - uv - 1)
-            n2 -= binom(uv, 2)
-        if j == d:
-            n2 -= 1
-        rows.append((j, n0, n1, n2))
-    return _three_level_spectrum(d, rows)
+    return _general_display(graph)
 
 
 def spectrum_hyperplane(graph: ArrangementGraph) -> Spectrum:
     """Spectrum of a line arrangement (all component degrees 1), where both
-    the component pair count and the branch pair counts vanish."""
+    the component pair count and the branch pair counts vanish.
+
+    The general display behind a domain check."""
     require_valid(graph)
     bad = [c.id for c in graph.components if c.degree != 1]
     if bad:
         raise ValueError(f"hyperplane formula needs all component degrees 1; components {bad} violate that")
-    data = derived(graph)
-    d = data.total_degree
-    d_red = data.reduced_degree
-
-    rows = []
-    for j in range(1, d + 1):
-        ceil_by_comp = {c.id: ceil_div(j * c.multiplicity, d) for c in graph.components}
-        u0 = sum(ceil_by_comp.values()) - j
-        n0 = binom(d_red - u0 - 1, 2)
-        n1 = (u0 - 1) * (d_red - u0 - 1)
-        n2 = binom(u0 - 1, 2)
-        for point in graph.points:
-            m_red = data.reduced_point_mult[point.id]
-            uv = sum(ceil_by_comp[br.component] for br in point.branches) - ceil_div(
-                j * data.point_mult[point.id], d
-            )
-            n0 -= binom(m_red - uv - 1, 2)
-            n1 -= uv * (m_red - uv - 1)
-            n2 -= binom(uv, 2)
-        if j == d:
-            n2 -= 1
-        rows.append((j, n0, n1, n2))
-    return _three_level_spectrum(d, rows)
+    return _general_display(graph)
 
 
 def spectrum_irreducible_power(d: int, m: int, point_mults: Sequence[int]) -> Spectrum:

@@ -11,14 +11,13 @@ subject to rounding.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from numbers import Rational
 from typing import Sequence, Tuple, Union
 
-from .arrangement import ArrangementGraph, Branch, Component, SingularPoint
+from .arrangement import ArrangementGraph, Branch, Component, SingularPoint, _load_json
 
 __all__ = [
     "LineFileError",
@@ -57,21 +56,15 @@ class LinearForm:
         return (self.a, self.b, self.c)
 
 
-def _canonical_triple(triple: Sequence[Fraction]) -> Tuple[int, int, int]:
-    denom_lcm = 1
-    for x in triple:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in triple]
-    content = gcd(gcd(abs(ints[0]), abs(ints[1])), abs(ints[2]))
-    if content == 0:
+def _primitive(x: int, y: int, z: int) -> Tuple[int, int, int]:
+    """Divide a nonzero integer triple by its content and make its first
+    nonzero entry positive."""
+    g = gcd(x, y, z)
+    if g == 0:
         raise ZeroFormError("all three coefficients are zero")
-    ints = [x // content for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return (ints[0], ints[1], ints[2])
+    if x < 0 or (x == 0 and (y < 0 or (y == 0 and z < 0))):
+        g = -g
+    return (x // g, y // g, z // g)
 
 
 def _to_fraction(x: RationalLike, what: str) -> Fraction:
@@ -88,16 +81,9 @@ def normalize_form(raw: Sequence[RationalLike]) -> LinearForm:
     first nonzero coefficient is positive."""
     if len(raw) != 3:
         raise LineFileError(f"a linear form needs exactly 3 coefficients, got {len(raw)}")
-    triple = tuple(_to_fraction(x, f"coefficient {i}") for i, x in enumerate(raw))
-    return LinearForm(*_canonical_triple(triple))
-
-
-def _cross(p: LinearForm, q: LinearForm) -> Tuple[int, int, int]:
-    return (
-        p.b * q.c - p.c * q.b,
-        p.c * q.a - p.a * q.c,
-        p.a * q.b - p.b * q.a,
-    )
+    triple = [_to_fraction(x, f"coefficient {i}") for i, x in enumerate(raw)]
+    denom = lcm(*(x.denominator for x in triple))
+    return LinearForm(*_primitive(*(int(x * denom) for x in triple)))
 
 
 def incidence_graph(forms: Sequence[Tuple[Sequence[RationalLike], int]]) -> ArrangementGraph:
@@ -122,37 +108,39 @@ def incidence_graph(forms: Sequence[Tuple[Sequence[RationalLike], int]]) -> Arra
             mults[form] = 0
         mults[form] += mult
 
-    points: set[Tuple[int, int, int]] = set()
+    # Each point collects its lines inside the pair loop.  The first line
+    # through a point meets every later line through it exactly there, so
+    # the point appears first in a pair with that line and every other line
+    # through it is the second line of some pair.
+    through: dict[Tuple[int, int, int], set[int]] = {}
     for i, p in enumerate(lines):
-        for q in lines[i + 1 :]:
-            coords = tuple(Fraction(x) for x in _cross(p, q))
-            points.add(_canonical_triple(coords))
+        for k in range(i + 1, len(lines)):
+            q = lines[k]
+            point = _primitive(p.b * q.c - p.c * q.b, p.c * q.a - p.a * q.c, p.a * q.b - p.b * q.a)
+            on_point = through.get(point)
+            if on_point is None:
+                through[point] = {i, k}
+            else:
+                on_point.add(k)
 
-    comp_ids = {form: f"l{i + 1}" for i, form in enumerate(lines)}
+    comp_ids = [f"l{i + 1}" for i in range(len(lines))]
     components = tuple(
-        Component(id=comp_ids[form], degree=1, multiplicity=mults[form]) for form in lines
+        Component(id=comp_ids[i], degree=1, multiplicity=mults[form]) for i, form in enumerate(lines)
     )
-    singular_points = []
-    for i, coords in enumerate(sorted(points)):
-        through = tuple(
-            Branch(component=comp_ids[form], mult=1)
-            for form in lines
-            if form.a * coords[0] + form.b * coords[1] + form.c * coords[2] == 0
+    singular_points = tuple(
+        SingularPoint(
+            id=f"v{n + 1}",
+            branches=tuple(Branch(component=comp_ids[i], mult=1) for i in sorted(through[coords])),
         )
-        singular_points.append(SingularPoint(id=f"v{i + 1}", branches=through))
-    return ArrangementGraph(components, tuple(singular_points))
+        for n, coords in enumerate(sorted(through))
+    )
+    return ArrangementGraph(components, singular_points)
 
 
 def load_lines(path: str) -> list[Tuple[Tuple[RationalLike, ...], int]]:
     """Read a line-arrangement JSON file: an array of
     {"form": [a, b, c], "multiplicity": m} with integer or "p/q" entries."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise LineFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise LineFileError(f"{path} is not valid JSON: {exc}") from exc
+    data = _load_json(path, LineFileError)
     if not isinstance(data, list):
         raise LineFileError("line file must be a JSON array")
     out = []

@@ -92,6 +92,19 @@ class TestCompute:
         assert captured.out == ""
         assert captured.err.startswith("mismatch:")
 
+    def test_auto_cross_checks_reduced_input(self, tmp_path, capsys, monkeypatch):
+        general = curvespec.formulas._general_display
+        monkeypatch.setattr(
+            curvespec.formulas,
+            "_general_display",
+            lambda g: general(g) + curvespec.formulas.Spectrum.term(1),
+        )
+        code = main(["compute", arrangement_file(tmp_path, NODAL_CUBIC)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("mismatch: auto-dispatched general formula")
+
     def test_inapplicable_formula_is_a_data_error(self, tmp_path, capsys):
         path = arrangement_file(tmp_path, DOUBLE_LINES)
         assert main(["compute", path, "--formula", "reduced"]) == 2
@@ -218,6 +231,23 @@ class TestLines:
 
     def test_missing_file(self, tmp_path):
         assert main(["lines", str(tmp_path / "absent.json")]) == 1
+
+
+class TestUnreadableJson:
+    @pytest.mark.parametrize("command", ["compute", "lines"])
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" + b"7" * 5000 + b"]", b"[" * 100_000 + b"]" * 100_000, b"\xff[]"],
+        ids=["5000-digit-integer", "nested-100k-deep", "not-utf8"],
+    )
+    def test_format_error_with_one_line(self, tmp_path, capsys, command, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
 
 
 class TestExamples:

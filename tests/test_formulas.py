@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from conftest import (
     two_line_powers,
 )
 from curvespec.arrangement import ArrangementGraph, Branch, SingularPoint, derived
-from curvespec.binomial import ceil_div
+from curvespec.binomial import binom, ceil_div
 from curvespec.formulas import (
     spectrum_binary_linear,
     spectrum_general,
@@ -26,6 +27,8 @@ from curvespec.formulas import (
     spectrum_smooth_components,
     twist_coefficients,
 )
+from curvespec.lines import incidence_graph
+from curvespec.randomgraphs import SplitMix64, generate_graph
 from curvespec.spectrum import Spectrum, dummy_shift
 
 
@@ -94,6 +97,51 @@ class TestGeneral:
     def test_large_multiplicities_stay_exact(self, g):
         # No overflow or precision ceiling: coefficients are plain ints.
         assert spectrum_general(g) is not None
+
+
+def per_point_display(g):
+    """The general display summed point by point from the public twist
+    coefficients: the reference for the type-grouped kernel."""
+    data = derived(g)
+    d, d_red = data.total_degree, data.reduced_degree
+    comp_pairs = sum(binom(c.degree, 2) for c in g.components)
+    terms = []
+    for j in range(1, d + 1):
+        tw = twist_coefficients(g, j)
+        n0 = binom(d_red - tw.e0 - 1, 2)
+        n1 = (tw.e0 - 1) * (d_red - tw.e0 - 1) + comp_pairs
+        n2 = binom(tw.e0 - 1, 2) - (1 if j == d else 0)
+        for p in g.points:
+            uv, m_red = tw.ev[p.id], data.reduced_point_mult[p.id]
+            n0 -= binom(m_red - uv - 1, 2)
+            n1 -= uv * (m_red - uv - 1) + sum(binom(br.mult, 2) for br in p.branches)
+            n2 -= binom(uv, 2)
+        terms += [(Fraction(j, d) + level, n) for level, n in enumerate((n0, n1, n2))]
+    return Spectrum(terms)
+
+
+def weighted_grid(seed):
+    """Weighted lines x = a*z, y = b*z and x - y = c*z: most points are
+    double or triple points whose weight multisets repeat many times."""
+    rng = random.Random(seed)
+    forms = [(1, 0, -a) for a in range(5)] + [(0, 1, -b) for b in range(5)]
+    forms += [(1, -1, -c) for c in range(-3, 4)]
+    return incidence_graph([(f, rng.choice((1, 1, 2, 3))) for f in forms])
+
+
+class TestTypeKernel:
+    def test_matches_per_point_display_on_check_corpus(self):
+        for seed in range(300):
+            g = generate_graph(SplitMix64(seed))
+            assert spectrum_general(g) == per_point_display(g), seed
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_point_display_on_repeated_types(self, seed):
+        g = weighted_grid(seed)
+        mult = {c.id: c.multiplicity for c in g.components}
+        types = {tuple(sorted((mult[br.component], br.mult) for br in p.branches)) for p in g.points}
+        assert len(g.points) >= 3 * len(types)
+        assert spectrum_general(g) == per_point_display(g)
 
 
 class TestReduced:

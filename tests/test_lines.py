@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from curvespec.arrangement import Component, validate
+from curvespec.arrangement import ArrangementGraph, Branch, Component, SingularPoint, validate
 from curvespec.formulas import spectrum_hyperplane
 from curvespec.lines import (
     LineFileError,
@@ -182,6 +183,58 @@ class TestIncidenceGraph:
         assert sorted(c.multiplicity for c in before.components) == sorted(
             c.multiplicity for c in after.components
         )
+
+
+def brute_force_graph(weighted_forms):
+    """Incidence by definition: every pairwise intersection, and line k
+    through a point iff their dot product is 0."""
+    lines, mults = [], {}
+    for raw, mult in weighted_forms:
+        form = normalize_form(raw).coefficients()
+        if form not in mults:
+            lines.append(form)
+            mults[form] = 0
+        mults[form] += mult
+    points = set()
+    for i, (a1, b1, c1) in enumerate(lines):
+        for a2, b2, c2 in lines[i + 1 :]:
+            cross = [b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2]
+            g = gcd(*cross)
+            sign = -1 if next(x for x in cross if x) < 0 else 1
+            points.add(tuple(sign * x // g for x in cross))
+    return ArrangementGraph(
+        tuple(Component(f"l{i + 1}", 1, mults[form]) for i, form in enumerate(lines)),
+        tuple(
+            SingularPoint(
+                f"v{n + 1}",
+                tuple(
+                    Branch(f"l{i + 1}")
+                    for i, form in enumerate(lines)
+                    if sum(x * y for x, y in zip(form, point)) == 0
+                ),
+            )
+            for n, point in enumerate(sorted(points))
+        ),
+    )
+
+
+class TestIncidenceAgainstBruteForce:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_small_coefficients(self, seed):
+        rng = random.Random(seed)
+        forms = []
+        for _ in range(rng.randint(1, 14)):
+            if forms and rng.random() < 0.2:
+                # A proportional copy of an earlier line.
+                raw, _ = rng.choice(forms)
+                scale = rng.choice((-3, -1, 2, Fraction(1, 2)))
+                raw = tuple(scale * x for x in raw)
+            else:
+                raw = (0, 0, 0)
+                while raw == (0, 0, 0):
+                    raw = tuple(rng.randint(-2, 2) for _ in range(3))
+            forms.append((raw, rng.randint(1, 3)))
+        assert incidence_graph(forms) == brute_force_graph(forms)
 
 
 class TestLoadLines:
