@@ -26,6 +26,7 @@ __all__ = [
     "Component",
     "DerivedData",
     "InvalidArrangementError",
+    "MAX_TOTAL_DEGREE",
     "SingularPoint",
     "ValidationReport",
     "derived",
@@ -35,6 +36,11 @@ __all__ = [
     "require_valid",
     "validate",
 ]
+
+
+# Largest total degree sum(m_l * d_l) accepted: every formula loops over
+# j = 1..d and prints O(d) terms, so an unbounded d means an unbounded run.
+MAX_TOTAL_DEGREE = 100_000
 
 
 class ArrangementFormatError(ValueError):
@@ -91,12 +97,6 @@ class ArrangementGraph:
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "points", tuple(self.points))
 
-    def component(self, cid: str) -> Component:
-        for comp in self.components:
-            if comp.id == cid:
-                return comp
-        raise KeyError(cid)
-
     def is_reduced(self) -> bool:
         return all(comp.multiplicity == 1 for comp in self.components)
 
@@ -136,10 +136,15 @@ def validate(graph: ArrangementGraph) -> ValidationReport:
             errors.append(
                 ("nonpositive-multiplicity", f"multiplicity must be >= 1, got {comp.multiplicity}", loc)
             )
+    total_degree = sum(comp.multiplicity * comp.degree for comp in graph.components)
+    if total_degree > MAX_TOTAL_DEGREE:
+        message = f"total degree {total_degree} exceeds the limit {MAX_TOTAL_DEGREE}"
+        errors.append(("total-degree-too-large", message, "components"))
 
     seen_pt: set[str] = set()
     for point in graph.points:
         loc = f"point {point.id!r}"
+        point_errors = len(errors)
         if not point.id:
             errors.append(("empty-id", "point id must be a nonempty string", loc))
         if point.id in seen_pt:
@@ -166,7 +171,7 @@ def validate(graph: ArrangementGraph) -> ValidationReport:
                         bloc,
                     )
                 )
-        if not any(code for code, _, l in errors if l.startswith(loc)):
+        if len(errors) == point_errors:
             m_red = sum(br.mult for br in point.branches)
             if m_red == 1:
                 warnings.append(
@@ -222,22 +227,29 @@ def derived(graph: ArrangementGraph) -> DerivedData:
 # ---------------------------------------------------------------------
 
 
-def _require_int(value, what: str) -> int:
+def _echo(value) -> str:
+    """repr of an offending input value, cut to 80 characters so the
+    diagnostic stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def _require_int(value, what: str, error=ArrangementFormatError) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ArrangementFormatError(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {_echo(value)}")
     return value
 
 
 def _require_str(value, what: str) -> str:
     if not isinstance(value, str):
-        raise ArrangementFormatError(f"{what} must be a string, got {value!r}")
+        raise ArrangementFormatError(f"{what} must be a string, got {_echo(value)}")
     return value
 
 
-def _check_keys(obj: Mapping, allowed: Iterable[str], what: str) -> None:
+def _check_keys(obj: Mapping, allowed: Iterable[str], what: str, error=ArrangementFormatError) -> None:
     extra = set(obj) - set(allowed)
     if extra:
-        raise ArrangementFormatError(f"{what} has unknown keys: {sorted(extra)}")
+        raise error(f"{what} has unknown keys: {_echo(sorted(extra))}")
 
 
 def graph_from_dict(data) -> ArrangementGraph:

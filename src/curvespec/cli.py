@@ -34,7 +34,7 @@ from .formulas import (
     spectrum_reduced,
     spectrum_smooth_components,
 )
-from .lines import LineFileError, ZeroFormError, incidence_graph, load_lines
+from .lines import LineFileError, incidence_graph, load_lines
 from .randomgraphs import (
     GraphBounds,
     SplitMix64,
@@ -53,19 +53,14 @@ class VerificationMismatch(Exception):
 
 
 def _auto_dispatch(graph: ArrangementGraph):
-    """Most specific applicable formula; a reduced graph is cross-checked
-    against the independent reduced display at runtime."""
-    if all(c.degree == 1 for c in graph.components):
-        result, name = spectrum_hyperplane(graph), "hyperplane"
-    elif all(br.mult == 1 for p in graph.points for br in p.branches):
-        result, name = spectrum_smooth_components(graph), "smooth"
-    else:
-        result, name = spectrum_general(graph), "general"
+    """The general formula; a reduced graph is cross-checked against the
+    separately coded reduced display at runtime."""
+    result = spectrum_general(graph)
     if graph.is_reduced():
         reduced = spectrum_reduced(graph)
         if result != reduced:
             raise VerificationMismatch(
-                f"auto-dispatched {name} formula disagrees with the reduced formula: "
+                "auto-dispatched general formula disagrees with the reduced formula: "
                 f"{format_spectrum(result)} vs {format_spectrum(reduced)}"
             )
     return result
@@ -113,12 +108,6 @@ def _check_one(graph: ArrangementGraph, rng: SplitMix64) -> list[str]:
         failures.append("general vs characteristic-class pipeline")
     if graph.is_reduced() and spectrum_reduced(graph) != base:
         failures.append("general vs reduced formula")
-    if all(br.mult == 1 for p in graph.points for br in p.branches):
-        if spectrum_smooth_components(graph) != base:
-            failures.append("general vs smooth-components formula")
-    if all(c.degree == 1 for c in graph.components):
-        if spectrum_hyperplane(graph) != base:
-            failures.append("general vs hyperplane formula")
     if len(graph.components) == 1:
         # Multiplicity-1 points are formula-neutral, so dropping them keeps
         # the single-curve power formula applicable.
@@ -220,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--formula",
         choices=sorted(_FORMULAS),
         default="auto",
-        help="formula to apply; auto picks the most specific one and cross-checks reduced input",
+        help="formula to apply; auto runs the general one and cross-checks reduced input",
     )
     p_compute.add_argument("--style", choices=("plain", "latex", "json"), default="plain")
     p_compute.add_argument(
@@ -262,7 +251,7 @@ def main(argv=None) -> int:
         for code, message, location in exc.report.errors:
             print(f"error [{code}] {location}: {message}", file=sys.stderr)
         return 2
-    except (ZeroFormError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationMismatch as exc:

@@ -79,13 +79,10 @@ def twist_coefficients(graph: ArrangementGraph, j: int) -> TwistCoefficients:
 def _three_level_spectrum(d: int, rows) -> Spectrum:
     """Assemble coefficients {(j, n0, n1, n2)} into a spectrum over exponents
     j/d, 1 + j/d, 2 + j/d."""
-    terms: dict[Fraction, int] = {}
+    terms = []
     for j, n0, n1, n2 in rows:
         base = Fraction(j, d)
-        for level, n in enumerate((n0, n1, n2)):
-            if n:
-                alpha = level + base
-                terms[alpha] = terms.get(alpha, 0) + n
+        terms += [(level + base, n) for level, n in enumerate((n0, n1, n2)) if n]
     return Spectrum(terms)
 
 
@@ -243,17 +240,13 @@ def spectrum_binary_linear(mults: Sequence[int]) -> Spectrum:
             raise ValueError(f"multiplicity must be >= 1, got {m}")
     d = sum(mults)
     d_red = len(mults)
-    terms: dict[Fraction, int] = {}
+    rows = []
     for j in range(1, d + 1):
         ceil_sum = sum(ceil_div(j * m, d) for m in mults)
-        base = Fraction(j, d)
         n0 = d_red - ceil_sum + j - 1
         n1 = ceil_sum - j - 1 + (1 if j == d else 0)
-        if n0:
-            terms[base] = terms.get(base, 0) + n0
-        if n1:
-            terms[1 + base] = terms.get(1 + base, 0) + n1
-    return Spectrum(terms)
+        rows.append((j, n0, n1, 0))
+    return _three_level_spectrum(d, rows)
 
 
 def spectrum_isolated(d: int, n: int) -> Spectrum:

@@ -17,7 +17,8 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import Sequence, Tuple, Union
 
-from .arrangement import ArrangementGraph, Branch, Component, SingularPoint, _load_json
+from .arrangement import ArrangementGraph, Branch, Component, SingularPoint
+from .arrangement import _check_keys, _echo, _load_json, _require_int
 
 __all__ = [
     "LineFileError",
@@ -69,11 +70,11 @@ def _primitive(x: int, y: int, z: int) -> Tuple[int, int, int]:
 
 def _to_fraction(x: RationalLike, what: str) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (Rational, str)):
-        raise LineFileError(f"{what} must be an integer or 'p/q' string, got {x!r}")
+        raise LineFileError(f"{what} must be an integer or 'p/q' string, got {_echo(x)}")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
-        raise LineFileError(f"{what} is not a valid rational: {x!r}") from exc
+        raise LineFileError(f"{what} is not a valid rational: {_echo(x)}") from exc
 
 
 def normalize_form(raw: Sequence[RationalLike]) -> LinearForm:
@@ -98,8 +99,7 @@ def incidence_graph(forms: Sequence[Tuple[Sequence[RationalLike], int]]) -> Arra
     lines: list[LinearForm] = []
     mults: dict[LinearForm, int] = {}
     for raw, mult in forms:
-        if isinstance(mult, bool) or not isinstance(mult, int):
-            raise LineFileError(f"multiplicity must be an integer, got {mult!r}")
+        _require_int(mult, "multiplicity", LineFileError)
         # Nonpositive multiplicities flow into the graph and fail validation
         # there, keeping the schema/data error split uniform across inputs.
         form = normalize_form(raw)
@@ -147,9 +147,7 @@ def load_lines(path: str) -> list[Tuple[Tuple[RationalLike, ...], int]]:
     for i, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise LineFileError(f"entry {i} must be an object")
-        extra = set(entry) - {"form", "multiplicity"}
-        if extra:
-            raise LineFileError(f"entry {i} has unknown keys: {sorted(extra)}")
+        _check_keys(entry, ("form", "multiplicity"), f"entry {i}", LineFileError)
         if "form" not in entry:
             raise LineFileError(f"entry {i} needs a 'form'")
         raw = entry["form"]
@@ -157,8 +155,6 @@ def load_lines(path: str) -> list[Tuple[Tuple[RationalLike, ...], int]]:
             raise LineFileError(f"entry {i}: 'form' must be a 3-element array")
         for k, x in enumerate(raw):
             _to_fraction(x, f"entry {i}, coefficient {k}")
-        mult = entry.get("multiplicity", 1)
-        if isinstance(mult, bool) or not isinstance(mult, int):
-            raise LineFileError(f"entry {i}: multiplicity must be an integer, got {mult!r}")
+        mult = _require_int(entry.get("multiplicity", 1), f"entry {i}: multiplicity", LineFileError)
         out.append((tuple(raw), mult))
     return out

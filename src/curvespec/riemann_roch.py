@@ -201,7 +201,7 @@ def spectrum_via_riemann_roch(graph: ArrangementGraph) -> Spectrum:
     td = todd(graph)
     weighted = [wedge_ch(log_chern, p) * td for p in range(3)]
 
-    terms: dict[Fraction, int] = {}
+    terms = []
     for j in range(1, d + 1):
         ch_twist = line_bundle_ch(_twist_class(graph, data, strict_classes, j))
         base = Fraction(j, d)
@@ -209,8 +209,5 @@ def spectrum_via_riemann_roch(graph: ArrangementGraph) -> Spectrum:
             chi = _integer((weighted[2 - k] * ch_twist).integrate(), f"chi_{2 - k}")
             if k == 2 and j == d:
                 chi -= 1
-            n = chi if k % 2 == 0 else -chi
-            if n:
-                alpha = k + base
-                terms[alpha] = terms.get(alpha, 0) + n
+            terms.append((k + base, chi if k % 2 == 0 else -chi))
     return Spectrum(terms)

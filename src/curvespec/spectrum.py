@@ -123,10 +123,7 @@ class Spectrum:
     def __add__(self, other: "Spectrum") -> "Spectrum":
         if not isinstance(other, Spectrum):
             return NotImplemented
-        merged = dict(self._terms)
-        for alpha, n in other._terms.items():
-            merged[alpha] = merged.get(alpha, 0) + n
-        return Spectrum(merged)
+        return Spectrum([*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other: "Spectrum") -> "Spectrum":
         if not isinstance(other, Spectrum):
@@ -143,12 +140,9 @@ class Spectrum:
             return Spectrum({a: n * other for a, n in self._terms.items()})
         if not isinstance(other, Spectrum):
             return NotImplemented
-        out: dict[Fraction, int] = {}
-        for a1, n1 in self._terms.items():
-            for a2, n2 in other._terms.items():
-                e = a1 + a2
-                out[e] = out.get(e, 0) + n1 * n2
-        return Spectrum(out)
+        return Spectrum(
+            (a1 + a2, n1 * n2) for a1, n1 in self._terms.items() for a2, n2 in other._terms.items()
+        )
 
     def __rmul__(self, other: int) -> "Spectrum":
         if isinstance(other, bool) or not isinstance(other, int):
@@ -300,7 +294,7 @@ class _Parser:
         # Lone "0" is the zero spectrum.
         if len(self.tokens) == 1 and self.tokens[0][0] == "0":
             return Spectrum.zero()
-        terms: dict[Fraction, int] = {}
+        terms = []
         sign = 1
         if self.peek() == "-":
             self.take()
@@ -309,7 +303,7 @@ class _Parser:
             self.take()
         while True:
             alpha, coef = self.term()
-            terms[alpha] = terms.get(alpha, 0) + sign * coef
+            terms.append((alpha, sign * coef))
             tok = self.peek()
             if tok is None:
                 break

@@ -16,6 +16,7 @@ from curvespec.arrangement import (
     Branch,
     Component,
     InvalidArrangementError,
+    MAX_TOTAL_DEGREE,
     SingularPoint,
     derived,
     graph_from_dict,
@@ -87,6 +88,18 @@ class TestValidate:
     def test_empty_ids(self):
         g = ArrangementGraph((Component("", 1),), (SingularPoint("", (Branch("", 1),)),))
         assert "empty-id" in error_codes(g)
+
+    def test_total_degree_limit(self):
+        at_limit = ArrangementGraph((Component("a", 1, MAX_TOTAL_DEGREE),))
+        assert validate(at_limit).ok
+        over = ArrangementGraph((Component("a", 1, MAX_TOTAL_DEGREE - 1), Component("b", 2)))
+        assert validate(over).errors == (
+            (
+                "total-degree-too-large",
+                f"total degree {MAX_TOTAL_DEGREE + 1} exceeds the limit {MAX_TOTAL_DEGREE}",
+                "components",
+            ),
+        )
 
     def test_snc_warning(self):
         assert warning_codes(two_line_powers(1, 1)) == {"snc-node"}

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -20,6 +21,19 @@ DOUBLE_LINES = {
     ],
     "points": [
         {"id": "v", "branches": [{"component": "a"}, {"component": "b"}]}
+    ],
+}
+CONCURRENT_LINES = {
+    "components": [{"id": "a", "degree": 1}, {"id": "b", "degree": 1}, {"id": "c", "degree": 1}],
+    "points": [
+        {"id": "v", "branches": [{"component": "a"}, {"component": "b"}, {"component": "c"}]}
+    ],
+}
+CONIC_AND_SECANT = {
+    "components": [{"id": "q", "degree": 2}, {"id": "l", "degree": 1}],
+    "points": [
+        {"id": "v1", "branches": [{"component": "q"}, {"component": "l"}]},
+        {"id": "v2", "branches": [{"component": "q"}, {"component": "l"}]},
     ],
 }
 TRIANGLE_LINES = [
@@ -92,14 +106,19 @@ class TestCompute:
         assert captured.out == ""
         assert captured.err.startswith("mismatch:")
 
-    def test_auto_cross_checks_reduced_input(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "doc",
+        [NODAL_CUBIC, CONCURRENT_LINES, CONIC_AND_SECANT],
+        ids=["nodal-cubic", "lines", "smooth-branches"],
+    )
+    def test_auto_cross_checks_reduced_input(self, tmp_path, capsys, monkeypatch, doc):
         general = curvespec.formulas._general_display
         monkeypatch.setattr(
             curvespec.formulas,
             "_general_display",
             lambda g: general(g) + curvespec.formulas.Spectrum.term(1),
         )
-        code = main(["compute", arrangement_file(tmp_path, NODAL_CUBIC)])
+        code = main(["compute", arrangement_file(tmp_path, doc)])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
@@ -109,6 +128,25 @@ class TestCompute:
         path = arrangement_file(tmp_path, DOUBLE_LINES)
         assert main(["compute", path, "--formula", "reduced"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_many_invalid_points_are_rejected_quickly(self, tmp_path, capsys):
+        doc = {
+            "components": [{"id": "c", "degree": 3}],
+            "points": [{"id": f"v{i}", "branches": [{"component": "ghost"}]} for i in range(20_000)],
+        }
+        path = arrangement_file(tmp_path, doc)
+        start = time.perf_counter()
+        assert main(["compute", path]) == 2
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr().err.count("[unknown-component]") == 20_000
+        assert elapsed < 10.0
+
+    def test_total_degree_limit(self, tmp_path, capsys):
+        doc = {"components": [{"id": "c", "degree": 3, "multiplicity": 100_000_000}]}
+        assert main(["compute", arrangement_file(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [total-degree-too-large] components:")
 
     def test_invalid_arrangement(self, tmp_path, capsys):
         doc = {
@@ -174,6 +212,14 @@ class TestCheck:
         assert code == 0
         assert capsys.readouterr().out == "10/10 ok\n"
 
+    def test_total_degree_limit(self, capsys):
+        huge = str(10**9)
+        code = main(["check", "--count", "1", "--max-degree", huge, "--max-mult", huge])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error [total-degree-too-large] components:")
+
     def test_corrupted_formula_is_caught_and_reported(self, capsys, monkeypatch):
         monkeypatch.setattr(
             curvespec.formulas,
@@ -232,6 +278,13 @@ class TestLines:
     def test_missing_file(self, tmp_path):
         assert main(["lines", str(tmp_path / "absent.json")]) == 1
 
+    def test_total_degree_limit(self, tmp_path, capsys):
+        doc = [{"form": [1, 0, 0], "multiplicity": 100_000_000}, {"form": [0, 1, 0]}]
+        assert main(["lines", lines_file(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [total-degree-too-large] components:")
+
 
 class TestUnreadableJson:
     @pytest.mark.parametrize("command", ["compute", "lines"])
@@ -248,6 +301,38 @@ class TestUnreadableJson:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
+
+
+class TestLongValueEcho:
+    """A diagnostic echoes at most about 80 characters of the offending value."""
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("lines", '[{"form": ["' + "7" * 5000 + '", 0, 1]}]', "is not a valid rational"),
+            (
+                "compute",
+                '{"components": [{"id": "c", "degree": ' + "[" * 500 + "]" * 500 + "}]}",
+                "must be an integer",
+            ),
+            (
+                "compute",
+                '{"components": [{"id": "c", "degree": 3, "' + "k" * 5000 + '": 1}]}',
+                "has unknown keys",
+            ),
+        ],
+        ids=["5000-digit-coefficient", "nested-array-degree", "long-unknown-key"],
+    )
+    def test_one_short_line(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert len(captured.err) < 160
 
 
 class TestExamples:
