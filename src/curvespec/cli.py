@@ -122,6 +122,8 @@ def _check_one(graph: ArrangementGraph, rng: SplitMix64) -> list[str]:
 
 
 def cmd_check(args) -> int:
+    if args.count < 0:
+        raise ValueError("count must not be negative")
     bounds = GraphBounds(
         max_components=args.max_components,
         max_points=args.max_points,

@@ -12,6 +12,13 @@ of points.
 
 Integration returns the e0^2 coefficient: the self-intersection of a
 general line is one point, which fixes the normalization integrate(e0^2) = 1.
+
+Every class with scalar part 1 is 1 + n with n^3 = 0, so the series for
+log and exp stop after two terms and stay exact over the rationals:
+log(1 + n) = n - n^2/2 and exp(s) = 1 + s + s^2/2 (:meth:`CohClass.log`,
+:meth:`CohClass.exp`).  :func:`product` multiplies many such factors as
+exp(sum of logs), in time linear in their total support, where a chain of
+ring products would copy every point coefficient once per factor.
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Tuple, Union
 
-__all__ = ["CohClass", "ONE", "exceptional_class", "hyperplane_e0", "point_e"]
+__all__ = ["CohClass", "ONE", "exceptional_class", "hyperplane_e0", "point_e", "product"]
 
 ScalarLike = Union[Fraction, int, str]
 
@@ -48,6 +55,14 @@ class CohClass:
         clean = {v: _frac(x) for v, x in self.bv.items() if x != 0}
         object.__setattr__(self, "bv", clean)
 
+    @classmethod
+    def _of(cls, a: Fraction, b0: Fraction, bv: Mapping[str, Fraction], c: Fraction) -> "CohClass":
+        """Class from coefficients that are already Fractions: the ring
+        operations skip the public constructor's checks and conversions."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(a=a, b0=b0, bv={v: x for v, x in bv.items() if x}, c=c)
+        return obj
+
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "CohClass") -> "CohClass":
@@ -55,8 +70,8 @@ class CohClass:
             return NotImplemented
         bv = dict(self.bv)
         for v, x in other.bv.items():
-            bv[v] = bv.get(v, Fraction(0)) + x
-        return CohClass(self.a + other.a, self.b0 + other.b0, bv, self.c + other.c)
+            bv[v] = bv.get(v, 0) + x
+        return CohClass._of(self.a + other.a, self.b0 + other.b0, bv, self.c + other.c)
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         if not isinstance(other, CohClass):
@@ -64,7 +79,7 @@ class CohClass:
         return self + (-other)
 
     def __neg__(self) -> "CohClass":
-        return CohClass(-self.a, -self.b0, {v: -x for v, x in self.bv.items()}, -self.c)
+        return CohClass._of(-self.a, -self.b0, {v: -x for v, x in self.bv.items()}, -self.c)
 
     def __mul__(self, other: Union["CohClass", ScalarLike]) -> "CohClass":
         if not isinstance(other, CohClass):
@@ -72,7 +87,7 @@ class CohClass:
                 s = _frac(other)
             except TypeError:
                 return NotImplemented
-            return CohClass(self.a * s, self.b0 * s, {v: x * s for v, x in self.bv.items()}, self.c * s)
+            return CohClass._of(self.a * s, self.b0 * s, {v: x * s for v, x in self.bv.items()}, self.c * s)
         # Degree-2 part of the product of the degree-1 parts:
         # (b0 e0 + Σ bv e_v)(b0' e0 + Σ bv' e_v) = (b0 b0' − Σ bv bv') e0².
         cross = self.b0 * other.b0
@@ -82,8 +97,8 @@ class CohClass:
                 cross -= x * y
         bv = {v: self.a * x for v, x in other.bv.items()}
         for v, x in self.bv.items():
-            bv[v] = bv.get(v, Fraction(0)) + other.a * x
-        return CohClass(
+            bv[v] = bv.get(v, 0) + other.a * x
+        return CohClass._of(
             self.a * other.a,
             self.a * other.b0 + other.a * self.b0,
             bv,
@@ -102,11 +117,11 @@ class CohClass:
     def degree_part(self, k: int) -> "CohClass":
         """Homogeneous piece of cohomological degree 2k (k = 0, 1, 2)."""
         if k == 0:
-            return CohClass(a=self.a)
+            return CohClass._of(self.a, _ZERO, {}, _ZERO)
         if k == 1:
-            return CohClass(b0=self.b0, bv=self.bv)
+            return CohClass._of(_ZERO, self.b0, self.bv, _ZERO)
         if k == 2:
-            return CohClass(c=self.c)
+            return CohClass._of(_ZERO, _ZERO, {}, self.c)
         raise ValueError(f"degree index must be 0, 1 or 2, got {k}")
 
     def is_divisor(self) -> bool:
@@ -121,8 +136,24 @@ class CohClass:
         """
         if self.a == 0:
             raise ZeroDivisionError("class with zero scalar part is not invertible")
-        n = CohClass(0, self.b0, self.bv, self.c) * Fraction(1, self.a)
+        n = CohClass._of(_ZERO, self.b0, self.bv, self.c) * Fraction(1, self.a)
         return (ONE - n + n * n) * Fraction(1, self.a)
+
+    def _square(self) -> Fraction:
+        """e0^2 coefficient of the square of the degree-1 part."""
+        return self.b0 * self.b0 - sum(x * x for x in self.bv.values())
+
+    def log(self) -> "CohClass":
+        """log(1 + n) = n - n^2/2 of a class 1 + n with scalar part 1."""
+        if self.a != 1:
+            raise ValueError(f"log needs scalar part 1, got {self.a}")
+        return CohClass._of(_ZERO, self.b0, self.bv, self.c - self._square() / 2)
+
+    def exp(self) -> "CohClass":
+        """exp(s) = 1 + s + s^2/2 of a class s with scalar part 0."""
+        if self.a != 0:
+            raise ValueError(f"exp needs scalar part 0, got {self.a}")
+        return CohClass._of(_ONE, self.b0, self.bv, self.c + self._square() / 2)
 
     def __repr__(self) -> str:
         parts = []
@@ -137,7 +168,23 @@ class CohClass:
         return "CohClass(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-ONE = CohClass(a=Fraction(1))
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+ONE = CohClass(a=_ONE)
+
+
+def product(factors: Iterable[Tuple[CohClass, int]]) -> CohClass:
+    """prod f**k over the (f, k) pairs, each f with scalar part 1, formed as
+    exp(sum k*log f); negative k divides."""
+    b0 = c = _ZERO
+    bv: dict[str, Fraction] = {}
+    for factor, k in factors:
+        log = factor.log()
+        b0 += k * log.b0
+        c += k * log.c
+        for v, x in log.bv.items():
+            bv[v] = bv.get(v, 0) + k * x
+    return CohClass._of(_ZERO, b0, bv, c).exp()
 
 
 def hyperplane_e0(coeff: ScalarLike = 1) -> CohClass:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from .arrangement import ArrangementGraph, Branch, Component, SingularPoint
 
 __all__ = [
+    "MAX_GRAPH_SIZE",
     "GraphBounds",
     "SplitMix64",
     "generate_graph",
@@ -43,6 +44,12 @@ __all__ = [
 ]
 
 _MASK = (1 << 64) - 1
+
+# Largest accepted max_components and max_points.  The generator draws up to
+# that many components and points (each point with up to max_components
+# branches) before anything else looks at the graph, so without a cap one
+# bad bound means an unbounded run.
+MAX_GRAPH_SIZE = 1_000
 
 
 class SplitMix64:
@@ -77,6 +84,14 @@ class GraphBounds:
     max_points: int = 8
     max_degree: int = 4
     max_mult: int = 4
+
+    def __post_init__(self):
+        for name, low in (("max_components", 1), ("max_points", 0), ("max_degree", 1), ("max_mult", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}")
+        for name in ("max_components", "max_points"):
+            if getattr(self, name) > MAX_GRAPH_SIZE:
+                raise ValueError(f"{name} exceeds the limit {MAX_GRAPH_SIZE}")
 
 
 def _generic_point(rng: SplitMix64, components: list[Component]) -> tuple[Branch, ...]:

@@ -12,14 +12,26 @@ ring; the closed-form expansions (`*_closed` functions) are kept only as
 regression targets so the two routes check each other.  Agreement of
 :func:`spectrum_via_riemann_roch` with the combinatorial formulas in
 :mod:`curvespec.formulas` is the package's central cross-validation.
+
+Cost.  Every factor of the product formulas has scalar part 1, so each
+product is formed as exp(sum of logs) (:func:`curvespec.cohomology.product`)
+in time linear in the points and branches; the tangent class is built once
+per spectrum and feeds both the log cotangent class and the Todd class.
+The weighted classes W_p = ch(wedge^p of log 1-forms) * td are built once.
+For an integral twist u = u0*e0 + sum_v u_v*e_v the integral of W*ch(u) is
+W.c + W.b0*u0 - sum_v W.bv[v]*u_v + W.a*(u0^2 - sum_v u_v^2)/2, so after
+scaling the three W_p to one denominator D, times 2, every j costs integer
+sums only, one step per point, and a remainder modulo 2D still fails the
+integrality assertion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .arrangement import ArrangementGraph, derived, require_valid
-from .cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e
+from .arrangement import ArrangementGraph, DerivedData, derived, require_valid
+from .cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e, product
 from .spectrum import Spectrum
 
 __all__ = [
@@ -46,37 +58,47 @@ def _strict_transform_classes(graph: ArrangementGraph) -> list[CohClass]:
     return [exceptional_class(c.degree, through[c.id]) for c in graph.components]
 
 
+def _chern_tangent(graph: ArrangementGraph) -> CohClass:
+    e0 = hyperplane_e0()
+    # The per-point denominators (1 - e0)^2 join the (1 - e0)^3 of the plane.
+    factors = [(ONE - e0, 3 - 2 * len(graph.points))]
+    for point in graph.points:
+        ev = point_e(point.id)
+        factors.append((ONE + ev, 1))
+        factors.append((ONE - e0 - ev, 2))
+    return product(factors)
+
+
 def chern_tangent(graph: ArrangementGraph) -> CohClass:
     """Total Chern class of the tangent bundle of the blow-up, by the
     product formula c = (1 - e0)^3 * prod_v (1 + e_v)((1 - e0 - e_v)/(1 - e0))^2."""
     require_valid(graph)
-    e0 = hyperplane_e0()
-    base = (ONE - e0) * (ONE - e0) * (ONE - e0)
-    total = base
-    for point in graph.points:
-        ev = point_e(point.id)
-        ratio = (ONE - e0 - ev) * (ONE - e0).inverse()
-        total = total * (ONE + ev) * ratio * ratio
-    return total
+    return _chern_tangent(graph)
+
+
+def _dual(c: CohClass) -> CohClass:
+    return c.degree_part(0) - c.degree_part(1) + c.degree_part(2)
 
 
 def chern_cotangent(graph: ArrangementGraph) -> CohClass:
     """Total Chern class of the cotangent bundle: rank-2 duality negates the
     degree-1 part and keeps degree 2."""
-    c = chern_tangent(graph)
-    return c.degree_part(0) - c.degree_part(1) + c.degree_part(2)
+    return _dual(chern_tangent(graph))
+
+
+def _chern_cotangent_log(graph: ArrangementGraph, tangent: CohClass) -> CohClass:
+    factors = [(_dual(tangent), 1)]
+    factors.extend((ONE - point_e(point.id), -1) for point in graph.points)
+    factors.extend((ONE - e_class, -1) for e_class in _strict_transform_classes(graph))
+    return product(factors)
 
 
 def chern_cotangent_log(graph: ArrangementGraph) -> CohClass:
     """Total Chern class of the sheaf of 1-forms with log poles along the
     total transform of the arrangement (exceptional curves and strict
-    transforms), via truncated inverses."""
-    total = chern_cotangent(graph)
-    for point in graph.points:
-        total = total * (ONE - point_e(point.id)).inverse()
-    for e_class in _strict_transform_classes(graph):
-        total = total * (ONE - e_class).inverse()
-    return total
+    transforms): the cotangent class times 1/(1 - e_v) for every point and
+    1/(1 - [E_l]) for every component."""
+    return _chern_cotangent_log(graph, chern_tangent(graph))
 
 
 def chern_cotangent_log_closed(graph: ArrangementGraph) -> CohClass:
@@ -105,12 +127,15 @@ def chern_cotangent_log_closed(graph: ArrangementGraph) -> CohClass:
     return CohClass(a=1, b0=b0, bv=bv, c=top)
 
 
+def _todd(tangent: CohClass) -> CohClass:
+    c1 = tangent.degree_part(1)
+    c2 = tangent.degree_part(2)
+    return ONE + c1 * Fraction(1, 2) + (c1 * c1 + c2) * Fraction(1, 12)
+
+
 def todd(graph: ArrangementGraph) -> CohClass:
     """Todd class 1 + c1/2 + (c1^2 + c2)/12 of the blown-up surface."""
-    c = chern_tangent(graph)
-    c1 = c.degree_part(1)
-    c2 = c.degree_part(2)
-    return ONE + c1 * Fraction(1, 2) + (c1 * c1 + c2) * Fraction(1, 12)
+    return _todd(chern_tangent(graph))
 
 
 def todd_closed(graph: ArrangementGraph) -> CohClass:
@@ -147,17 +172,6 @@ def line_bundle_ch(divisor: CohClass) -> CohClass:
     return ONE + divisor + divisor * divisor * Fraction(1, 2)
 
 
-def _twist_class(graph: ArrangementGraph, data, strict_classes, j: int) -> CohClass:
-    d = data.total_degree
-    i = d - j
-    total = hyperplane_e0(i)
-    for point in graph.points:
-        total = total + point_e(point.id, (i * data.point_mult[point.id]) // d)
-    for comp, e_class in zip(graph.components, strict_classes):
-        total = total + e_class * ((i * comp.multiplicity) // d)
-    return total
-
-
 def twist_class(graph: ArrangementGraph, j: int) -> CohClass:
     """Divisor class of the j-th twist, built from floor divisions:
     (d - j)*e0 + sum_v floor((d-j)*m_v/d)*e_v + sum_l floor((d-j)*m_l/d)*[E_l].
@@ -167,9 +181,16 @@ def twist_class(graph: ArrangementGraph, j: int) -> CohClass:
     """
     require_valid(graph)
     data = derived(graph)
-    if not 1 <= j <= data.total_degree:
-        raise ValueError(f"j must lie in [1, {data.total_degree}], got {j}")
-    return _twist_class(graph, data, _strict_transform_classes(graph), j)
+    d = data.total_degree
+    if not 1 <= j <= d:
+        raise ValueError(f"j must lie in [1, {d}], got {j}")
+    i = d - j
+    total = hyperplane_e0(i)
+    for point in graph.points:
+        total = total + point_e(point.id, (i * data.point_mult[point.id]) // d)
+    for comp, e_class in zip(graph.components, _strict_transform_classes(graph)):
+        total = total + e_class * ((i * comp.multiplicity) // d)
+    return total
 
 
 def _integer(value: Fraction, what: str) -> int:
@@ -185,8 +206,63 @@ def euler_characteristic(graph: ArrangementGraph, p: int, divisor: CohClass) -> 
     Rational numbers appear mid-computation (Todd denominators); the result
     is asserted integral, so a fractional value signals an internal bug.
     """
-    product = wedge_ch(chern_cotangent_log(graph), p) * line_bundle_ch(divisor) * todd(graph)
-    return _integer(product.integrate(), f"chi_{p}")
+    require_valid(graph)
+    tangent = _chern_tangent(graph)
+    log_chern = _chern_cotangent_log(graph, tangent)
+    integrand = wedge_ch(log_chern, p) * line_bundle_ch(divisor) * _todd(tangent)
+    return _integer(integrand.integrate(), f"chi_{p}")
+
+
+def _euler_characteristics(graph: ArrangementGraph, data: DerivedData):
+    """Yield (j, [chi_0, chi_1, chi_2]) for the twists j = 1..d of a valid
+    graph with derived data ``data``: the integer form of
+    euler_characteristic(graph, p, twist_class(graph, j))."""
+    tangent = _chern_tangent(graph)
+    log_chern = _chern_cotangent_log(graph, tangent)
+    td = _todd(tangent)
+    weighted = [wedge_ch(log_chern, p) * td for p in range(3)]
+
+    # 2*D*W_p has integer coefficients and D*W_p.a is an integer.
+    half = lcm(*(x.denominator for w in weighted for x in (w.a, w.b0, w.c, *w.bv.values())))
+    scale = 2 * half
+    const = [int(w.c * scale) for w in weighted]
+    lin0 = [int(w.b0 * scale) for w in weighted]
+    quad = [int(w.a * half) for w in weighted]
+
+    comp_mult = {c.id: c.multiplicity for c in graph.components}
+    d = data.total_degree
+    degree_by_mult: dict[int, int] = {}
+    for c in graph.components:
+        degree_by_mult[c.multiplicity] = degree_by_mult.get(c.multiplicity, 0) + c.degree
+    points = [
+        (
+            data.point_mult[point.id],
+            [(comp_mult[br.component], br.mult) for br in point.branches],
+            [int(w.bv.get(point.id, 0) * scale) for w in weighted],
+        )
+        for point in graph.points
+    ]
+
+    for j in range(1, d + 1):
+        # Twist u = i*e0 + sum_v floor(i*m_v/d)*e_v + sum_l floor(i*m_l/d)*[E_l].
+        i = d - j
+        floors = {m: (i * m) // d for m in degree_by_mult}
+        u0 = i - sum(floors[m] * deg for m, deg in degree_by_mult.items())
+        lin = [lin0[p] * u0 for p in range(3)]
+        square = u0 * u0
+        for point_mult, branches, weights in points:
+            u = (i * point_mult) // d - sum(floors[m] * mu for m, mu in branches)
+            for p in range(3):
+                lin[p] -= weights[p] * u
+            square -= u * u
+        chis = []
+        for p in range(3):
+            total = const[p] + lin[p] + quad[p] * square
+            chi, rest = divmod(total, scale)
+            if rest:
+                raise ArithmeticError(f"chi_{p} must be an integer, got {Fraction(total, scale)}")
+            chis.append(chi)
+        yield j, chis
 
 
 def spectrum_via_riemann_roch(graph: ArrangementGraph) -> Spectrum:
@@ -196,17 +272,11 @@ def spectrum_via_riemann_roch(graph: ArrangementGraph) -> Spectrum:
     require_valid(graph)
     data = derived(graph)
     d = data.total_degree
-    strict_classes = _strict_transform_classes(graph)
-    log_chern = chern_cotangent_log(graph)
-    td = todd(graph)
-    weighted = [wedge_ch(log_chern, p) * td for p in range(3)]
-
     terms = []
-    for j in range(1, d + 1):
-        ch_twist = line_bundle_ch(_twist_class(graph, data, strict_classes, j))
+    for j, chis in _euler_characteristics(graph, data):
         base = Fraction(j, d)
         for k in range(3):
-            chi = _integer((weighted[2 - k] * ch_twist).integrate(), f"chi_{2 - k}")
+            chi = chis[2 - k]
             if k == 2 and j == d:
                 chi -= 1
             terms.append((k + base, chi if k % 2 == 0 else -chi))

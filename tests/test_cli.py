@@ -220,6 +220,24 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.startswith("error [total-degree-too-large] components:")
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-points", str(10**12)], "error: max_points exceeds the limit 1000\n"),
+            (["--max-components", str(10**12)], "error: max_components exceeds the limit 1000\n"),
+            (["--count", "-3"], "error: count must not be negative\n"),
+        ],
+    )
+    def test_unbounded_runs_are_rejected_before_drawing(self, capsys, flags, message):
+        start = time.perf_counter()
+        code = main(["check", "--count", "1", "--seed", "0", *flags])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == message
+        assert elapsed < 1.0
+
     def test_corrupted_formula_is_caught_and_reported(self, capsys, monkeypatch):
         monkeypatch.setattr(
             curvespec.formulas,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvespec.cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e
+from curvespec.cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e, product
 
 E0 = hyperplane_e0()
 E0_SQ = CohClass(c=1)
@@ -116,6 +116,29 @@ class TestInverse:
         else:
             assert x * x.inverse() == ONE
             assert x.inverse() * x == ONE
+
+
+def unit_part(x):
+    """x with its scalar part replaced by 1."""
+    return ONE + x - x.degree_part(0)
+
+
+class TestLogExp:
+    @given(classes())
+    def test_exp_inverts_log(self, x):
+        assert unit_part(x).log().exp() == unit_part(x)
+
+    @given(classes(), classes())
+    def test_product_matches_ring_products(self, x, y):
+        x, y = unit_part(x), unit_part(y)
+        assert product([(x, 2), (y, -1)]) == x * x * y.inverse()
+        assert product([]) == ONE
+
+    def test_scalar_part_is_checked(self):
+        with pytest.raises(ValueError):
+            (ONE + ONE).log()
+        with pytest.raises(ValueError):
+            ONE.exp()
 
 
 class TestStructure:

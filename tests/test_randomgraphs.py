@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from curvespec.arrangement import validate
 from curvespec.randomgraphs import (
+    MAX_GRAPH_SIZE,
     GraphBounds,
     SplitMix64,
     generate_graph,
@@ -95,6 +96,20 @@ class TestGenerateGraph:
             if len(g.components) >= 3:
                 assert len(g.points[0].branches) == 3
                 assert all(b.mult == 1 for b in g.points[0].branches)
+
+    @pytest.mark.parametrize("field", ["max_components", "max_points"])
+    def test_size_bounds_are_capped(self, field):
+        GraphBounds(**{field: MAX_GRAPH_SIZE})
+        with pytest.raises(ValueError, match=f"{field} exceeds the limit"):
+            GraphBounds(**{field: MAX_GRAPH_SIZE + 1})
+
+    @pytest.mark.parametrize(
+        "field, low", [("max_components", 1), ("max_points", 0), ("max_degree", 1), ("max_mult", 1)]
+    )
+    def test_bounds_below_their_minimum_are_rejected(self, field, low):
+        GraphBounds(**{field: low})
+        with pytest.raises(ValueError, match=f"{field} must be at least {low}"):
+            GraphBounds(**{field: low - 1})
 
     def test_max_points_zero_yields_pointless_graphs(self):
         g = generate_graph(SplitMix64(0), GraphBounds(max_points=0))

@@ -1,14 +1,19 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curvespec.riemann_roch
 from curvespec.arrangement import derived
 from curvespec.binomial import binom
-from curvespec.cohomology import ONE, CohClass, hyperplane_e0, point_e
+from curvespec.cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e
 from curvespec.formulas import spectrum_general, twist_coefficients
+from curvespec.lines import incidence_graph
+from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
 from curvespec.riemann_roch import (
+    _euler_characteristics,
     chern_cotangent,
     chern_cotangent_log,
     chern_cotangent_log_closed,
@@ -32,6 +37,49 @@ from conftest import (
 )
 
 ZERO_DIVISOR = CohClass()
+
+
+def sequential_chern_tangent(g):
+    """Reference: the tangent product formula as a chain of ring products."""
+    e0 = hyperplane_e0()
+    total = (ONE - e0) * (ONE - e0) * (ONE - e0)
+    for point in g.points:
+        ev = point_e(point.id)
+        ratio = (ONE - e0 - ev) * (ONE - e0).inverse()
+        total = total * (ONE + ev) * ratio * ratio
+    return total
+
+
+def sequential_chern_cotangent_log(g):
+    """Reference: the log cotangent class as a chain of ring products and
+    truncated inverses."""
+    c = sequential_chern_tangent(g)
+    total = c.degree_part(0) - c.degree_part(1) + c.degree_part(2)
+    for point in g.points:
+        total = total * (ONE - point_e(point.id)).inverse()
+    for comp in g.components:
+        through = {p.id: br.mult for p in g.points for br in p.branches if br.component == comp.id}
+        total = total * (ONE - exceptional_class(comp.degree, through)).inverse()
+    return total
+
+
+def seeded_graphs(count, bounds=GraphBounds()):
+    rng = SplitMix64(4)
+    return [generate_graph(rng, bounds) for _ in range(count)]
+
+
+def repeated_type_graphs():
+    """Graphs whose points fall into few types: a weighted line grid, and a
+    doubled quartic meeting a line in three alike points, with four smooth
+    points on the quartic."""
+    grid = incidence_graph(
+        [((1, 0, k), 1 + k % 2) for k in range(4)] + [((0, 1, k), 2) for k in range(3)] + [((0, 0, 1), 1)]
+    )
+    return [grid, graph([(4, 2), (1, 1)], [[(0, 2), (1, 1)]] * 3 + [[(0, 1)]] * 4)]
+
+
+def general_position_lines(count):
+    return incidence_graph([((1, t, t * t), 1) for t in range(count)])
 
 
 class TestChernTangent:
@@ -210,6 +258,38 @@ class TestEulerCharacteristic:
         assert euler_characteristic(g, 2, u) == chi2
 
 
+class TestLogExpBuild:
+    @pytest.mark.parametrize("g", seeded_graphs(40) + repeated_type_graphs())
+    def test_matches_sequential_products(self, g):
+        assert chern_tangent(g) == sequential_chern_tangent(g)
+        assert chern_cotangent_log(g) == sequential_chern_cotangent_log(g)
+
+
+class TestIntegerPairing:
+    @pytest.mark.parametrize(
+        "g", seeded_graphs(12, GraphBounds(max_degree=3, max_mult=3)) + repeated_type_graphs()
+    )
+    def test_matches_euler_characteristic(self, g):
+        data = derived(g)
+        d = data.total_degree
+        table = list(_euler_characteristics(g, data))
+        assert [j for j, _ in table] == list(range(1, d + 1))
+        for j, chis in table:
+            u = twist_class(g, j)
+            assert chis == [euler_characteristic(g, p, u) for p in range(3)]
+
+    def test_non_integral_weighted_class_is_caught(self, monkeypatch):
+        honest = curvespec.riemann_roch.wedge_ch
+
+        def corrupted(c_total, p):
+            shifted = honest(c_total, p)
+            return shifted + CohClass(c=Fraction(1, 3)) if p == 1 else shifted
+
+        monkeypatch.setattr(curvespec.riemann_roch, "wedge_ch", corrupted)
+        with pytest.raises(ArithmeticError, match="chi_1 must be an integer"):
+            spectrum_via_riemann_roch(line_and_nodal_cubic())
+
+
 class TestSpectrumViaRiemannRoch:
     def test_nodal_cubic(self):
         assert spectrum_via_riemann_roch(nodal_cubic()) == Spectrum(
@@ -249,3 +329,11 @@ class TestSpectrumViaRiemannRoch:
         # The package's central cross-validation: characteristic-class
         # route and closed-form route must coincide exactly.
         assert spectrum_via_riemann_roch(g) == spectrum_general(g)
+
+    def test_forty_general_lines_within_budget(self):
+        g = general_position_lines(40)
+        start = time.perf_counter()
+        result = spectrum_via_riemann_roch(g)
+        elapsed = time.perf_counter() - start
+        assert result == spectrum_general(g)
+        assert elapsed < 5.0
