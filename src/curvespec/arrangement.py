@@ -29,6 +29,7 @@ __all__ = [
     "MAX_TOTAL_DEGREE",
     "SingularPoint",
     "ValidationReport",
+    "complement_euler_characteristic",
     "derived",
     "graph_from_dict",
     "graph_to_dict",
@@ -220,6 +221,33 @@ def derived(graph: ArrangementGraph) -> DerivedData:
         point_mult[point.id] = sum(comp_mult[br.component] * br.mult for br in point.branches)
         reduced_point_mult[point.id] = sum(br.mult for br in point.branches)
     return DerivedData(total, reduced, point_mult, reduced_point_mult)
+
+
+def complement_euler_characteristic(graph: ArrangementGraph) -> int:
+    """Topological Euler characteristic of P^2 minus the reduced curve C of a
+    valid graph, from the combinatorial data alone: 3 - chi(C) with
+
+        chi(C) = sum_l (2 - 2 g_l) - sum_v (m_red,v - 1)
+                 - sum_{l<l'} (d_l d_l' - sum_v m_{v,l} m_{v,l'}),
+        g_l = binom(d_l - 1, 2) - sum_v binom(m_{v,l}, 2).
+
+    The normalisation of C_l has genus g_l, an ordinary point v has m_red,v
+    preimages, and intersections that are not listed are simple nodes (the
+    Bezout term).  The pair sums are taken as (square of the sum - sum of
+    squares)/2, so the cost is linear in the points and branches.  The
+    spectrum of the defining polynomial sums to d * (3 - chi(C)) - 1.
+    """
+    degrees = [comp.degree for comp in graph.components]
+    d_red = sum(degrees)
+    squares = sum(dl * dl for dl in degrees)
+    chi = sum(2 - (dl - 1) * (dl - 2) for dl in degrees) - (d_red * d_red - squares) // 2
+    for point in graph.points:
+        m_red = sum(br.mult for br in point.branches)
+        branch_squares = sum(br.mult * br.mult for br in point.branches)
+        chi += branch_squares - m_red  # 2 * sum_l binom(m_{v,l}, 2): the genus drops
+        chi -= m_red - 1
+        chi += (m_red * m_red - branch_squares) // 2  # the listed intersections
+    return 3 - chi
 
 
 # ---------------------------------------------------------------------

@@ -24,6 +24,8 @@ from .arrangement import (
     Component,
     InvalidArrangementError,
     SingularPoint,
+    complement_euler_characteristic,
+    derived,
     graph_to_dict,
     load_arrangement,
 )
@@ -43,7 +45,7 @@ from .randomgraphs import (
     insert_snc_node,
 )
 from .riemann_roch import spectrum_via_riemann_roch
-from .spectrum import format_spectrum
+from .spectrum import Spectrum, format_spectrum
 
 __all__ = ["main"]
 
@@ -95,8 +97,16 @@ def _single_component_power_spectrum(graph: ArrangementGraph):
     return spectrum_irreducible_power(comp.degree, comp.multiplicity, mults)
 
 
+def _first_difference(a: Spectrum, b: Spectrum) -> str:
+    """Where two unequal spectra part: the smallest exponent at which their
+    coefficients differ, with both coefficients."""
+    alpha = (a - b).support()[0]
+    return f"first difference at t^({alpha}): {a.coefficient(alpha)} vs {b.coefficient(alpha)}"
+
+
 def _check_one(graph: ArrangementGraph, rng: SplitMix64) -> list[str]:
-    """All cross-validations applicable to one graph; returns failure labels.
+    """All cross-validations applicable to one graph; returns one line
+    (label and where the two sides differ) per failed comparison.
 
     Draw order after the graph itself: two draws for the extra simple node
     when the graph has >= 2 components, then one draw for the extra smooth
@@ -104,20 +114,27 @@ def _check_one(graph: ArrangementGraph, rng: SplitMix64) -> list[str]:
     """
     failures = []
     base = spectrum_general(graph)
-    if spectrum_via_riemann_roch(graph) != base:
-        failures.append("general vs characteristic-class pipeline")
-    if graph.is_reduced() and spectrum_reduced(graph) != base:
-        failures.append("general vs reduced formula")
+
+    def compare(label: str, other: Spectrum) -> None:
+        if other != base:
+            failures.append(f"{label}: {_first_difference(base, other)}")
+
+    compare("general vs characteristic-class pipeline", spectrum_via_riemann_roch(graph))
+    # The spectrum sums to the reduced Euler characteristic of the Milnor
+    # fibre, a d-fold cover of the complement of the curve.
+    total = base.eval_at_one()
+    expected = derived(graph).total_degree * complement_euler_characteristic(graph) - 1
+    if total != expected:
+        failures.append(f"general vs topological Euler characteristic: value at t = 1: {total} vs {expected}")
+    if graph.is_reduced():
+        compare("general vs reduced formula", spectrum_reduced(graph))
     if len(graph.components) == 1:
         # Multiplicity-1 points are formula-neutral, so dropping them keeps
         # the single-curve power formula applicable.
-        if _single_component_power_spectrum(graph) != base:
-            failures.append("general vs single-curve power formula")
+        compare("general vs single-curve power formula", _single_component_power_spectrum(graph))
     if len(graph.components) >= 2:
-        if spectrum_general(insert_snc_node(graph, rng)) != base:
-            failures.append("invariance under adding a simple node")
-    if spectrum_general(insert_smooth_point(graph, rng)) != base:
-        failures.append("invariance under adding a smooth point")
+        compare("invariance under adding a simple node", spectrum_general(insert_snc_node(graph, rng)))
+    compare("invariance under adding a smooth point", spectrum_general(insert_smooth_point(graph, rng)))
     return failures
 
 
@@ -138,8 +155,8 @@ def cmd_check(args) -> int:
         failures = _check_one(graph, rng)
         if failures:
             failed_any = True
-            for label in failures:
-                print(f"instance {index}: {label}", file=sys.stderr)
+            for failure in failures:
+                print(f"instance {index}: {failure}", file=sys.stderr)
             print(json.dumps(graph_to_dict(graph)), file=sys.stderr)
         else:
             passed += 1

@@ -18,14 +18,16 @@ j/d, 1 + j/d and 2 + j/d, built from the twist coefficients
     uv(j) = sum_{l through v} ceil(j*m_l/d)*m_{v,l} - ceil(j*m_v/d)
 
 via generalized binomials (binom(-1, 2) = 1 matters: it produces the
--delta(j, d) cancellation pattern at the top exponent).
+-delta(j, d) cancellation pattern at the top exponent).  Every exponent is
+a multiple of 1/d, so the rows (j, n0, n1, n2) become a spectrum on the
+integer grid 1/d: the numerators j, d + j and 2d + j, with no rational
+arithmetic between the j-loop and the printed output.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .arrangement import ArrangementGraph, derived, require_valid
@@ -78,12 +80,11 @@ def twist_coefficients(graph: ArrangementGraph, j: int) -> TwistCoefficients:
 
 def _three_level_spectrum(d: int, rows) -> Spectrum:
     """Assemble coefficients {(j, n0, n1, n2)} into a spectrum over exponents
-    j/d, 1 + j/d, 2 + j/d."""
+    j/d, 1 + j/d, 2 + j/d, i.e. the numerators j, d + j, 2d + j on the grid 1/d."""
     terms = []
     for j, n0, n1, n2 in rows:
-        base = Fraction(j, d)
-        terms += [(level + base, n) for level, n in enumerate((n0, n1, n2)) if n]
-    return Spectrum(terms)
+        terms += ((j, n0), (d + j, n1), (2 * d + j, n2))
+    return Spectrum(terms, den=d)
 
 
 def _general_display(graph: ArrangementGraph) -> Spectrum:
@@ -102,7 +103,7 @@ def _general_display(graph: ArrangementGraph) -> Spectrum:
         degree_by_mult[c.multiplicity] = degree_by_mult.get(c.multiplicity, 0) + c.degree
     d = sum(m * deg for m, deg in degree_by_mult.items())
     d_red = sum(degree_by_mult.values())
-    comp_pairs = sum(binom(c.degree, 2) for c in graph.components)
+    comp_pairs = sum(c.degree * (c.degree - 1) // 2 for c in graph.components)
     types = []
     for branches, count in histogram.items():
         # uv(j) = sum_m ceil(j*m/d) * weight[m] - ceil(j*m_v/d)
@@ -111,21 +112,28 @@ def _general_display(graph: ArrangementGraph) -> Spectrum:
             weight[m] = weight.get(m, 0) + mult
         m_v = sum(m * w for m, w in weight.items())
         m_red = sum(weight.values())
-        pairs = sum(binom(mult, 2) for _, mult in branches)
+        pairs = sum(mult * (mult - 1) // 2 for _, mult in branches)
         types.append((tuple(weight.items()), m_v, m_red, pairs, count))
 
+    # binom(x, 2) is written x*(x - 1)//2 (exact for every integer x, and
+    # binom(-1, 2) = 1), ceil(j*m/d) as (j*m + d - 1)//d.
     rows = []
+    top = d - 1
     for j in range(1, d + 1):
-        ceil_by_mult = {m: ceil_div(j * m, d) for m in degree_by_mult}
+        ceil_by_mult = {m: (j * m + top) // d for m in degree_by_mult}
         u0 = sum(ceil_by_mult[m] * deg for m, deg in degree_by_mult.items()) - j
-        n0 = binom(d_red - u0 - 1, 2)
-        n1 = (u0 - 1) * (d_red - u0 - 1) + comp_pairs
-        n2 = binom(u0 - 1, 2)
+        low = d_red - u0 - 1
+        n0 = low * (low - 1) // 2
+        n1 = (u0 - 1) * low + comp_pairs
+        n2 = (u0 - 1) * (u0 - 2) // 2
         for weight, m_v, m_red, pairs, count in types:
-            uv = sum(ceil_by_mult[m] * w for m, w in weight) - ceil_div(j * m_v, d)
-            n0 -= count * binom(m_red - uv - 1, 2)
-            n1 -= count * (uv * (m_red - uv - 1) + pairs)
-            n2 -= count * binom(uv, 2)
+            uv = -((j * m_v + top) // d)
+            for m, w in weight:
+                uv += ceil_by_mult[m] * w
+            low = m_red - uv - 1
+            n0 -= count * (low * (low - 1) // 2)
+            n1 -= count * (uv * low + pairs)
+            n2 -= count * (uv * (uv - 1) // 2)
         if j == d:
             n2 -= 1
         rows.append((j, n0, n1, n2))
@@ -147,20 +155,24 @@ def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
         raise ValueError(f"reduced formula needs all multiplicities 1; components {bad} violate that")
     data = derived(graph)
     d = data.total_degree
-    comp_pairs = sum(binom(c.degree, 2) for c in graph.components)
-    branch_pairs = {p.id: sum(binom(br.mult, 2) for br in p.branches) for p in graph.points}
+    comp_pairs = sum(c.degree * (c.degree - 1) // 2 for c in graph.components)
+    points = [
+        (data.point_mult[p.id], sum(br.mult * (br.mult - 1) // 2 for br in p.branches))
+        for p in graph.points
+    ]
 
+    # binom(x, 2) is written x*(x - 1)//2, ceil(j*m_v/d) as (j*m_v + d - 1)//d.
     rows = []
+    top = d - 1
     for j in range(1, d + 1):
-        n0 = binom(j - 1, 2)
+        n0 = (j - 1) * (j - 2) // 2
         n1 = (j - 1) * (d - j - 1) + comp_pairs
-        n2 = binom(d - j - 1, 2)
-        for point in graph.points:
-            m_v = data.point_mult[point.id]
-            ceil_v = ceil_div(j * m_v, d)
-            n0 -= binom(ceil_v - 1, 2)
-            n1 -= (ceil_v - 1) * (m_v - ceil_v) + branch_pairs[point.id]
-            n2 -= binom(m_v - ceil_v, 2)
+        n2 = (d - j - 1) * (d - j - 2) // 2
+        for m_v, branch_pairs in points:
+            ceil_v = (j * m_v + top) // d
+            n0 -= (ceil_v - 1) * (ceil_v - 2) // 2
+            n1 -= (ceil_v - 1) * (m_v - ceil_v) + branch_pairs
+            n2 -= (m_v - ceil_v) * (m_v - ceil_v - 1) // 2
         if j == d:
             n2 -= 1
         rows.append((j, n0, n1, n2))
@@ -259,7 +271,7 @@ def spectrum_isolated(d: int, n: int) -> Spectrum:
         raise ValueError(f"degree must be >= 1, got {d}")
     if n not in (1, 2, 3):
         raise ValueError(f"ambient dimension must be 1, 2 or 3, got {n}")
-    factor = Spectrum({Fraction(i, d): 1 for i in range(1, d)})
+    factor = Spectrum([(i, 1) for i in range(1, d)], den=d)
     result = Spectrum.term(0)
     for _ in range(n):
         result = result * factor

@@ -274,10 +274,10 @@ def spectrum_via_riemann_roch(graph: ArrangementGraph) -> Spectrum:
     d = data.total_degree
     terms = []
     for j, chis in _euler_characteristics(graph, data):
-        base = Fraction(j, d)
+        # Exponent k + j/d is the numerator k*d + j on the grid 1/d.
         for k in range(3):
             chi = chis[2 - k]
             if k == 2 and j == d:
                 chi -= 1
-            terms.append((k + base, chi if k % 2 == 0 else -chi))
-    return Spectrum(terms)
+            terms.append((k * d + j, chi if k % 2 == 0 else -chi))
+    return Spectrum(terms, den=d)

@@ -1,10 +1,17 @@
 """Spectrum polynomials: finite integer combinations of rational powers of t.
 
 A spectrum is a fractional Laurent polynomial sum(n_alpha * t^alpha) with
-integer coefficients n_alpha and exact rational exponents alpha.  Exponents
-are stored as reduced :class:`fractions.Fraction` values so that colliding
-terms such as t^(6/4) and t^(3/2) merge, and zero coefficients are dropped
-eagerly so that equality of spectra is plain structural equality.
+integer coefficients n_alpha and exact rational exponents alpha.  All
+exponents of a spectrum sit on one integer grid: the spectrum stores a
+denominator ``den`` and a dict from integer numerators k to coefficients,
+the exponent of a term being k/den.  ``den`` is the least common
+denominator of the exponents (it is divided by gcd(den, *numerators)), so
+colliding terms such as t^(6/4) and t^(3/2) merge, and zero coefficients
+are dropped eagerly, so that equality of spectra is plain structural
+equality.  The closed formulas and the characteristic-class route build
+their spectra directly on the grid 1/d (``Spectrum(pairs, den=d)``) with
+integer arithmetic only; :meth:`Spectrum.items`, :meth:`Spectrum.support`
+and :meth:`Spectrum.coefficient` still speak :class:`fractions.Fraction`.
 
 Three serializations are supported (see :func:`format_spectrum`):
 
@@ -20,6 +27,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 __all__ = [
@@ -42,24 +50,48 @@ class SpectrumParseError(ValueError):
         self.token = token
 
 
-class Spectrum:
-    """Immutable fractional Laurent polynomial with integer coefficients."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    __slots__ = ("_terms",)
+
+class Spectrum:
+    """Immutable fractional Laurent polynomial with integer coefficients.
+
+    ``Spectrum(terms)`` takes (exponent, coefficient) pairs or a mapping,
+    exponents as Fraction, int or ``"p/q"`` strings.  ``Spectrum(terms,
+    den=d)`` takes (integer numerator k, coefficient) pairs for the
+    exponents k/d.
+    """
+
+    __slots__ = ("_den", "_terms")
 
     def __init__(
         self,
         terms: Union[Mapping[ExponentLike, int], Iterable[Tuple[ExponentLike, int]], None] = None,
+        den: int | None = None,
     ):
-        data: dict[Fraction, int] = {}
-        if terms is not None:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for alpha, n in items:
-                if isinstance(n, bool) or not isinstance(n, int):
-                    raise TypeError(f"coefficient must be an integer, got {n!r}")
-                exp = Fraction(alpha)
-                data[exp] = data.get(exp, 0) + n
-        object.__setattr__(self, "_terms", {a: n for a, n in data.items() if n})
+        items = () if terms is None else terms.items() if isinstance(terms, Mapping) else terms
+        if den is None:
+            exponents = [(Fraction(alpha), n) for alpha, n in items]
+            den = lcm(*(alpha.denominator for alpha, _ in exponents))
+            items = [(alpha.numerator * (den // alpha.denominator), n) for alpha, n in exponents]
+        elif not _is_int(den) or den < 1:
+            raise ValueError(f"grid denominator must be a positive integer, got {den!r}")
+        data: dict[int, int] = {}
+        for k, n in items:
+            # Plain ints, the usual case, skip the isinstance checks.
+            if type(n) is not int and not _is_int(n):
+                raise TypeError(f"coefficient must be an integer, got {n!r}")
+            if type(k) is not int and not _is_int(k):
+                raise TypeError(f"grid numerator must be an integer, got {k!r}")
+            data[k] = data.get(k, 0) + n
+        data = {k: n for k, n in data.items() if n}
+        g = gcd(den, *data)
+        if g > 1:
+            den //= g
+            data = {k // g: n for k, n in data.items()}
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_terms", data)
 
     def __setattr__(self, name, value):
         raise AttributeError("Spectrum is immutable")
@@ -79,13 +111,17 @@ class Spectrum:
 
     def items(self) -> list[Tuple[Fraction, int]]:
         """Terms as (exponent, coefficient) pairs, exponents strictly increasing."""
-        return sorted(self._terms.items())
+        den = self._den
+        return [(Fraction(k, den), n) for k, n in sorted(self._terms.items())]
 
     def coefficient(self, alpha: ExponentLike) -> int:
-        return self._terms.get(Fraction(alpha), 0)
+        alpha = Fraction(alpha)
+        scale, rest = divmod(self._den, alpha.denominator)
+        return 0 if rest else self._terms.get(alpha.numerator * scale, 0)
 
     def support(self) -> Tuple[Fraction, ...]:
-        return tuple(sorted(self._terms))
+        den = self._den
+        return tuple(Fraction(k, den) for k in sorted(self._terms))
 
     def eval_at_one(self) -> int:
         """Sum of all coefficients, i.e. the polynomial evaluated at t = 1.
@@ -107,10 +143,10 @@ class Spectrum:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         return f"Spectrum({format_spectrum(self, 'plain')!r})"
@@ -120,10 +156,17 @@ class Spectrum:
 
     # -- algebra -----------------------------------------------------
 
+    def _on_grid(self, den: int) -> list[Tuple[int, int]]:
+        """Terms as (numerator, coefficient) pairs over ``den``, a multiple of
+        this spectrum's denominator."""
+        scale = den // self._den
+        return [(k * scale, n) for k, n in self._terms.items()]
+
     def __add__(self, other: "Spectrum") -> "Spectrum":
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return Spectrum([*self._terms.items(), *other._terms.items()])
+        den = lcm(self._den, other._den)
+        return Spectrum(self._on_grid(den) + other._on_grid(den), den=den)
 
     def __sub__(self, other: "Spectrum") -> "Spectrum":
         if not isinstance(other, Spectrum):
@@ -131,17 +174,19 @@ class Spectrum:
         return self + (-other)
 
     def __neg__(self) -> "Spectrum":
-        return Spectrum({a: -n for a, n in self._terms.items()})
+        return Spectrum([(k, -n) for k, n in self._terms.items()], den=self._den)
 
     def __mul__(self, other: Union["Spectrum", int]) -> "Spectrum":
         if isinstance(other, bool):
             return NotImplemented
         if isinstance(other, int):
-            return Spectrum({a: n * other for a, n in self._terms.items()})
+            return Spectrum([(k, n * other) for k, n in self._terms.items()], den=self._den)
         if not isinstance(other, Spectrum):
             return NotImplemented
+        den = lcm(self._den, other._den)
+        right = other._on_grid(den)
         return Spectrum(
-            (a1 + a2, n1 * n2) for a1, n1 in self._terms.items() for a2, n2 in other._terms.items()
+            ((k1 + k2, n1 * n2) for k1, n1 in self._on_grid(den) for k2, n2 in right), den=den
         )
 
     def __rmul__(self, other: int) -> "Spectrum":
@@ -165,43 +210,39 @@ def dummy_shift(s: Spectrum) -> Spectrum:
 # ---------------------------------------------------------------------
 
 
-def _plain_power(alpha: Fraction) -> str:
-    if alpha == 1:
-        return "t"
-    if alpha.denominator == 1:
-        return f"t^{alpha.numerator}"
-    return f"t^({alpha})"
-
-
-def _latex_power(alpha: Fraction) -> str:
-    if alpha == 1:
-        return "t"
-    return f"t^{{{alpha}}}"
+def _exponents(s: Spectrum) -> Iterator[Tuple[str, int]]:
+    """(exponent in lowest terms as "p" or "p/q", coefficient) per term in
+    increasing exponent order, one gcd per term."""
+    den = s._den
+    for k, n in sorted(s._terms.items()):
+        g = gcd(k, den)
+        yield (str(k // den) if g == den else f"{k // g}/{den // g}"), n
 
 
 def format_spectrum(s: Spectrum, style: str = "plain") -> str:
     """Render a spectrum in one of the styles ``plain``, ``latex``, ``json``."""
     if style == "json":
-        return json.dumps([{"alpha": str(a), "n": n} for a, n in s.items()])
+        return json.dumps([{"alpha": alpha, "n": n} for alpha, n in _exponents(s)])
     if style not in ("plain", "latex"):
         raise ValueError(f"unknown spectrum style {style!r}")
     if not s:
         return "0"
     parts: list[str] = []
-    for i, (alpha, n) in enumerate(s.items()):
-        mag = abs(n)
-        if style == "plain":
-            body = _plain_power(alpha) if mag == 1 else f"{mag}*{_plain_power(alpha)}"
-            if i == 0:
-                parts.append(f"-{body}" if n < 0 else body)
-            else:
-                parts.append(f" - {body}" if n < 0 else f" + {body}")
+    plain = style == "plain"
+    for alpha, n in _exponents(s):
+        if alpha == "1":
+            power = "t"
+        elif plain:
+            power = f"t^({alpha})" if "/" in alpha else f"t^{alpha}"
         else:
-            body = _latex_power(alpha) if mag == 1 else f"{mag}{_latex_power(alpha)}"
-            if i == 0:
-                parts.append(f"-{body}" if n < 0 else body)
-            else:
-                parts.append(f"-{body}" if n < 0 else f"+{body}")
+            power = f"t^{{{alpha}}}"
+        mag = abs(n)
+        if mag != 1:
+            power = f"{mag}*{power}" if plain else f"{mag}{power}"
+        if n < 0:
+            parts.append(f" - {power}" if plain and parts else f"-{power}")
+        else:
+            parts.append((" + " if plain else "+") + power if parts else power)
     return "".join(parts)
 
 

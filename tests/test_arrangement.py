@@ -8,6 +8,8 @@ from conftest import (
     graph,
     line_and_nodal_cubic,
     nodal_cubic,
+    pencil_graph,
+    triangle_graph,
     two_line_powers,
 )
 from curvespec.arrangement import (
@@ -18,6 +20,7 @@ from curvespec.arrangement import (
     InvalidArrangementError,
     MAX_TOTAL_DEGREE,
     SingularPoint,
+    complement_euler_characteristic,
     derived,
     graph_from_dict,
     graph_to_dict,
@@ -25,6 +28,7 @@ from curvespec.arrangement import (
     require_valid,
     validate,
 )
+from curvespec.binomial import binom
 
 
 def error_codes(g):
@@ -151,6 +155,46 @@ class TestDerived:
         for p in g.points:
             assert data.reduced_point_mult[p.id] == sum(b.mult for b in p.branches)
             assert data.point_mult[p.id] == sum(mult[b.component] * b.mult for b in p.branches)
+
+
+def pairwise_complement_euler_characteristic(g):
+    """3 - chi(C) with every sum over component pairs written out."""
+    through = {c.id: {} for c in g.components}
+    for p in g.points:
+        for br in p.branches:
+            through[br.component][p.id] = br.mult
+    chi = 0
+    for c in g.components:
+        genus = binom(c.degree - 1, 2) - sum(binom(m, 2) for m in through[c.id].values())
+        chi += 2 - 2 * genus
+    chi -= sum(sum(br.mult for br in p.branches) - 1 for p in g.points)
+    comps = g.components
+    for i, a in enumerate(comps):
+        for b in comps[i + 1 :]:
+            listed = sum(m * through[b.id].get(v, 0) for v, m in through[a.id].items())
+            chi -= a.degree * b.degree - listed
+    return 3 - chi
+
+
+class TestComplementEulerCharacteristic:
+    @pytest.mark.parametrize(
+        "g, chi",
+        [
+            (graph([(1, 1)]), 1),  # the affine plane
+            (graph([(3, 1)]), 3),  # smooth cubic: chi(C) = 0
+            (nodal_cubic(), 2),  # a sphere with two points glued
+            (two_line_powers(1, 1), 0),  # C x C*
+            (graph([(1, 1), (1, 1)]), 0),  # the same node left implicit
+            (triangle_graph(), 0),  # (C*)^2
+            (pencil_graph(), -1),  # C x (P^1 minus three points)
+        ],
+    )
+    def test_known_complements(self, g, chi):
+        assert complement_euler_characteristic(g) == chi
+
+    @given(arrangement_graphs(max_components=5, max_points=6))
+    def test_matches_pairwise_sums(self, g):
+        assert complement_euler_characteristic(g) == pairwise_complement_euler_characteristic(g)
 
 
 class TestSerialization:

@@ -1,12 +1,16 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
+import curvespec.cli
 import curvespec.formulas
-from curvespec.arrangement import graph_to_dict, load_arrangement
-from curvespec.binomial import binom
+from curvespec.arrangement import derived, graph_to_dict, load_arrangement
 from curvespec.cli import main
+from curvespec.formulas import spectrum_general
+from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
+from curvespec.spectrum import Spectrum
 
 from conftest import line_and_nodal_cubic, two_line_powers
 
@@ -41,6 +45,18 @@ TRIANGLE_LINES = [
     {"form": [0, 1, 0]},
     {"form": [0, 0, 1]},
 ]
+
+
+def corrupt_rows(monkeypatch):
+    """Shift every n0 coefficient of the closed formulas by j: the general,
+    reduced, single-curve power and binary displays then agree with one
+    another and disagree with the characteristic-class pipeline."""
+    assemble = curvespec.formulas._three_level_spectrum
+    monkeypatch.setattr(
+        curvespec.formulas,
+        "_three_level_spectrum",
+        lambda d, rows: assemble(d, [(j, n0 + j, n1, n2) for j, n0, n1, n2 in rows]),
+    )
 
 
 def arrangement_file(tmp_path, doc):
@@ -95,11 +111,7 @@ class TestCompute:
         assert capsys.readouterr().out == "-t^(3/2) - t^2 + t^(5/2)\n"
 
     def test_verify_catches_corrupted_formula(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(
-            curvespec.formulas,
-            "binom",
-            lambda t, k: binom(t, k) + (t if k == 2 else 0),
-        )
+        corrupt_rows(monkeypatch)
         code = main(["compute", arrangement_file(tmp_path, NODAL_CUBIC), "--verify"])
         captured = capsys.readouterr()
         assert code == 3
@@ -239,11 +251,7 @@ class TestCheck:
         assert elapsed < 1.0
 
     def test_corrupted_formula_is_caught_and_reported(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            curvespec.formulas,
-            "binom",
-            lambda t, k: binom(t, k) + (t if k == 2 else 0),
-        )
+        corrupt_rows(monkeypatch)
         assert main(["check", "--count", "3", "--seed", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "0/3 ok\n"
@@ -252,6 +260,44 @@ class TestCheck:
         assert dumps
         for line in dumps:
             assert "components" in json.loads(line)
+
+
+    def test_failure_lines_name_the_first_difference(self, capsys, monkeypatch):
+        rr = curvespec.cli.spectrum_via_riemann_roch
+        monkeypatch.setattr(
+            curvespec.cli,
+            "spectrum_via_riemann_roch",
+            lambda g: rr(g) + Spectrum.term(Fraction(-1, 2)) - Spectrum.term(3),
+        )
+        assert main(["check", "--count", "2", "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "0/2 ok\n"
+        labels = [line for line in captured.err.splitlines() if not line.startswith("{")]
+        assert labels == [
+            f"instance {i}: general vs characteristic-class pipeline: first difference at t^(-1/2): 0 vs 1"
+            for i in range(2)
+        ]
+
+    def test_first_difference_at_a_shared_exponent(self, capsys, monkeypatch):
+        rr = curvespec.cli.spectrum_via_riemann_roch
+        monkeypatch.setattr(curvespec.cli, "spectrum_via_riemann_roch", lambda g: rr(g) - Spectrum.term(2))
+        assert main(["check", "--count", "1", "--seed", "1"]) == 3
+        n = spectrum_general(generate_graph(SplitMix64(1), GraphBounds())).coefficient(2)
+        assert n != 0
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"instance 0: general vs characteristic-class pipeline: first difference at t^(2): {n} vs {n - 1}"
+        )
+
+    def test_topological_failure_line(self, capsys, monkeypatch):
+        chi = curvespec.cli.complement_euler_characteristic
+        monkeypatch.setattr(curvespec.cli, "complement_euler_characteristic", lambda g: chi(g) + 1)
+        assert main(["check", "--count", "1", "--seed", "1"]) == 3
+        g = generate_graph(SplitMix64(1), GraphBounds())
+        total = spectrum_general(g).eval_at_one()
+        d = derived(g).total_degree
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"instance 0: general vs topological Euler characteristic: value at t = 1: {total} vs {total + d}"
+        )
 
 
 class TestLines:

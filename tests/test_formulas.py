@@ -15,7 +15,13 @@ from conftest import (
     triangle_graph,
     two_line_powers,
 )
-from curvespec.arrangement import ArrangementGraph, Branch, SingularPoint, derived
+from curvespec.arrangement import (
+    ArrangementGraph,
+    Branch,
+    SingularPoint,
+    complement_euler_characteristic,
+    derived,
+)
 from curvespec.binomial import binom, ceil_div
 from curvespec.formulas import (
     spectrum_binary_linear,
@@ -87,6 +93,14 @@ class TestGeneral:
             assert 0 < alpha <= 3
             assert (alpha * d).denominator == 1
             assert isinstance(n, int)
+
+    @given(arrangement_graphs())
+    def test_sum_is_topological(self, g):
+        # Spectrum(1) = d * chi(P^2 minus C) - 1: the Milnor fibre is a
+        # d-fold cover of the complement, and the spectrum sums to its
+        # reduced Euler characteristic.
+        d = derived(g).total_degree
+        assert spectrum_general(g).eval_at_one() == d * complement_euler_characteristic(g) - 1
 
     @given(arrangement_graphs(max_components=3, max_points=4))
     def test_component_and_point_order_irrelevant(self, g):

@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import spectra
 from curvespec.formulas import spectrum_isolated
@@ -174,3 +176,161 @@ class TestParse:
     @given(spectra())
     def test_round_trip(self, s):
         assert parse_spectrum(format_spectrum(s)) == s
+
+
+class ReferenceSpectrum:
+    """Spectrum terms in a dict keyed by reduced Fraction exponents: the
+    representation the integer grid replaced, kept as the oracle."""
+
+    def __init__(self, terms=()):
+        data = {}
+        for alpha, n in terms:
+            alpha = Fraction(alpha)
+            data[alpha] = data.get(alpha, 0) + n
+        self.terms = {a: n for a, n in data.items() if n}
+
+    def items(self):
+        return sorted(self.terms.items())
+
+    def coefficient(self, alpha):
+        return self.terms.get(Fraction(alpha), 0)
+
+    def eval_at_one(self):
+        return sum(self.terms.values())
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        return ReferenceSpectrum([*self.terms.items(), *other.terms.items()])
+
+    def __neg__(self):
+        return ReferenceSpectrum((a, -n) for a, n in self.terms.items())
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return ReferenceSpectrum((a, n * other) for a, n in self.terms.items())
+        return ReferenceSpectrum(
+            (a1 + a2, n1 * n2) for a1, n1 in self.terms.items() for a2, n2 in other.terms.items()
+        )
+
+
+def reference_format(s, style):
+    """format_spectrum over Fraction exponents, term by term."""
+    if style == "json":
+        return json.dumps([{"alpha": str(a), "n": n} for a, n in s.items()])
+    if not s.terms:
+        return "0"
+    parts = []
+    for i, (alpha, n) in enumerate(s.items()):
+        if style == "plain":
+            power = "t" if alpha == 1 else f"t^{alpha}" if alpha.denominator == 1 else f"t^({alpha})"
+            body = power if abs(n) == 1 else f"{abs(n)}*{power}"
+            sep = ("-" if n < 0 else "") if i == 0 else (" - " if n < 0 else " + ")
+        else:
+            power = "t" if alpha == 1 else f"t^{{{alpha}}}"
+            body = power if abs(n) == 1 else f"{abs(n)}{power}"
+            sep = ("-" if n < 0 else "") if i == 0 else ("-" if n < 0 else "+")
+        parts.append(sep + body)
+    return "".join(parts)
+
+
+# Exponents p/q with q up to 8 collide often (6/4 = 3/2), reach below zero
+# and include 0; zero coefficients are drawn too.
+term_lists = st.lists(
+    st.tuples(
+        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8)),
+        st.integers(-3, 3),
+    ),
+    max_size=7,
+)
+grid_terms = st.tuples(
+    st.integers(1, 12),
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(-3, 3)), max_size=7),
+)
+PROBES = [Fraction(p, q) for q in range(1, 10) for p in range(-13, 14)]
+
+
+def assert_matches(s, ref):
+    assert s.items() == ref.items()
+    assert list(s) == ref.items()
+    assert s.support() == tuple(a for a, _ in ref.items())
+    assert len(s) == len(ref.terms)
+    assert bool(s) == bool(ref.terms)
+    assert s.eval_at_one() == ref.eval_at_one()
+    for alpha in PROBES:
+        assert s.coefficient(alpha) == ref.coefficient(alpha)
+    for style in ("plain", "latex", "json"):
+        assert format_spectrum(s, style) == reference_format(ref, style)
+
+
+class TestAgainstReference:
+    @given(term_lists)
+    def test_construction(self, terms):
+        assert_matches(Spectrum(terms), ReferenceSpectrum(terms))
+
+    @given(grid_terms)
+    def test_grid_construction(self, grid):
+        den, pairs = grid
+        assert_matches(Spectrum(pairs, den=den), ReferenceSpectrum((Fraction(k, den), n) for k, n in pairs))
+
+    @given(term_lists, term_lists, st.integers(-3, 3))
+    def test_algebra(self, left, right, scale):
+        a, b = Spectrum(left), Spectrum(right)
+        ra, rb = ReferenceSpectrum(left), ReferenceSpectrum(right)
+        assert_matches(a + b, ra + rb)
+        assert_matches(a - b, ra - rb)
+        assert_matches(-a, -ra)
+        assert_matches(a * b, ra * rb)
+        assert_matches(a * scale, ra * scale)
+        assert_matches(scale * a, ra * scale)
+
+    @given(term_lists, term_lists)
+    def test_equality_and_hash(self, left, right):
+        a, b = Spectrum(left), Spectrum(right)
+        assert (a == b) == (ReferenceSpectrum(left) == ReferenceSpectrum(right))
+        # The same terms, scaled onto a finer grid and given in reverse.
+        again = Spectrum([(f"{x.numerator * 5}/{x.denominator * 5}", n) for x, n in reversed(left)])
+        assert again == a
+        assert hash(again) == hash(a)
+
+    @given(grid_terms, st.integers(2, 5))
+    def test_grid_is_reduced(self, grid, factor):
+        den, pairs = grid
+        s = Spectrum(pairs, den=den)
+        coarse = Spectrum([(k * factor, n) for k, n in pairs], den=den * factor)
+        assert coarse == s
+        assert hash(coarse) == hash(s)
+
+
+class TestGrid:
+    def test_pairs_equal_fraction_terms(self):
+        pairs = [(1, 2), (7, -1), (4, 3), (0, 5), (-3, 1), (12, 1)]
+        assert Spectrum(pairs, den=6) == Spectrum([(Fraction(k, 6), n) for k, n in pairs])
+
+    def test_non_reduced_grid(self):
+        s = Spectrum([(2, 1), (4, -2), (-6, 3)], den=6)
+        assert s == Spectrum({Fraction(1, 3): 1, Fraction(2, 3): -2, -1: 3})
+        assert format_spectrum(s) == "3*t^-1 + t^(1/3) - 2*t^(2/3)"
+
+    def test_colliding_numerators_cancel(self):
+        assert Spectrum([(3, 1), (6, 2), (3, -1), (6, -2)], den=4) == Spectrum.zero()
+        assert hash(Spectrum([(3, 1), (3, -1)], den=4)) == hash(Spectrum.zero())
+
+    @pytest.mark.parametrize("den", [0, -2, True, Fraction(3), 1.0])
+    def test_bad_denominator(self, den):
+        with pytest.raises(ValueError):
+            Spectrum([(1, 1)], den=den)
+
+    @pytest.mark.parametrize("pair", [(Fraction(1, 2), 1), (True, 1), (1.0, 1)])
+    def test_numerators_must_be_integers(self, pair):
+        with pytest.raises(TypeError):
+            Spectrum([pair], den=2)
+
+    @pytest.mark.parametrize("n", [Fraction(1, 2), True, 1.0])
+    def test_coefficients_must_be_integers(self, n):
+        with pytest.raises(TypeError):
+            Spectrum([(1, n)], den=2)
