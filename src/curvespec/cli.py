@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .arrangement import (
     ArrangementFormatError,
@@ -36,7 +37,7 @@ from .formulas import (
     spectrum_reduced,
     spectrum_smooth_components,
 )
-from .lines import LineFileError, incidence_graph, load_lines
+from .lines import LineFileError, line_incidence, load_lines
 from .randomgraphs import (
     GraphBounds,
     SplitMix64,
@@ -165,14 +166,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_lines(args) -> int:
-    forms = load_lines(args.file)
-    graph = incidence_graph(forms)
+    incidence = line_incidence(load_lines(args.file))
     if args.emit_graph:
-        with open(args.emit_graph, "w", encoding="utf-8") as fh:
-            json.dump(graph_to_dict(graph), fh, indent=2)
-            fh.write("\n")
-    result = spectrum_hyperplane(graph)
-    print(format_spectrum(result, args.style))
+        try:
+            with open(args.emit_graph, "w", encoding="utf-8") as fh:
+                json.dump(graph_to_dict(incidence.graph()), fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.emit_graph}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
+    print(format_spectrum(incidence.spectrum(), args.style))
     return 0
 
 
@@ -215,7 +218,9 @@ def cmd_examples(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="curvespec",
         description="Exact Hodge spectra of plane curve arrangements from combinatorial data.",

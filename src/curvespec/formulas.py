@@ -2,7 +2,12 @@
 
 One kernel evaluates the general display (:func:`spectrum_general`).  It
 sees a singular point only through its type, so it runs once per type, not
-once per point.  :func:`spectrum_smooth_components` and
+once per point.  It is split in two: a :class:`PointTypeSummary` (degree by
+component multiplicity, the component pair count and the histogram of point
+types) and one j-loop over that summary, :func:`spectrum_of_point_types`.
+A graph is summarised here; ``curvespec.lines`` builds the same summary
+straight from line incidence, where a point's type is the sorted tuple of
+(m_l, 1) over the lines through it.  :func:`spectrum_smooth_components` and
 :func:`spectrum_hyperplane` are that kernel behind a domain check: their
 agreement with the general formula tests the check, not a second
 implementation.  The reduced, irreducible-power, binary and isolated
@@ -87,13 +92,22 @@ def _three_level_spectrum(d: int, rows) -> Spectrum:
     return Spectrum(terms, den=d)
 
 
-def _general_display(graph: ArrangementGraph) -> Spectrum:
-    """The general display of a valid graph, evaluated once per point type.
+@dataclass(frozen=True)
+class PointTypeSummary:
+    """All the general display reads of an arrangement.
 
-    A point enters only through its type, the multiset of (m_l, m_{v,l})
-    over its branches.  So each j costs one ceiling per distinct component
-    multiplicity and one step per type, however many points share a type.
+    ``degree_by_mult`` maps each component multiplicity m to the sum of the
+    degrees of the components with that multiplicity, ``comp_pairs`` is
+    sum_l binom(d_l, 2), and ``histogram`` counts the singular points of
+    each type: the sorted tuple of (m_l, m_{v,l}) over a point's branches.
     """
+
+    degree_by_mult: Mapping[int, int]
+    comp_pairs: int
+    histogram: Mapping[tuple, int]
+
+
+def _point_type_summary(graph: ArrangementGraph) -> PointTypeSummary:
     comp_mult = {c.id: c.multiplicity for c in graph.components}
     histogram = Counter(
         tuple(sorted((comp_mult[br.component], br.mult) for br in p.branches)) for p in graph.points
@@ -101,11 +115,23 @@ def _general_display(graph: ArrangementGraph) -> Spectrum:
     degree_by_mult: dict[int, int] = {}
     for c in graph.components:
         degree_by_mult[c.multiplicity] = degree_by_mult.get(c.multiplicity, 0) + c.degree
+    comp_pairs = sum(c.degree * (c.degree - 1) // 2 for c in graph.components)
+    return PointTypeSummary(degree_by_mult, comp_pairs, histogram)
+
+
+def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
+    """The general display, evaluated once per point type.
+
+    A point enters only through its type, so each j costs one ceiling per
+    distinct component multiplicity and one step per type, however many
+    points share a type.  The summary must come from a valid arrangement.
+    """
+    degree_by_mult = summary.degree_by_mult
     d = sum(m * deg for m, deg in degree_by_mult.items())
     d_red = sum(degree_by_mult.values())
-    comp_pairs = sum(c.degree * (c.degree - 1) // 2 for c in graph.components)
+    comp_pairs = summary.comp_pairs
     types = []
-    for branches, count in histogram.items():
+    for branches, count in summary.histogram.items():
         # uv(j) = sum_m ceil(j*m/d) * weight[m] - ceil(j*m_v/d)
         weight: dict[int, int] = {}
         for m, mult in branches:
@@ -138,6 +164,11 @@ def _general_display(graph: ArrangementGraph) -> Spectrum:
             n2 -= 1
         rows.append((j, n0, n1, n2))
     return _three_level_spectrum(d, rows)
+
+
+def _general_display(graph: ArrangementGraph) -> Spectrum:
+    """The general display of a valid graph."""
+    return spectrum_of_point_types(_point_type_summary(graph))
 
 
 def spectrum_general(graph: ArrangementGraph) -> Spectrum:

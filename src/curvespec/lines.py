@@ -7,24 +7,37 @@ computed by a cross product of coefficient triples, and coincident
 intersections are merged by canonical primitive integer coordinates.  All
 arithmetic is exact, so collinearity and concurrency decisions are never
 subject to rounding.
+
+The spectrum needs less than the graph.  A line has degree 1 and meets
+each of its points simply, so a point's type is the sorted tuple of
+(m_l, 1) over the lines through it, and the point-type summary of
+:mod:`curvespec.formulas` comes straight from the incidence data, with no
+point objects built.  Such data can fail validation only at the
+components (multiplicities and the total degree), so
+:func:`line_incidence` checks those alone, before the O(L^2) pair loop.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
 from typing import Sequence, Tuple, Union
 
-from .arrangement import ArrangementGraph, Branch, Component, SingularPoint
+from .arrangement import ArrangementGraph, Branch, Component, SingularPoint, require_valid
 from .arrangement import _check_keys, _echo, _load_json, _require_int
+from .formulas import PointTypeSummary, spectrum_of_point_types
+from .spectrum import Spectrum
 
 __all__ = [
     "LineFileError",
     "LinearForm",
     "ZeroFormError",
     "incidence_graph",
+    "line_incidence",
     "load_lines",
     "normalize_form",
 ]
@@ -82,9 +95,107 @@ def normalize_form(raw: Sequence[RationalLike]) -> LinearForm:
     first nonzero coefficient is positive."""
     if len(raw) != 3:
         raise LineFileError(f"a linear form needs exactly 3 coefficients, got {len(raw)}")
+    if all(type(x) is int for x in raw):  # no denominators to clear (bool is not int here)
+        return LinearForm(*_primitive(*raw))
     triple = [_to_fraction(x, f"coefficient {i}") for i, x in enumerate(raw)]
     denom = lcm(*(x.denominator for x in triple))
     return LinearForm(*_primitive(*(int(x * denom) for x in triple)))
+
+
+class _Incidence:
+    """A weighted list of linear forms, merged, and where the lines meet.
+
+    Proportional forms merge into one line (multiplicities summed,
+    first-seen order kept); line i becomes component ``l{i + 1}``.  The
+    pair loop runs on first use of :attr:`through`, so the components can
+    be validated before it.
+    """
+
+    def __init__(self, forms: Sequence[Tuple[Sequence[RationalLike], int]]):
+        if not forms:
+            raise LineFileError("need at least one linear form")
+        index: dict[Tuple[int, int, int], int] = {}
+        self.lines: list[Tuple[int, int, int]] = []
+        self.mults: list[int] = []
+        for raw, mult in forms:
+            _require_int(mult, "multiplicity", LineFileError)
+            # Nonpositive multiplicities are kept and fail validation, which
+            # keeps the schema/data error split uniform across inputs.
+            line = normalize_form(raw).coefficients()
+            k = index.get(line)
+            if k is None:
+                index[line] = len(self.lines)
+                self.lines.append(line)
+                self.mults.append(mult)
+            else:
+                self.mults[k] += mult
+
+    def components(self) -> Tuple[Component, ...]:
+        return tuple(Component(f"l{i + 1}", 1, m) for i, m in enumerate(self.mults))
+
+    @cached_property
+    def through(self) -> dict[Tuple[int, int, int], list[int]]:
+        """Every intersection point (canonical primitive coordinates) with
+        the ascending indices of the lines through it: the one O(L^2) pair
+        loop.
+
+        The first line i through a point meets every later line through it
+        exactly there, so the point first appears in a pair with line i,
+        and each other line k through it is the second line of the pair
+        (i, k).  Appending k only for those pairs lists each line once.
+        """
+        lines = self.lines
+        through: dict[Tuple[int, int, int], list[int]] = {}
+        for i, (a, b, c) in enumerate(lines):
+            for k in range(i + 1, len(lines)):
+                p, q, r = lines[k]
+                point = _primitive(b * r - c * q, c * p - a * r, a * q - b * p)
+                on_point = through.get(point)
+                if on_point is None:
+                    through[point] = [i, k]
+                elif on_point[0] == i:
+                    on_point.append(k)
+        return through
+
+    def graph(self) -> ArrangementGraph:
+        """The arrangement graph: points ``v{n + 1}`` in sorted coordinate
+        order, each line through a point a branch of multiplicity 1."""
+        through = self.through
+        points = tuple(
+            SingularPoint(f"v{n + 1}", tuple(Branch(f"l{i + 1}", 1) for i in through[point]))
+            for n, point in enumerate(sorted(through))
+        )
+        return ArrangementGraph(self.components(), points)
+
+    def point_types(self) -> PointTypeSummary:
+        """The point-type summary of :func:`curvespec.formulas.spectrum_of_point_types`,
+        without building the graph: every line has degree 1 and meets a
+        point simply, so a point's type is the sorted tuple of (m_l, 1) over
+        the lines through it, and there are no component pairs."""
+        mults = self.mults
+        counts = Counter(tuple(sorted([mults[i] for i in on_point])) for on_point in self.through.values())
+        histogram = {tuple((m, 1) for m in type_mults): n for type_mults, n in counts.items()}
+        return PointTypeSummary(Counter(mults), 0, histogram)
+
+    def spectrum(self) -> Spectrum:
+        """The hyperplane-arrangement spectrum, from the point-type summary."""
+        return spectrum_of_point_types(self.point_types())
+
+
+def line_incidence(forms: Sequence[Tuple[Sequence[RationalLike], int]]) -> _Incidence:
+    """Merge a weighted list of linear forms and validate the merged lines.
+
+    Line data can break an invariant only at its components: every branch
+    has multiplicity 1, which never exceeds degree 1, the ids are fresh and
+    a line is listed once per point.  So checking the components validates
+    the whole arrangement, and it runs before the pair loop.  Raises
+    :class:`~curvespec.arrangement.InvalidArrangementError` as
+    ``require_valid`` does.  The result's ``spectrum()`` and ``graph()``
+    share one pair loop, run on first use.
+    """
+    incidence = _Incidence(forms)
+    require_valid(ArrangementGraph(incidence.components(), ()))
+    return incidence
 
 
 def incidence_graph(forms: Sequence[Tuple[Sequence[RationalLike], int]]) -> ArrangementGraph:
@@ -94,47 +205,7 @@ def incidence_graph(forms: Sequence[Tuple[Sequence[RationalLike], int]]) -> Arra
     the points are all pairwise intersections, each recording every line
     through it with branch multiplicity 1 (a line meets a point simply).
     """
-    if not forms:
-        raise LineFileError("need at least one linear form")
-    lines: list[LinearForm] = []
-    mults: dict[LinearForm, int] = {}
-    for raw, mult in forms:
-        _require_int(mult, "multiplicity", LineFileError)
-        # Nonpositive multiplicities flow into the graph and fail validation
-        # there, keeping the schema/data error split uniform across inputs.
-        form = normalize_form(raw)
-        if form not in mults:
-            lines.append(form)
-            mults[form] = 0
-        mults[form] += mult
-
-    # Each point collects its lines inside the pair loop.  The first line
-    # through a point meets every later line through it exactly there, so
-    # the point appears first in a pair with that line and every other line
-    # through it is the second line of some pair.
-    through: dict[Tuple[int, int, int], set[int]] = {}
-    for i, p in enumerate(lines):
-        for k in range(i + 1, len(lines)):
-            q = lines[k]
-            point = _primitive(p.b * q.c - p.c * q.b, p.c * q.a - p.a * q.c, p.a * q.b - p.b * q.a)
-            on_point = through.get(point)
-            if on_point is None:
-                through[point] = {i, k}
-            else:
-                on_point.add(k)
-
-    comp_ids = [f"l{i + 1}" for i in range(len(lines))]
-    components = tuple(
-        Component(id=comp_ids[i], degree=1, multiplicity=mults[form]) for i, form in enumerate(lines)
-    )
-    singular_points = tuple(
-        SingularPoint(
-            id=f"v{n + 1}",
-            branches=tuple(Branch(component=comp_ids[i], mult=1) for i in sorted(through[coords])),
-        )
-        for n, coords in enumerate(sorted(through))
-    )
-    return ArrangementGraph(components, singular_points)
+    return _Incidence(forms).graph()
 
 
 def load_lines(path: str) -> list[Tuple[Tuple[RationalLike, ...], int]]:
@@ -153,8 +224,9 @@ def load_lines(path: str) -> list[Tuple[Tuple[RationalLike, ...], int]]:
         raw = entry["form"]
         if not isinstance(raw, list) or len(raw) != 3:
             raise LineFileError(f"entry {i}: 'form' must be a 3-element array")
-        for k, x in enumerate(raw):
-            _to_fraction(x, f"entry {i}, coefficient {k}")
+        if not all(type(x) is int for x in raw):
+            for k, x in enumerate(raw):
+                _to_fraction(x, f"entry {i}, coefficient {k}")
         mult = _require_int(entry.get("multiplicity", 1), f"entry {i}: multiplicity", LineFileError)
         out.append((tuple(raw), mult))
     return out

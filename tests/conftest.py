@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from hypothesis import settings
@@ -49,6 +50,39 @@ def triangle_graph():
 def pencil_graph():
     """Three concurrent lines: one ordinary triple point."""
     return graph([(1, 1)] * 3, [[(0, 1), (1, 1), (2, 1)]])
+
+
+def random_line_forms(seed: int, max_lines: int = 40):
+    """A seeded weighted line set: random small forms, pencils and
+    concurrent triples through random points, and proportional copies, with
+    multiplicities 1-3."""
+    rng = random.Random(seed)
+    n = rng.randint(1, max_lines)
+
+    def nonzero(draw):
+        raw = (0, 0, 0)
+        while raw == (0, 0, 0):
+            raw = draw()
+        return raw
+
+    raws: list = []
+    while len(raws) < n:
+        kind = rng.random()
+        if raws and kind < 0.15:
+            # A proportional copy of an earlier line.
+            scale = rng.choice((-3, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+            raws.append(tuple(scale * x for x in rng.choice(raws)))
+        elif kind < 0.45:
+            # Two to five lines through one point: a pencil or a triple.
+            p = nonzero(lambda: tuple(rng.randint(-3, 3) for _ in range(3)))
+            for _ in range(rng.choice((3, 3, 2, 4, 5))):
+                v = tuple(rng.randint(-3, 3) for _ in range(3))
+                cross = (p[1] * v[2] - p[2] * v[1], p[2] * v[0] - p[0] * v[2], p[0] * v[1] - p[1] * v[0])
+                if any(cross):
+                    raws.append(cross)
+        else:
+            raws.append(nonzero(lambda: tuple(rng.randint(-4, 4) for _ in range(3))))
+    return [(raw, rng.randint(1, 3)) for raw in raws[:n]]
 
 
 @st.composite

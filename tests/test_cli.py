@@ -6,13 +6,15 @@ import pytest
 
 import curvespec.cli
 import curvespec.formulas
+import curvespec.lines
 from curvespec.arrangement import derived, graph_to_dict, load_arrangement
-from curvespec.cli import main
-from curvespec.formulas import spectrum_general
+from curvespec.cli import build_parser, main
+from curvespec.formulas import spectrum_general, spectrum_hyperplane
+from curvespec.lines import incidence_graph
 from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
-from curvespec.spectrum import Spectrum
+from curvespec.spectrum import Spectrum, format_spectrum
 
-from conftest import line_and_nodal_cubic, two_line_powers
+from conftest import line_and_nodal_cubic, random_line_forms, two_line_powers
 
 NODAL_CUBIC = {
     "components": [{"id": "c", "degree": 3}],
@@ -57,6 +59,12 @@ def corrupt_rows(monkeypatch):
         "_three_level_spectrum",
         lambda d, rows: assemble(d, [(j, n0 + j, n1, n2) for j, n0, n1, n2 in rows]),
     )
+
+
+def line_entries(forms):
+    """A line file's entries for (form, multiplicity) pairs: integers stay
+    integers, other rationals become "p/q" strings."""
+    return [{"form": [x if type(x) is int else str(x) for x in raw], "multiplicity": m} for raw, m in forms]
 
 
 def arrangement_file(tmp_path, doc):
@@ -349,6 +357,80 @@ class TestLines:
         assert captured.out == ""
         assert captured.err.startswith("error [total-degree-too-large] components:")
 
+    def test_invalid_data_is_rejected_before_incidence(self, tmp_path, capsys):
+        # 100 001 distinct lines: the pair loop alone would take hours.
+        doc = [{"form": [1, t, 0]} for t in range(100_001)]
+        emitted = tmp_path / "derived.json"
+        start = time.perf_counter()
+        code = main(["lines", lines_file(tmp_path, doc), "--emit-graph", str(emitted)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error [total-degree-too-large] components:")
+        assert captured.err.count("\n") == 1
+        assert not emitted.exists()
+        assert elapsed < 10.0
+
+    def test_nonpositive_multiplicity_emits_no_graph(self, tmp_path, capsys):
+        doc = [{"form": [1, 0, 0]}, {"form": [-2, 0, 0], "multiplicity": -1}, {"form": [0, 1, 0]}]
+        emitted = tmp_path / "derived.json"
+        assert main(["lines", lines_file(tmp_path, doc), "--emit-graph", str(emitted)]) == 2
+        assert capsys.readouterr().err == (
+            "error [nonpositive-multiplicity] component 'l1': multiplicity must be >= 1, got 0\n"
+        )
+        assert not emitted.exists()
+
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("missing/derived.json", "No such file or directory"), (".", "Is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_emit_graph(self, tmp_path, capsys, target, reason):
+        path = str(tmp_path / target)
+        assert main(["lines", lines_file(tmp_path, TRIANGLE_LINES), "--emit-graph", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {path}: {reason}\n"
+
+
+class TestLinesSummaryPath:
+    """`lines` computes from the point-type summary, never from a graph; it
+    must print what the hyperplane formula gives on the incidence graph."""
+
+    @pytest.mark.parametrize("seed", range(0, 60, 3))
+    def test_matches_hyperplane_formula_in_every_style(self, tmp_path, capsys, seed):
+        forms = random_line_forms(seed)
+        path = lines_file(tmp_path, line_entries(forms))
+        expected = spectrum_hyperplane(incidence_graph(forms))
+        for style in ("plain", "latex", "json"):
+            assert main(["lines", path, "--style", style]) == 0
+            assert capsys.readouterr().out == format_spectrum(expected, style) + "\n"
+
+    @pytest.mark.parametrize("seed", range(1, 60, 6))
+    def test_emitted_graph_is_the_incidence_graph(self, tmp_path, capsys, seed):
+        forms = random_line_forms(seed)
+        path = lines_file(tmp_path, line_entries(forms))
+        emitted = tmp_path / "derived.json"
+        assert main(["lines", path, "--emit-graph", str(emitted)]) == 0
+        graph = incidence_graph(forms)
+        assert capsys.readouterr().out == format_spectrum(spectrum_hyperplane(graph)) + "\n"
+        assert emitted.read_text(encoding="utf-8") == json.dumps(graph_to_dict(graph), indent=2) + "\n"
+
+    def test_builds_no_graph_without_emit_graph(self, tmp_path, capsys, monkeypatch):
+        forms = random_line_forms(5)
+        path = lines_file(tmp_path, line_entries(forms))
+        expected = format_spectrum(spectrum_hyperplane(incidence_graph(forms))) + "\n"
+
+        def refuse(*args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(curvespec.lines, "incidence_graph", refuse)
+        monkeypatch.setattr(curvespec.lines._Incidence, "graph", refuse)
+        monkeypatch.setattr(curvespec.formulas, "_general_display", refuse)
+        assert main(["lines", path]) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestUnreadableJson:
     @pytest.mark.parametrize("command", ["compute", "lines"])
@@ -419,6 +501,32 @@ class TestExamples:
 
 
 class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_calls_give_the_same_bytes(self, tmp_path, capsys):
+        calls = [
+            ["compute", arrangement_file(tmp_path, NODAL_CUBIC), "--style", "latex"],
+            ["compute"],
+            ["lines", lines_file(tmp_path, TRIANGLE_LINES)],
+            ["check", "--count", "3", "--seed", "4"],
+            ["compute", "--formula", "nonsense", "x.json"],
+            ["examples"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = [run(argv) for argv in calls]
+        assert first[1][0] == ("exit", 2) and first[1][2].startswith("usage: curvespec compute")
+        assert [run(argv) for argv in calls] == first
+        assert [run(argv) for argv in reversed(calls)] == first[::-1]
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

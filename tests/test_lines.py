@@ -7,18 +7,27 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from curvespec.arrangement import ArrangementGraph, Branch, Component, SingularPoint, validate
-from curvespec.formulas import spectrum_hyperplane
+from curvespec.arrangement import (
+    ArrangementGraph,
+    Branch,
+    Component,
+    InvalidArrangementError,
+    SingularPoint,
+    validate,
+)
+from curvespec.formulas import _point_type_summary, spectrum_hyperplane
 from curvespec.lines import (
     LineFileError,
     LinearForm,
     ZeroFormError,
+    _Incidence,
     incidence_graph,
+    line_incidence,
     load_lines,
     normalize_form,
 )
 
-from conftest import pencil_graph, triangle_graph, two_line_powers
+from conftest import pencil_graph, random_line_forms, triangle_graph, two_line_powers
 
 X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -61,6 +70,18 @@ class TestNormalizeForm:
     def test_garbage_string_rejected(self):
         with pytest.raises(LineFileError):
             normalize_form(("one", 0, 0))
+
+    @given(st.tuples(*[st.integers(-10**6, 10**6)] * 3).filter(any))
+    def test_integer_fast_path_matches_fraction_route(self, t):
+        expected = normalize_form(tuple(Fraction(x) for x in t))
+        assert normalize_form(t) == expected
+        assert normalize_form(list(t)) == expected
+        assert normalize_form(tuple(str(x) for x in t)) == expected
+
+    @pytest.mark.parametrize("raw", [(True, 1, 0), (1, False, 0), (0, 1, True)])
+    def test_bool_rejected_among_integers(self, raw):
+        with pytest.raises(LineFileError):
+            normalize_form(raw)
 
     @given(triples)
     def test_idempotent(self, t):
@@ -235,6 +256,60 @@ class TestIncidenceAgainstBruteForce:
                     raw = tuple(rng.randint(-2, 2) for _ in range(3))
             forms.append((raw, rng.randint(1, 3)))
         assert incidence_graph(forms) == brute_force_graph(forms)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_pencils_and_copies(self, seed):
+        forms = random_line_forms(seed, max_lines=25)
+        assert incidence_graph(forms) == brute_force_graph(forms)
+
+
+class TestPointTypeSummary:
+    """The summary straight from incidence equals the summary of the graph."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_graph_summary(self, seed):
+        forms = random_line_forms(seed)
+        assert _Incidence(forms).point_types() == _point_type_summary(incidence_graph(forms))
+
+    def test_type_is_the_sorted_tuple_of_line_multiplicities(self):
+        # A pencil of three lines through (0, 0, 1) and a fourth line z = 0.
+        summary = _Incidence([((1, 0, 0), 3), ((0, 1, 0), 1), ((1, 1, 0), 2), ((0, 0, 1), 2)]).point_types()
+        assert summary.histogram == {
+            ((1, 1), (2, 1), (3, 1)): 1,
+            ((1, 1), (2, 1)): 1,
+            ((2, 1), (2, 1)): 1,
+            ((2, 1), (3, 1)): 1,
+        }
+        assert summary.degree_by_mult == {1: 1, 2: 2, 3: 1}
+        assert summary.comp_pairs == 0
+
+
+class TestLineValidation:
+    """Line data can break an invariant only at its components, so checking
+    the components alone (as ``line_incidence`` does) checks everything."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_no_point_level_errors(self, seed):
+        rng = random.Random(seed)
+        forms = [(raw, m if rng.random() < 0.8 else rng.randint(-3, 0)) for raw, m in random_line_forms(seed)]
+        g = incidence_graph(forms)
+        report = validate(g)
+        assert all(loc == "components" or loc.startswith("component ") for _, _, loc in report.errors)
+        assert report.errors == validate(ArrangementGraph(g.components, ())).errors
+        if report.errors:
+            with pytest.raises(InvalidArrangementError) as caught:
+                line_incidence(forms)
+            assert caught.value.report.errors == report.errors
+        else:
+            assert line_incidence(forms).graph() == g
+
+    def test_rejects_before_the_pair_loop(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the pair loop ran")
+
+        monkeypatch.setattr(_Incidence, "through", property(refuse))
+        with pytest.raises(InvalidArrangementError):
+            line_incidence([((1, 0, 0), 2), ((2, 0, 0), -2), ((0, 1, 0), 1)])
 
 
 class TestLoadLines:
