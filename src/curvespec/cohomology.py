@@ -1,4 +1,4 @@
-"""Truncated rational cohomology ring of the plane blown up at the singular points.
+"""Truncated cohomology ring of the plane blown up at the singular points.
 
 Blowing up the projective plane at the points of an arrangement gives a
 surface whose even cohomology has basis 1, e0, {e_v}, e0^2, where e0 is the
@@ -7,24 +7,33 @@ exceptional class over the point v.  The only nonzero products of
 generators are e0*e0 = e0^2 and e_v*e_v = -e0^2; everything of degree above
 the surface dimension is truncated away.  Classes are stored with e_v^2
 already rewritten into the e0^2 slot, so a :class:`CohClass` holds one
-rational per basis element and multiplication stays linear in the number
-of points.
+coefficient per basis element and multiplication stays linear in the
+number of points.
+
+All coefficients of a class sit on one integer grid: the class stores a
+positive denominator ``den`` and integer numerators for 1, e0, each e_v and
+e0^2.  After every operation they are divided by gcd(den, *numerators) and
+zero e_v terms are dropped, so equality of classes is plain structural
+equality.  The ring operations, log, exp and :func:`product` use integer
+arithmetic only; the attributes ``a``, ``b0``, ``bv``, ``c`` and
+:meth:`CohClass.integrate` still speak :class:`fractions.Fraction`.
 
 Integration returns the e0^2 coefficient: the self-intersection of a
 general line is one point, which fixes the normalization integrate(e0^2) = 1.
 
 Every class with scalar part 1 is 1 + n with n^3 = 0, so the series for
-log and exp stop after two terms and stay exact over the rationals:
+log and exp stop after two terms and stay exact:
 log(1 + n) = n - n^2/2 and exp(s) = 1 + s + s^2/2 (:meth:`CohClass.log`,
-:meth:`CohClass.exp`).  :func:`product` multiplies many such factors as
-exp(sum of logs), in time linear in their total support, where a chain of
-ring products would copy every point coefficient once per factor.
+:meth:`CohClass.exp`); for a class on the grid den both land on the grid
+2*den^2.  :func:`product` multiplies many such factors as exp(sum of logs),
+in time linear in their total support, where a chain of ring products would
+copy every point coefficient once per factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -39,39 +48,109 @@ def _frac(x: ScalarLike) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
 class CohClass:
-    """Element a + b0*e0 + sum_v bv[v]*e_v + c*e0^2 of the truncated ring."""
+    """Element a + b0*e0 + sum_v bv[v]*e_v + c*e0^2 of the truncated ring.
 
-    a: Fraction = Fraction(0)
-    b0: Fraction = Fraction(0)
-    bv: Mapping[str, Fraction] = field(default_factory=dict)
-    c: Fraction = Fraction(0)
+    ``CohClass(a, b0, bv, c)`` takes exact rationals (Fraction, int or
+    ``"p/q"`` strings).  Classes are immutable; ``den`` and
+    :meth:`numerators` give the integer grid the class is stored on.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b0", _frac(self.b0))
-        object.__setattr__(self, "c", _frac(self.c))
-        clean = {v: _frac(x) for v, x in self.bv.items() if x != 0}
-        object.__setattr__(self, "bv", clean)
+    __slots__ = ("_den", "_a", "_b0", "_bv", "_c")
+
+    def __init__(
+        self,
+        a: ScalarLike = 0,
+        b0: ScalarLike = 0,
+        bv: Mapping[str, ScalarLike] | None = None,
+        c: ScalarLike = 0,
+    ):
+        a, b0, c = _frac(a), _frac(b0), _frac(c)
+        point = {v: _frac(x) for v, x in (bv or {}).items()}
+        # The lcm of the reduced denominators is already in lowest terms.
+        den = lcm(a.denominator, b0.denominator, c.denominator, *(x.denominator for x in point.values()))
+        self._den = den
+        self._a = a.numerator * (den // a.denominator)
+        self._b0 = b0.numerator * (den // b0.denominator)
+        self._bv = {v: x.numerator * (den // x.denominator) for v, x in point.items() if x}
+        self._c = c.numerator * (den // c.denominator)
 
     @classmethod
-    def _of(cls, a: Fraction, b0: Fraction, bv: Mapping[str, Fraction], c: Fraction) -> "CohClass":
-        """Class from coefficients that are already Fractions: the ring
-        operations skip the public constructor's checks and conversions."""
+    def _of(cls, den: int, a: int, b0: int, bv: Mapping[str, int], c: int) -> "CohClass":
+        """Class from integer numerators over the positive denominator den,
+        brought to lowest terms: the ring operations and the
+        characteristic-class builds use it in place of the checking
+        constructor."""
+        bv = {v: x for v, x in bv.items() if x}
+        if den != 1:
+            g = gcd(den, a, b0, c, *bv.values())
+            if g != 1:
+                den //= g
+                a //= g
+                b0 //= g
+                c //= g
+                bv = {v: x // g for v, x in bv.items()}
         obj = object.__new__(cls)
-        obj.__dict__.update(a=a, b0=b0, bv={v: x for v, x in bv.items() if x}, c=c)
+        obj._den = den
+        obj._a = a
+        obj._b0 = b0
+        obj._bv = bv
+        obj._c = c
         return obj
+
+    # -- coefficients ---------------------------------------------------
+
+    @property
+    def den(self) -> int:
+        """Positive common denominator of all coefficients, in lowest terms."""
+        return self._den
+
+    def numerators(self) -> Tuple[int, int, dict[str, int], int]:
+        """Integer numerators (a, b0, bv, c) over :attr:`den`."""
+        return self._a, self._b0, dict(self._bv), self._c
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._den)
+
+    @property
+    def b0(self) -> Fraction:
+        return Fraction(self._b0, self._den)
+
+    @property
+    def bv(self) -> dict[str, Fraction]:
+        den = self._den
+        return {v: Fraction(x, den) for v, x in self._bv.items()}
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self._c, self._den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CohClass):
+            return NotImplemented
+        return (
+            self._den == other._den
+            and self._a == other._a
+            and self._b0 == other._b0
+            and self._c == other._c
+            and self._bv == other._bv
+        )
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "CohClass") -> "CohClass":
         if not isinstance(other, CohClass):
             return NotImplemented
-        bv = dict(self.bv)
-        for v, x in other.bv.items():
-            bv[v] = bv.get(v, 0) + x
-        return CohClass._of(self.a + other.a, self.b0 + other.b0, bv, self.c + other.c)
+        d, e = self._den, other._den
+        den = d if d == e else lcm(d, e)
+        s, t = den // d, den // e
+        bv = dict(self._bv) if s == 1 else {v: s * x for v, x in self._bv.items()}
+        for v, y in other._bv.items():
+            bv[v] = bv.get(v, 0) + t * y
+        return CohClass._of(
+            den, s * self._a + t * other._a, s * self._b0 + t * other._b0, bv, s * self._c + t * other._c
+        )
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         if not isinstance(other, CohClass):
@@ -79,112 +158,157 @@ class CohClass:
         return self + (-other)
 
     def __neg__(self) -> "CohClass":
-        return CohClass._of(-self.a, -self.b0, {v: -x for v, x in self.bv.items()}, -self.c)
+        return CohClass._of(self._den, -self._a, -self._b0, {v: -x for v, x in self._bv.items()}, -self._c)
 
     def __mul__(self, other: Union["CohClass", ScalarLike]) -> "CohClass":
         if not isinstance(other, CohClass):
-            try:
-                s = _frac(other)
-            except TypeError:
-                return NotImplemented
-            return CohClass._of(self.a * s, self.b0 * s, {v: x * s for v, x in self.bv.items()}, self.c * s)
+            if type(other) is not int and not isinstance(other, Fraction):
+                try:
+                    other = _frac(other)
+                except TypeError:
+                    return NotImplemented
+            p, q = other.numerator, other.denominator
+            return CohClass._of(
+                self._den * q, self._a * p, self._b0 * p, {v: x * p for v, x in self._bv.items()}, self._c * p
+            )
+        a, b0, bv = self._a, self._b0, self._bv
+        a2, b02, bv2 = other._a, other._b0, other._bv
         # Degree-2 part of the product of the degree-1 parts:
         # (b0 e0 + Σ bv e_v)(b0' e0 + Σ bv' e_v) = (b0 b0' − Σ bv bv') e0².
-        cross = self.b0 * other.b0
-        for v, x in self.bv.items():
-            y = other.bv.get(v)
+        cross = b0 * b02
+        for v, x in bv.items():
+            y = bv2.get(v)
             if y is not None:
                 cross -= x * y
-        bv = {v: self.a * x for v, x in other.bv.items()}
-        for v, x in self.bv.items():
-            bv[v] = bv.get(v, 0) + other.a * x
+        prod = {v: a * y for v, y in bv2.items()}
+        for v, x in bv.items():
+            prod[v] = prod.get(v, 0) + a2 * x
         return CohClass._of(
-            self.a * other.a,
-            self.a * other.b0 + other.a * self.b0,
-            bv,
-            self.a * other.c + other.a * self.c + cross,
+            self._den * other._den, a * a2, a * b02 + a2 * b0, prod, a * other._c + a2 * self._c + cross
         )
 
     def __rmul__(self, other: ScalarLike) -> "CohClass":
         return self * other
 
+    def __truediv__(self, other: int) -> "CohClass":
+        """Division by a nonzero integer."""
+        if type(other) is not int:
+            return NotImplemented
+        if other == 0:
+            raise ZeroDivisionError("division of a class by zero")
+        s = 1 if other > 0 else -1
+        return CohClass._of(
+            self._den * other * s, self._a * s, self._b0 * s, {v: x * s for v, x in self._bv.items()}, self._c * s
+        )
+
     # -- queries --------------------------------------------------------
 
     def integrate(self) -> Fraction:
         """Pairing with the fundamental class: the e0^2 coefficient."""
-        return self.c
+        return Fraction(self._c, self._den)
 
     def degree_part(self, k: int) -> "CohClass":
         """Homogeneous piece of cohomological degree 2k (k = 0, 1, 2)."""
         if k == 0:
-            return CohClass._of(self.a, _ZERO, {}, _ZERO)
+            return CohClass._of(self._den, self._a, 0, {}, 0)
         if k == 1:
-            return CohClass._of(_ZERO, self.b0, self.bv, _ZERO)
+            return CohClass._of(self._den, 0, self._b0, self._bv, 0)
         if k == 2:
-            return CohClass._of(_ZERO, _ZERO, {}, self.c)
+            return CohClass._of(self._den, 0, 0, {}, self._c)
         raise ValueError(f"degree index must be 0, 1 or 2, got {k}")
 
     def is_divisor(self) -> bool:
         """True when the class is purely degree 1."""
-        return self.a == 0 and self.c == 0
+        return self._a == 0 and self._c == 0
 
     def inverse(self) -> "CohClass":
         """Multiplicative inverse in the truncated ring; needs a unit (a != 0).
 
-        With x = a(1 + n), n nilpotent of order 3, the inverse is
-        (1 - n + n^2)/a.
+        With x = (a + n)/den, n nilpotent of order 3, the inverse is
+        den*(a^2 - a*n + n^2)/a^3.
         """
-        if self.a == 0:
+        a = self._a
+        if a == 0:
             raise ZeroDivisionError("class with zero scalar part is not invertible")
-        n = CohClass._of(_ZERO, self.b0, self.bv, self.c) * Fraction(1, self.a)
-        return (ONE - n + n * n) * Fraction(1, self.a)
+        # Numerators and denominator a^3 times the sign of a, so that the
+        # denominator stays positive.
+        s = self._den if a > 0 else -self._den
+        t = -s * a
+        return CohClass._of(
+            abs(a) ** 3,
+            s * a * a,
+            t * self._b0,
+            {v: t * x for v, x in self._bv.items()},
+            t * self._c + s * self._square(),
+        )
 
-    def _square(self) -> Fraction:
-        """e0^2 coefficient of the square of the degree-1 part."""
-        return self.b0 * self.b0 - sum(x * x for x in self.bv.values())
+    def _square(self) -> int:
+        """e0^2 numerator, over den^2, of the square of the degree-1 part."""
+        return self._b0 * self._b0 - sum(x * x for x in self._bv.values())
 
     def log(self) -> "CohClass":
         """log(1 + n) = n - n^2/2 of a class 1 + n with scalar part 1."""
-        if self.a != 1:
+        den = self._den
+        if self._a != den:
             raise ValueError(f"log needs scalar part 1, got {self.a}")
-        return CohClass._of(_ZERO, self.b0, self.bv, self.c - self._square() / 2)
+        t = 2 * den
+        return CohClass._of(
+            t * den, 0, t * self._b0, {v: t * x for v, x in self._bv.items()}, t * self._c - self._square()
+        )
 
     def exp(self) -> "CohClass":
         """exp(s) = 1 + s + s^2/2 of a class s with scalar part 0."""
-        if self.a != 0:
+        if self._a != 0:
             raise ValueError(f"exp needs scalar part 0, got {self.a}")
-        return CohClass._of(_ONE, self.b0, self.bv, self.c + self._square() / 2)
+        den = self._den
+        t = 2 * den
+        return CohClass._of(
+            t * den, t * den, t * self._b0, {v: t * x for v, x in self._bv.items()}, t * self._c + self._square()
+        )
 
     def __repr__(self) -> str:
         parts = []
-        if self.a:
+        if self._a:
             parts.append(str(self.a))
-        if self.b0:
+        if self._b0:
             parts.append(f"{self.b0}*e0")
-        for v in sorted(self.bv):
-            parts.append(f"{self.bv[v]}*e[{v}]")
-        if self.c:
+        bv = self.bv
+        for v in sorted(bv):
+            parts.append(f"{bv[v]}*e[{v}]")
+        if self._c:
             parts.append(f"{self.c}*e0^2")
         return "CohClass(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-ONE = CohClass(a=_ONE)
+ONE = CohClass(a=1)
 
 
 def product(factors: Iterable[Tuple[CohClass, int]]) -> CohClass:
     """prod f**k over the (f, k) pairs, each f with scalar part 1, formed as
-    exp(sum k*log f); negative k divides."""
-    b0 = c = _ZERO
-    bv: dict[str, Fraction] = {}
+    exp(sum k*log f) over one common denominator; negative k divides."""
+    den = 1
+    b0 = c = 0
+    bv: dict[str, int] = {}
     for factor, k in factors:
-        log = factor.log()
-        b0 += k * log.b0
-        c += k * log.c
-        for v, x in log.bv.items():
-            bv[v] = bv.get(v, 0) + k * x
-    return CohClass._of(_ZERO, b0, bv, c).exp()
+        d = factor._den
+        if factor._a != d:
+            raise ValueError(f"log needs scalar part 1, got {factor.a}")
+        # log(factor) has numerators 2d*b0, 2d*bv and 2d*c - square over 2d^2.
+        log_den = 2 * d * d
+        if den % log_den:
+            grown = lcm(den, log_den)
+            m = grown // den
+            b0 *= m
+            c *= m
+            bv = {v: m * x for v, x in bv.items()}
+            den = grown
+        s = k * (den // log_den)
+        t = 2 * d * s
+        b0 += t * factor._b0
+        c += s * (2 * d * factor._c - factor._square())
+        for v, x in factor._bv.items():
+            bv[v] = bv.get(v, 0) + t * x
+    return CohClass._of(den, 0, b0, bv, c).exp()
 
 
 def hyperplane_e0(coeff: ScalarLike = 1) -> CohClass:

@@ -1,11 +1,11 @@
 """Independent spectrum computation via characteristic classes.
 
 Pipeline: build the Chern class of the log cotangent bundle of the blown-up
-plane from product formulas (tangent Chern class of a blow-up, multiplicative
-inverses for the log twist), take Chern characters of its wedge powers, twist
-by an explicit divisor class depending on an integer sample index j, multiply
-by the Todd class, and integrate.  The resulting Euler characteristics
-assemble into spectrum coefficients.
+plane from product formulas (tangent Chern class of a blow-up, negative
+powers of the boundary factors for the log twist), take Chern characters of
+its wedge powers, twist by an explicit divisor class depending on an
+integer sample index j, multiply by the Todd class, and integrate.  The
+resulting Euler characteristics assemble into spectrum coefficients.
 
 Everything is computed from first principles in the truncated cohomology
 ring; the closed-form expansions (`*_closed` functions) are kept only as
@@ -15,14 +15,17 @@ regression targets so the two routes check each other.  Agreement of
 
 Cost.  Every factor of the product formulas has scalar part 1, so each
 product is formed as exp(sum of logs) (:func:`curvespec.cohomology.product`)
-in time linear in the points and branches; the tangent class is built once
-per spectrum and feeds both the log cotangent class and the Todd class.
-The weighted classes W_p = ch(wedge^p of log 1-forms) * td are built once.
-For an integral twist u = u0*e0 + sum_v u_v*e_v the integral of W*ch(u) is
-W.c + W.b0*u0 - sum_v W.bv[v]*u_v + W.a*(u0^2 - sum_v u_v^2)/2, so after
-scaling the three W_p to one denominator D, times 2, every j costs integer
-sums only, one step per point, and a remainder modulo 2D still fails the
-integrality assertion.
+in time linear in the points and branches; the per-point and per-component
+factors are built straight on the ring's integer grid, and the tangent
+class is built once per spectrum and feeds both the log cotangent class and
+the Todd class.  The weighted classes W_p = ch(wedge^p of log 1-forms) * td
+are built once.  For an integral twist u = u0*e0 + sum_v u_v*e_v the
+integral of W*ch(u) is W.c + W.b0*u0 - sum_v W.bv[v]*u_v +
+W.a*(u0^2 - sum_v u_v^2)/2, so after scaling the three W_p to one
+denominator D, times 2, every j costs integer sums only, one step per
+point, and a remainder modulo 2D still fails the integrality assertion.
+No :class:`fractions.Fraction` is made between the factor builds and the
+pairing.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e
 from .spectrum import Spectrum
 
 __all__ = [
-    "chern_cotangent",
     "chern_cotangent_log",
     "chern_cotangent_log_closed",
     "chern_tangent",
@@ -49,23 +51,29 @@ __all__ = [
 ]
 
 
-def _strict_transform_classes(graph: ArrangementGraph) -> list[CohClass]:
-    """[E_l] = -(d_l*e0 + sum_v m_{v,l}*e_v) for each component l."""
+def _branch_mults(graph: ArrangementGraph) -> list[dict[str, int]]:
+    """{point id: m_{v,l}} for each component l, in component order."""
     through: dict[str, dict[str, int]] = {c.id: {} for c in graph.components}
     for point in graph.points:
         for br in point.branches:
             through[br.component][point.id] = br.mult
-    return [exceptional_class(c.degree, through[c.id]) for c in graph.components]
+    return [through[c.id] for c in graph.components]
+
+
+def _strict_transform_classes(graph: ArrangementGraph) -> list[CohClass]:
+    """[E_l] = -(d_l*e0 + sum_v m_{v,l}*e_v) for each component l."""
+    return [exceptional_class(c.degree, mults) for c, mults in zip(graph.components, _branch_mults(graph))]
 
 
 def _chern_tangent(graph: ArrangementGraph) -> CohClass:
-    e0 = hyperplane_e0()
+    # The factors have integer coefficients, so they sit on the grid 1:
+    # CohClass._of(1, a, b0, bv, c) is a + b0*e0 + sum_v bv[v]*e_v + c*e0^2.
     # The per-point denominators (1 - e0)^2 join the (1 - e0)^3 of the plane.
-    factors = [(ONE - e0, 3 - 2 * len(graph.points))]
+    factors = [(CohClass._of(1, 1, -1, {}, 0), 3 - 2 * len(graph.points))]
     for point in graph.points:
-        ev = point_e(point.id)
-        factors.append((ONE + ev, 1))
-        factors.append((ONE - e0 - ev, 2))
+        v = point.id
+        factors.append((CohClass._of(1, 1, 0, {v: 1}, 0), 1))  # 1 + e_v
+        factors.append((CohClass._of(1, 1, -1, {v: -1}, 0), 2))  # 1 - e0 - e_v
     return product(factors)
 
 
@@ -80,16 +88,14 @@ def _dual(c: CohClass) -> CohClass:
     return c.degree_part(0) - c.degree_part(1) + c.degree_part(2)
 
 
-def chern_cotangent(graph: ArrangementGraph) -> CohClass:
-    """Total Chern class of the cotangent bundle: rank-2 duality negates the
-    degree-1 part and keeps degree 2."""
-    return _dual(chern_tangent(graph))
-
-
 def _chern_cotangent_log(graph: ArrangementGraph, tangent: CohClass) -> CohClass:
     factors = [(_dual(tangent), 1)]
-    factors.extend((ONE - point_e(point.id), -1) for point in graph.points)
-    factors.extend((ONE - e_class, -1) for e_class in _strict_transform_classes(graph))
+    # 1 - e_v for each point and 1 - [E_l] = 1 + d_l*e0 + sum_v m_{v,l}*e_v
+    # for each component, on the grid 1 as in _chern_tangent.
+    factors.extend((CohClass._of(1, 1, 0, {point.id: -1}, 0), -1) for point in graph.points)
+    factors.extend(
+        (CohClass._of(1, 1, c.degree, mults, 0), -1) for c, mults in zip(graph.components, _branch_mults(graph))
+    )
     return product(factors)
 
 
@@ -130,7 +136,7 @@ def chern_cotangent_log_closed(graph: ArrangementGraph) -> CohClass:
 def _todd(tangent: CohClass) -> CohClass:
     c1 = tangent.degree_part(1)
     c2 = tangent.degree_part(2)
-    return ONE + c1 * Fraction(1, 2) + (c1 * c1 + c2) * Fraction(1, 12)
+    return ONE + c1 / 2 + (c1 * c1 + c2) / 12
 
 
 def todd(graph: ArrangementGraph) -> CohClass:
@@ -159,9 +165,9 @@ def wedge_ch(c_total: CohClass, p: int) -> CohClass:
     if p == 0:
         return ONE
     if p == 1:
-        return CohClass(a=2) + c1 + (c1 * c1 - 2 * c2) * Fraction(1, 2)
+        return 2 * ONE + c1 + (c1 * c1 - 2 * c2) / 2
     if p == 2:
-        return ONE + c1 + c1 * c1 * Fraction(1, 2)
+        return ONE + c1 + c1 * c1 / 2
     raise ValueError(f"wedge power must be 0, 1 or 2, got {p}")
 
 
@@ -169,7 +175,7 @@ def line_bundle_ch(divisor: CohClass) -> CohClass:
     """Chern character 1 + u + u^2/2 of the line bundle with divisor class u."""
     if not divisor.is_divisor():
         raise ValueError(f"expected a pure degree-1 class, got {divisor!r}")
-    return ONE + divisor + divisor * divisor * Fraction(1, 2)
+    return ONE + divisor + divisor * divisor / 2
 
 
 def twist_class(graph: ArrangementGraph, j: int) -> CohClass:
@@ -222,12 +228,14 @@ def _euler_characteristics(graph: ArrangementGraph, data: DerivedData):
     td = _todd(tangent)
     weighted = [wedge_ch(log_chern, p) * td for p in range(3)]
 
-    # 2*D*W_p has integer coefficients and D*W_p.a is an integer.
-    half = lcm(*(x.denominator for w in weighted for x in (w.a, w.b0, w.c, *w.bv.values())))
+    # With D the lcm of the three grids, 2*D*W_p has integer coefficients
+    # and D*W_p.a is an integer.
+    half = lcm(*(w.den for w in weighted))
     scale = 2 * half
-    const = [int(w.c * scale) for w in weighted]
-    lin0 = [int(w.b0 * scale) for w in weighted]
-    quad = [int(w.a * half) for w in weighted]
+    grids = [(half // w.den, w.numerators()) for w in weighted]
+    const = [2 * k * c for k, (_, _, _, c) in grids]
+    lin0 = [2 * k * b0 for k, (_, b0, _, _) in grids]
+    quad = [k * a for k, (a, _, _, _) in grids]
 
     comp_mult = {c.id: c.multiplicity for c in graph.components}
     d = data.total_degree
@@ -238,7 +246,7 @@ def _euler_characteristics(graph: ArrangementGraph, data: DerivedData):
         (
             data.point_mult[point.id],
             [(comp_mult[br.component], br.mult) for br in point.branches],
-            [int(w.bv.get(point.id, 0) * scale) for w in weighted],
+            [2 * k * bv.get(point.id, 0) for k, (_, _, bv, _) in grids],
         )
         for point in graph.points
     ]

@@ -1,4 +1,7 @@
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+from typing import Mapping
 
 import pytest
 from hypothesis import given
@@ -73,7 +76,11 @@ class TestRingLaws:
         assert Fraction(1, 2) * (x + x) == x
 
     def test_zero_coefficients_normalized_away(self):
-        assert CohClass(bv={"v": 0}) == CohClass()
+        for zero in (0, "0", "0/5", Fraction(0)):
+            x = CohClass(bv={"v": zero})
+            assert x == CohClass()
+            assert x.bv == {}
+            assert x * ONE == x
 
     def test_non_rational_rejected(self):
         with pytest.raises(TypeError):
@@ -164,3 +171,155 @@ class TestStructure:
             + x.degree_part(2) * y.degree_part(0)
         )
         assert top == expected
+
+
+class TestDivision:
+    @given(classes(), st.integers(-6, 6).filter(bool))
+    def test_matches_scalar_inverse(self, x, k):
+        assert x / k == x * Fraction(1, k)
+        assert (x / k) * k == x
+
+    def test_rejects_zero_and_non_integers(self):
+        with pytest.raises(ZeroDivisionError):
+            ONE / 0
+        for bad in (Fraction(1, 2), 2.0, True, ONE):
+            with pytest.raises(TypeError):
+                ONE / bad
+
+
+@dataclass(frozen=True)
+class FractionClass:
+    """Reference: the ring with one Fraction per coefficient, operation by
+    operation as CohClass computed it before it moved to an integer grid."""
+
+    a: Fraction = Fraction(0)
+    b0: Fraction = Fraction(0)
+    bv: Mapping[str, Fraction] = field(default_factory=dict)
+    c: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        for name in ("a", "b0", "c"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        object.__setattr__(self, "bv", {v: Fraction(x) for v, x in self.bv.items() if x != 0})
+
+    def __add__(self, other):
+        bv = dict(self.bv)
+        for v, x in other.bv.items():
+            bv[v] = bv.get(v, 0) + x
+        return FractionClass(self.a + other.a, self.b0 + other.b0, bv, self.c + other.c)
+
+    def __neg__(self):
+        return FractionClass(-self.a, -self.b0, {v: -x for v, x in self.bv.items()}, -self.c)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionClass):
+            s = Fraction(other)
+            return FractionClass(self.a * s, self.b0 * s, {v: x * s for v, x in self.bv.items()}, self.c * s)
+        cross = self.b0 * other.b0
+        for v, x in self.bv.items():
+            cross -= x * other.bv.get(v, 0)
+        bv = {v: self.a * x for v, x in other.bv.items()}
+        for v, x in self.bv.items():
+            bv[v] = bv.get(v, 0) + other.a * x
+        return FractionClass(
+            self.a * other.a,
+            self.a * other.b0 + other.a * self.b0,
+            bv,
+            self.a * other.c + other.a * self.c + cross,
+        )
+
+    def integrate(self):
+        return self.c
+
+    def degree_part(self, k):
+        return [FractionClass(a=self.a), FractionClass(b0=self.b0, bv=self.bv), FractionClass(c=self.c)][k]
+
+    def inverse(self):
+        n = FractionClass(0, self.b0, self.bv, self.c) * Fraction(1, self.a)
+        return (REF_ONE - n + n * n) * Fraction(1, self.a)
+
+    def _square(self):
+        return self.b0 * self.b0 - sum(x * x for x in self.bv.values())
+
+    def log(self):
+        assert self.a == 1
+        return FractionClass(0, self.b0, self.bv, self.c - self._square() / 2)
+
+    def exp(self):
+        assert self.a == 0
+        return FractionClass(1, self.b0, self.bv, self.c + self._square() / 2)
+
+
+REF_ONE = FractionClass(a=1)
+
+
+def reference_product(factors):
+    total = FractionClass()
+    for factor, k in factors:
+        total = total + factor.log() * k
+    return total.exp()
+
+
+@st.composite
+def class_pairs(draw):
+    """(CohClass, FractionClass) with the same coefficients."""
+    bv = {
+        name: draw(rationals)
+        for name in draw(st.sets(st.sampled_from(["p", "q", "r"]), max_size=3))
+    }
+    coeffs = (draw(rationals), draw(rationals), bv, draw(rationals))
+    return CohClass(*coeffs), FractionClass(*coeffs)
+
+
+def unit_pair(pair):
+    """Both classes of a pair with their scalar parts replaced by 1."""
+    x, ref = pair
+    return unit_part(x), REF_ONE + ref - ref.degree_part(0)
+
+
+def assert_same(x, ref):
+    """x equals the reference and sits on its grid in lowest terms."""
+    assert (x.a, x.b0, x.bv, x.c) == (ref.a, ref.b0, ref.bv, ref.c)
+    a, b0, bv, c = x.numerators()
+    assert x.den > 0
+    assert 0 not in bv.values()
+    assert gcd(x.den, a, b0, c, *bv.values()) == 1
+
+
+class TestGridAgainstFractions:
+    @given(class_pairs(), class_pairs(), st.sampled_from([3, -2, Fraction(-5, 6), "7/4"]))
+    def test_ring_operations(self, left, right, scalar):
+        (x, rx), (y, ry) = left, right
+        assert_same(x, rx)
+        assert_same(x + y, rx + ry)
+        assert_same(x - y, rx - ry)
+        assert_same(-x, -rx)
+        assert_same(x * y, rx * ry)
+        assert_same(x * scalar, rx * scalar)
+        assert_same(scalar * x, rx * scalar)
+        assert_same(x / 6, rx * Fraction(1, 6))
+
+    @given(class_pairs())
+    def test_queries(self, pair):
+        x, rx = pair
+        for k in range(3):
+            assert_same(x.degree_part(k), rx.degree_part(k))
+        assert x.integrate() == rx.integrate()
+        if rx.a:
+            assert_same(x.inverse(), rx.inverse())
+
+    @given(class_pairs())
+    def test_log_exp(self, pair):
+        x, rx = unit_pair(pair)
+        assert_same(x.log(), rx.log())
+        s, rs = x - ONE, rx - REF_ONE
+        assert_same(s.exp(), rs.exp())
+
+    @given(st.lists(st.tuples(class_pairs(), st.integers(-3, 3)), max_size=4))
+    def test_product_with_negative_powers(self, drawn):
+        pairs = [(unit_pair(pair), k) for pair, k in drawn]
+        grid = product([(x, k) for (x, _), k in pairs])
+        assert_same(grid, reference_product([(rx, k) for (_, rx), k in pairs]))

@@ -1,3 +1,5 @@
+import fractions
+import sys
 import time
 from fractions import Fraction
 
@@ -14,7 +16,6 @@ from curvespec.lines import incidence_graph
 from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
 from curvespec.riemann_roch import (
     _euler_characteristics,
-    chern_cotangent,
     chern_cotangent_log,
     chern_cotangent_log_closed,
     chern_tangent,
@@ -61,6 +62,13 @@ def sequential_chern_cotangent_log(g):
         through = {p.id: br.mult for p in g.points for br in p.branches if br.component == comp.id}
         total = total * (ONE - exceptional_class(comp.degree, through)).inverse()
     return total
+
+
+def chern_cotangent(g):
+    """Total Chern class of the cotangent bundle: rank-2 duality negates the
+    degree-1 part of the tangent class and keeps degree 2."""
+    c = chern_tangent(g)
+    return c.degree_part(0) - c.degree_part(1) + c.degree_part(2)
 
 
 def seeded_graphs(count, bounds=GraphBounds()):
@@ -265,9 +273,15 @@ class TestLogExpBuild:
         assert chern_cotangent_log(g) == sequential_chern_cotangent_log(g)
 
 
+# Non-reduced graphs with component multiplicities up to 5: larger total
+# degrees, so the twists' floor divisions take more distinct values.
+HIGH_MULT_GRAPHS = seeded_graphs(4, GraphBounds(max_degree=3, max_mult=5))
+
+
 class TestIntegerPairing:
     @pytest.mark.parametrize(
-        "g", seeded_graphs(12, GraphBounds(max_degree=3, max_mult=3)) + repeated_type_graphs()
+        "g",
+        seeded_graphs(12, GraphBounds(max_degree=3, max_mult=3)) + repeated_type_graphs() + HIGH_MULT_GRAPHS,
     )
     def test_matches_euler_characteristic(self, g):
         data = derived(g)
@@ -277,6 +291,24 @@ class TestIntegerPairing:
         for j, chis in table:
             u = twist_class(g, j)
             assert chis == [euler_characteristic(g, p, u) for p in range(3)]
+
+    @pytest.mark.parametrize("g", HIGH_MULT_GRAPHS + repeated_type_graphs())
+    def test_no_fraction_between_factor_builds_and_pairing(self, g):
+        data = derived(g)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                calls.append(frame.f_code.co_name)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            table = list(_euler_characteristics(g, data))
+        finally:
+            sys.setprofile(previous)
+        assert len(table) == data.total_degree
+        assert calls == []
 
     def test_non_integral_weighted_class_is_caught(self, monkeypatch):
         honest = curvespec.riemann_roch.wedge_ch
