@@ -283,8 +283,12 @@ def _check_keys(obj: Mapping, allowed: Iterable[str], what: str, error=Arrangeme
 def graph_from_dict(data) -> ArrangementGraph:
     """Build a graph from the JSON object layout; schema errors raise
     :class:`ArrangementFormatError`, semantic problems are left to
-    :func:`validate`."""
-    if not isinstance(data, Mapping):
+    :func:`validate`.
+
+    Objects may be any ``Mapping``; plain dicts (all that JSON gives) are
+    recognised by their exact type first, which skips the slow abstract
+    ``isinstance`` check."""
+    if type(data) is not dict and not isinstance(data, Mapping):
         raise ArrangementFormatError(f"arrangement must be a JSON object, got {type(data).__name__}")
     _check_keys(data, ("components", "points"), "arrangement")
     raw_comps = data.get("components")
@@ -292,7 +296,7 @@ def graph_from_dict(data) -> ArrangementGraph:
         raise ArrangementFormatError("'components' must be a list")
     comps = []
     for i, rc in enumerate(raw_comps):
-        if not isinstance(rc, Mapping):
+        if type(rc) is not dict and not isinstance(rc, Mapping):
             raise ArrangementFormatError(f"components[{i}] must be an object")
         _check_keys(rc, ("id", "degree", "multiplicity"), f"components[{i}]")
         if "id" not in rc or "degree" not in rc:
@@ -309,7 +313,7 @@ def graph_from_dict(data) -> ArrangementGraph:
         raise ArrangementFormatError("'points' must be a list")
     points = []
     for i, rp in enumerate(raw_pts):
-        if not isinstance(rp, Mapping):
+        if type(rp) is not dict and not isinstance(rp, Mapping):
             raise ArrangementFormatError(f"points[{i}] must be an object")
         _check_keys(rp, ("id", "branches"), f"points[{i}]")
         if "id" not in rp or "branches" not in rp:
@@ -319,7 +323,7 @@ def graph_from_dict(data) -> ArrangementGraph:
             raise ArrangementFormatError(f"points[{i}].branches must be a list")
         branches = []
         for k, rb in enumerate(raw_brs):
-            if not isinstance(rb, Mapping):
+            if type(rb) is not dict and not isinstance(rb, Mapping):
                 raise ArrangementFormatError(f"points[{i}].branches[{k}] must be an object")
             _check_keys(rb, ("component", "mult"), f"points[{i}].branches[{k}]")
             if "component" not in rb:

@@ -4,16 +4,20 @@ One kernel evaluates the general display (:func:`spectrum_general`).  It
 sees a singular point only through its type, so it runs once per type, not
 once per point.  It is split in two: a :class:`PointTypeSummary` (degree by
 component multiplicity, the component pair count and the histogram of point
-types) and one j-loop over that summary, :func:`spectrum_of_point_types`.
-A graph is summarised here; ``curvespec.lines`` builds the same summary
-straight from line incidence, where a point's type is the sorted tuple of
-(m_l, 1) over the lines through it.  :func:`spectrum_smooth_components` and
+types) and :func:`spectrum_of_point_types`, which walks the breakpoints of
+the twist coefficients: each ceil(j*m/d) is a step function of j, so every
+type is visited only where its uv steps, its changes go into difference
+arrays, and one prefix pass over j emits the rows.  A graph is summarised
+here; ``curvespec.lines`` builds the same summary straight from line
+incidence, where a point's type is the sorted tuple of (m_l, 1) over the
+lines through it.  :func:`spectrum_smooth_components` and
 :func:`spectrum_hyperplane` are that kernel behind a domain check: their
 agreement with the general formula tests the check, not a second
 implementation.  The reduced, irreducible-power, binary and isolated
 displays are separate code that shares no formula code with the kernel, so
 each of them is an independent check of the general formula on its own
-domain, and the test suite checks that.
+domain, and the test suite checks that.  They evaluate every j directly;
+the reduced display groups its points by (m_v, branch pair count).
 
 Shared shape of all the plane-curve formulas: for each j in [1, d] (d the
 total degree) three integer coefficients are produced at the exponents
@@ -120,48 +124,93 @@ def _point_type_summary(graph: ArrangementGraph) -> PointTypeSummary:
 
 
 def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
-    """The general display, evaluated once per point type.
+    """The general display, evaluated as a walk over breakpoints.
 
-    A point enters only through its type, so each j costs one ceiling per
-    distinct component multiplicity and one step per type, however many
-    points share a type.  The summary must come from a valid arrangement.
+    For 1 <= j <= d, ceil(j*m/d) = #{k in [0, m): k*d//m < j}: a step
+    function of j that rises by one at the 0-based positions k*d//m.  So
+    u0 is one prefix sum over a ``rise`` array fed by the m steps of each
+    component multiplicity, and a point type's uv changes only at the steps
+    of the multiplicities in its weight and of m_v.  Each type is walked
+    once over its own steps, adding count * (new - old) of its three
+    quadratics into difference arrays; its pair counts fold into one
+    constant.  One prefix pass over j then emits the rows, so the cost
+    grows with d plus the breakpoints of the types, however many points
+    share a type.  The summary must come from a valid arrangement.
     """
     degree_by_mult = summary.degree_by_mult
     d = sum(m * deg for m, deg in degree_by_mult.items())
     d_red = sum(degree_by_mult.values())
-    comp_pairs = summary.comp_pairs
-    types = []
+    # The part of n1 that is constant in j: the component pair count less
+    # the branch pair counts of every point.
+    pair_term = summary.comp_pairs
+
+    positions: dict[int, list] = {}
+
+    def steps(m: int):
+        # The 0-based positions j - 1 where ceil(j*m/d) rises by one.
+        if m not in positions:
+            positions[m] = [k * d // m for k in range(m)]
+        return positions[m]
+
+    rise = [0] * d
+    for m, deg in degree_by_mult.items():
+        for p in steps(m):
+            rise[p] += deg
+
+    # Types with the same weight by component multiplicity share their uv;
+    # only their branch pair counts differ, and those went into pair_term.
+    by_weight: Counter = Counter()
     for branches, count in summary.histogram.items():
-        # uv(j) = sum_m ceil(j*m/d) * weight[m] - ceil(j*m_v/d)
         weight: dict[int, int] = {}
         for m, mult in branches:
             weight[m] = weight.get(m, 0) + mult
-        m_v = sum(m * w for m, w in weight.items())
-        m_red = sum(weight.values())
-        pairs = sum(mult * (mult - 1) // 2 for _, mult in branches)
-        types.append((tuple(weight.items()), m_v, m_red, pairs, count))
+            pair_term -= count * (mult * (mult - 1) // 2)
+        by_weight[tuple(sorted(weight.items()))] += count
 
-    # binom(x, 2) is written x*(x - 1)//2 (exact for every integer x, and
-    # binom(-1, 2) = 1), ceil(j*m/d) as (j*m + d - 1)//d.
-    rows = []
-    top = d - 1
-    for j in range(1, d + 1):
-        ceil_by_mult = {m: (j * m + top) // d for m in degree_by_mult}
-        u0 = sum(ceil_by_mult[m] * deg for m, deg in degree_by_mult.items()) - j
-        low = d_red - u0 - 1
-        n0 = low * (low - 1) // 2
-        n1 = (u0 - 1) * low + comp_pairs
-        n2 = (u0 - 1) * (u0 - 2) // 2
-        for weight, m_v, m_red, pairs, count in types:
-            uv = -((j * m_v + top) // d)
-            for m, w in weight:
-                uv += ceil_by_mult[m] * w
+    # diff_k[p] is the change at j = p + 1 of the sum over types of
+    # count * (k-th quadratic of uv); binom(x, 2) is written x*(x - 1)//2.
+    diff0 = [0] * d
+    diff1 = [0] * d
+    diff2 = [0] * d
+    for weight, count in by_weight.items():
+        # uv(j) = sum_m ceil(j*m/d) * weight[m] - ceil(j*m_v/d), walked from
+        # uv = 0 and all three quadratics 0 before j = 1.  Position 0 is a
+        # step of every m, so the first event sets the values at j = 1.
+        events: dict[int, int] = {}
+        m_v = m_red = 0
+        for m, w in weight:
+            m_v += m * w
+            m_red += w
+            for p in steps(m):
+                events[p] = events.get(p, 0) + w
+        for p in steps(m_v):
+            events[p] = events.get(p, 0) - 1
+        uv = old0 = old1 = old2 = 0
+        for p in sorted(events):
+            uv += events[p]
             low = m_red - uv - 1
-            n0 -= count * (low * (low - 1) // 2)
-            n1 -= count * (uv * low + pairs)
-            n2 -= count * (uv * (uv - 1) // 2)
-        if j == d:
-            n2 -= 1
+            new0 = low * (low - 1) // 2
+            new1 = uv * low
+            new2 = uv * (uv - 1) // 2
+            diff0[p] += count * (new0 - old0)
+            diff1[p] += count * (new1 - old1)
+            diff2[p] += count * (new2 - old2)
+            old0, old1, old2 = new0, new1, new2
+    # The -delta(j, d) at the top exponent.
+    diff2[d - 1] += 1
+
+    rows = []
+    ceil_sum = s0 = s1 = s2 = 0
+    for j, r, e0, e1, e2 in zip(range(1, d + 1), rise, diff0, diff1, diff2):
+        ceil_sum += r
+        s0 += e0
+        s1 += e1
+        s2 += e2
+        u0 = ceil_sum - j
+        low = d_red - u0 - 1
+        n0 = low * (low - 1) // 2 - s0
+        n1 = (u0 - 1) * low + pair_term - s1
+        n2 = (u0 - 1) * (u0 - 2) // 2 - s2
         rows.append((j, n0, n1, n2))
     return _three_level_spectrum(d, rows)
 
@@ -179,7 +228,12 @@ def spectrum_general(graph: ArrangementGraph) -> Spectrum:
 
 def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
     """Spectrum of a reduced arrangement (all component multiplicities 1),
-    via the simplified display where u0 = d - j."""
+    via the simplified display where u0 = d - j.
+
+    Each j is evaluated directly, with no breakpoints or difference arrays,
+    so this is a second algorithm beside the general kernel.  Points enter
+    only through m_v and their branch pair count, so points sharing both
+    are grouped and each group's step is taken once, times its size."""
     require_valid(graph)
     if not graph.is_reduced():
         bad = [c.id for c in graph.components if c.multiplicity != 1]
@@ -187,10 +241,10 @@ def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
     data = derived(graph)
     d = data.total_degree
     comp_pairs = sum(c.degree * (c.degree - 1) // 2 for c in graph.components)
-    points = [
-        (data.point_mult[p.id], sum(br.mult * (br.mult - 1) // 2 for br in p.branches))
-        for p in graph.points
-    ]
+    point_mult = data.point_mult
+    groups = Counter(
+        (point_mult[p.id], sum(br.mult * (br.mult - 1) // 2 for br in p.branches)) for p in graph.points
+    ).items()
 
     # binom(x, 2) is written x*(x - 1)//2, ceil(j*m_v/d) as (j*m_v + d - 1)//d.
     rows = []
@@ -199,11 +253,11 @@ def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
         n0 = (j - 1) * (j - 2) // 2
         n1 = (j - 1) * (d - j - 1) + comp_pairs
         n2 = (d - j - 1) * (d - j - 2) // 2
-        for m_v, branch_pairs in points:
+        for (m_v, branch_pairs), count in groups:
             ceil_v = (j * m_v + top) // d
-            n0 -= (ceil_v - 1) * (ceil_v - 2) // 2
-            n1 -= (ceil_v - 1) * (m_v - ceil_v) + branch_pairs
-            n2 -= (m_v - ceil_v) * (m_v - ceil_v - 1) // 2
+            n0 -= count * ((ceil_v - 1) * (ceil_v - 2) // 2)
+            n1 -= count * ((ceil_v - 1) * (m_v - ceil_v) + branch_pairs)
+            n2 -= count * ((m_v - ceil_v) * (m_v - ceil_v - 1) // 2)
         if j == d:
             n2 -= 1
         rows.append((j, n0, n1, n2))

@@ -1,4 +1,5 @@
 import json
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -236,6 +237,20 @@ class TestSerialization:
     def test_schema_violations(self, data):
         with pytest.raises(ArrangementFormatError):
             graph_from_dict(data)
+
+    @given(arrangement_graphs())
+    def test_any_mapping_loads_like_a_dict(self, g):
+        data = graph_to_dict(g)
+        proxied = MappingProxyType(
+            {
+                "components": [MappingProxyType(c) for c in data["components"]],
+                "points": [
+                    MappingProxyType({**p, "branches": [MappingProxyType(b) for b in p["branches"]]})
+                    for p in data["points"]
+                ],
+            }
+        )
+        assert graph_from_dict(proxied) == g
 
     def test_graphs_are_hashable(self):
         cache = {nodal_cubic(): "a"}

@@ -197,6 +197,13 @@ class TestCompute:
     def test_schema_violations_are_format_errors(self, tmp_path, capsys, doc):
         assert main(["compute", arrangement_file(tmp_path, doc)]) == 1
 
+    def test_list_in_place_of_a_branch_is_one_format_error_line(self, tmp_path, capsys):
+        doc = {"components": [{"id": "c", "degree": 3}], "points": [{"id": "v", "branches": [["c", 2]]}]}
+        assert main(["compute", arrangement_file(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: points[0].branches[0] must be an object\n"
+
 
 class TestCheck:
     def test_zero_count(self, capsys):

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from conftest import (
     line_and_nodal_cubic,
     nodal_cubic,
     pencil_graph,
+    random_line_forms,
     triangle_graph,
     two_line_powers,
 )
@@ -24,17 +27,20 @@ from curvespec.arrangement import (
 )
 from curvespec.binomial import binom, ceil_div
 from curvespec.formulas import (
+    PointTypeSummary,
+    _point_type_summary,
     spectrum_binary_linear,
     spectrum_general,
     spectrum_hyperplane,
     spectrum_irreducible_power,
     spectrum_isolated,
+    spectrum_of_point_types,
     spectrum_reduced,
     spectrum_smooth_components,
     twist_coefficients,
 )
-from curvespec.lines import incidence_graph
-from curvespec.randomgraphs import SplitMix64, generate_graph
+from curvespec.lines import incidence_graph, line_incidence
+from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
 from curvespec.spectrum import Spectrum, dummy_shift
 
 
@@ -156,6 +162,149 @@ class TestTypeKernel:
         types = {tuple(sorted((mult[br.component], br.mult) for br in p.branches)) for p in g.points}
         assert len(g.points) >= 3 * len(types)
         assert spectrum_general(g) == per_point_display(g)
+
+
+def per_j_kernel(summary):
+    """The general display from a point-type summary, every type evaluated
+    at every j: the reference for the breakpoint walk."""
+    degree_by_mult = summary.degree_by_mult
+    d = sum(m * deg for m, deg in degree_by_mult.items())
+    d_red = sum(degree_by_mult.values())
+    types = []
+    for branches, count in summary.histogram.items():
+        weight: dict[int, int] = {}
+        for m, mult in branches:
+            weight[m] = weight.get(m, 0) + mult
+        m_v = sum(m * w for m, w in weight.items())
+        pairs = sum(binom(mult, 2) for _, mult in branches)
+        types.append((weight, m_v, sum(weight.values()), pairs, count))
+    terms = []
+    for j in range(1, d + 1):
+        ceil_by_mult = {m: ceil_div(j * m, d) for m in degree_by_mult}
+        u0 = sum(ceil_by_mult[m] * deg for m, deg in degree_by_mult.items()) - j
+        n0 = binom(d_red - u0 - 1, 2)
+        n1 = (u0 - 1) * (d_red - u0 - 1) + summary.comp_pairs
+        n2 = binom(u0 - 1, 2) - (1 if j == d else 0)
+        for weight, m_v, m_red, pairs, count in types:
+            uv = sum(ceil_by_mult[m] * w for m, w in weight.items()) - ceil_div(j * m_v, d)
+            n0 -= count * binom(m_red - uv - 1, 2)
+            n1 -= count * (uv * (m_red - uv - 1) + pairs)
+            n2 -= count * binom(uv, 2)
+        terms += [(j, n0), (d + j, n1), (2 * d + j, n2)]
+    return Spectrum(terms, den=d)
+
+
+def line_summary(mults, histogram, comp_pairs=0):
+    """A summary of lines with the given multiplicities; histogram maps the
+    multiplicities of the lines through a point to a point count."""
+    types = {tuple(sorted((m, 1) for m in through)): n for through, n in histogram.items()}
+    return PointTypeSummary(Counter(mults), comp_pairs, types)
+
+
+EDGE_SUMMARIES = {
+    "d=1": line_summary([1], {}),
+    "one-line-power-m=d": line_summary([7], {}),
+    "one-conic-power": PointTypeSummary({5: 2}, 1, {((5, 2),): 1}),
+    "pencil-m_v=d": line_summary([1, 1, 1, 1], {(1, 1, 1, 1): 1}),
+    "weighted-pencil-m_v=d": line_summary([2, 3, 5], {(2, 3, 5): 1}),
+    "pencil-of-twelve-fold-lines": line_summary([12] * 3, {(12, 12, 12): 1}),
+    "empty-histogram": PointTypeSummary({1: 2, 3: 1}, 4, {}),
+    "many-points-one-type": line_summary([1] * 80, {(1, 1): 3160}),
+    "many-points-few-types": line_summary([1] * 30 + [2] * 10, {(1, 1): 435, (1, 2): 300, (2, 2): 45}),
+    "many-curves-one-type": PointTypeSummary({3: 12}, 120, {((3, 2),): 40, ((3, 1), (3, 1)): 500}),
+}
+
+
+class TestBreakpointKernel:
+    @pytest.mark.parametrize("summary", EDGE_SUMMARIES.values(), ids=EDGE_SUMMARIES.keys())
+    def test_edge_cases_match_per_j_kernel(self, summary):
+        assert spectrum_of_point_types(summary) == per_j_kernel(summary)
+
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 8),
+        st.integers(0, 24),
+        st.integers(1, 6),
+        st.integers(1, 12),
+    )
+    def test_matches_per_j_kernel_on_generator_graphs(self, seed, comps, points, degree, mult):
+        bounds = GraphBounds(max_components=comps, max_points=points, max_degree=degree, max_mult=mult)
+        summary = _point_type_summary(generate_graph(SplitMix64(seed), bounds))
+        assert spectrum_of_point_types(summary) == per_j_kernel(summary)
+
+    @given(arrangement_graphs(max_components=5, max_points=8, max_degree=5, max_mult=12))
+    def test_matches_per_j_kernel_on_drawn_graphs(self, g):
+        summary = _point_type_summary(g)
+        assert spectrum_of_point_types(summary) == per_j_kernel(summary)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_per_j_kernel_on_weighted_lines(self, seed):
+        summary = line_incidence(random_line_forms(seed)).point_types()
+        assert spectrum_of_point_types(summary) == per_j_kernel(summary)
+
+
+def per_point_reduced(g):
+    """The reduced display with one step per point per j: the reference for
+    the grouped points of spectrum_reduced."""
+    data = derived(g)
+    d = data.total_degree
+    comp_pairs = sum(binom(c.degree, 2) for c in g.components)
+    terms = []
+    for j in range(1, d + 1):
+        n0 = binom(j - 1, 2)
+        n1 = (j - 1) * (d - j - 1) + comp_pairs
+        n2 = binom(d - j - 1, 2) - (1 if j == d else 0)
+        for p in g.points:
+            m_v = data.point_mult[p.id]
+            ceil_v = ceil_div(j * m_v, d)
+            n0 -= binom(ceil_v - 1, 2)
+            n1 -= (ceil_v - 1) * (m_v - ceil_v) + sum(binom(br.mult, 2) for br in p.branches)
+            n2 -= binom(m_v - ceil_v, 2)
+        terms += [(j, n0), (d + j, n1), (2 * d + j, n2)]
+    return Spectrum(terms, den=d)
+
+
+def repeated_reduced_points(seed):
+    """A reduced graph of cubics and quartics whose points repeat few
+    (m_v, branch pairs) values: double points of one component, nodes where
+    two components cross and ordinary 4-fold points where three meet."""
+    rng = random.Random(seed)
+    comps = [(rng.choice((3, 4)), 1) for _ in range(rng.randint(3, 6))]
+    pts = []
+    for _ in range(rng.randint(20, 60)):
+        kind = rng.random()
+        if kind < 0.3:
+            pts.append([(rng.randrange(len(comps)), 2)])
+        elif kind < 0.8:
+            a, b = rng.sample(range(len(comps)), 2)
+            pts.append([(a, 1), (b, 1)])
+        else:
+            a, b, c = rng.sample(range(len(comps)), 3)
+            pts.append([(a, 1), (b, 2), (c, 1)])
+    return graph(comps, pts)
+
+
+class TestReducedGrouping:
+    def test_matches_per_point_loop_on_reduced_generator_graphs(self):
+        bounds = GraphBounds(max_components=8, max_points=24, max_degree=6, max_mult=1)
+        for seed in range(200):
+            g = generate_graph(SplitMix64(seed), bounds)
+            assert spectrum_reduced(g) == per_point_reduced(g), seed
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_per_point_loop_on_repeated_points(self, seed):
+        g = repeated_reduced_points(seed)
+        data = derived(g)
+        keys = {(data.point_mult[p.id], sum(binom(br.mult, 2) for br in p.branches)) for p in g.points}
+        assert len(g.points) >= 4 * len(keys)
+        assert spectrum_reduced(g) == per_point_reduced(g)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_per_point_loop_on_line_arrangements(self, seed):
+        # Proportional forms merge and add up their multiplicities.
+        lines = incidence_graph(random_line_forms(seed))
+        g = ArrangementGraph(tuple(replace(c, multiplicity=1) for c in lines.components), lines.points)
+        assert spectrum_reduced(g) == per_point_reduced(g)
 
 
 class TestReduced:
