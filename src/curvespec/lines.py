@@ -2,9 +2,9 @@
 
 Turns an explicit list of rational linear forms a*x + b*y + c*z into the
 combinatorial arrangement graph: proportional forms are merged into one
-component with summed multiplicity, every pairwise intersection point is
-computed by a cross product of coefficient triples, and coincident
-intersections are merged by canonical primitive integer coordinates.  All
+component with summed multiplicity, and each line, in one sweep, groups
+the later lines by where they meet it (the cross product of coefficient
+triples, reduced to a primitive pair in that line's own coordinates).  All
 arithmetic is exact, so collinearity and concurrency decisions are never
 subject to rounding.
 
@@ -12,9 +12,12 @@ The spectrum needs less than the graph.  A line has degree 1 and meets
 each of its points simply, so a point's type is the sorted tuple of
 (m_l, 1) over the lines through it, and the point-type summary of
 :mod:`curvespec.formulas` comes straight from the incidence data, with no
-point objects built.  Such data can fail validation only at the
-components (multiplicities and the total degree), so
-:func:`line_incidence` checks those alone, before the O(L^2) pair loop.
+point objects built.  Every pair of lines meets once, so the points on
+exactly two lines are counted from the line multiplicities and the points
+on three or more lines, which are the only ones the sweep keeps.  Such
+data can fail validation only at the components (multiplicities and the
+total degree), so :func:`line_incidence` checks those alone, before the
+O(L^2) sweep.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
-from typing import Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Iterator, Sequence, Tuple, Union
 
 from .arrangement import ArrangementGraph, Branch, Component, SingularPoint, require_valid
 from .arrangement import _check_keys, _echo, _load_json, _require_int
@@ -90,25 +93,41 @@ def _to_fraction(x: RationalLike, what: str) -> Fraction:
         raise LineFileError(f"{what} is not a valid rational: {_echo(x)}") from exc
 
 
-def normalize_form(raw: Sequence[RationalLike]) -> LinearForm:
-    """Clear denominators, divide by the content, and fix the sign so the
-    first nonzero coefficient is positive."""
+def _canonical(raw: Sequence[RationalLike]) -> Tuple[int, int, int]:
+    """The coefficients of :func:`normalize_form`, as a plain tuple."""
     if len(raw) != 3:
         raise LineFileError(f"a linear form needs exactly 3 coefficients, got {len(raw)}")
     if all(type(x) is int for x in raw):  # no denominators to clear (bool is not int here)
-        return LinearForm(*_primitive(*raw))
+        return _primitive(*raw)
     triple = [_to_fraction(x, f"coefficient {i}") for i, x in enumerate(raw)]
     denom = lcm(*(x.denominator for x in triple))
-    return LinearForm(*_primitive(*(int(x * denom) for x in triple)))
+    return _primitive(*(int(x * denom) for x in triple))
+
+
+def normalize_form(raw: Sequence[RationalLike]) -> LinearForm:
+    """Clear denominators, divide by the content, and fix the sign so the
+    first nonzero coefficient is positive."""
+    return LinearForm(*_canonical(raw))
+
+
+def _pairs_by_mult(by_mult: Counter) -> dict[Tuple[int, int], int]:
+    """The pairs among lines counted by multiplicity, by the pair's
+    multiplicities (m, m') with m <= m'."""
+    return {
+        (m, m2): k * (k - 1) // 2 if m == m2 else k * k2
+        for m, k in by_mult.items()
+        for m2, k2 in by_mult.items()
+        if m <= m2
+    }
 
 
 class _Incidence:
     """A weighted list of linear forms, merged, and where the lines meet.
 
     Proportional forms merge into one line (multiplicities summed,
-    first-seen order kept); line i becomes component ``l{i + 1}``.  The
-    pair loop runs on first use of :attr:`through`, so the components can
-    be validated before it.
+    first-seen order kept); line i becomes component ``l{i + 1}``.  No
+    intersection is computed before :meth:`point_types` or :meth:`graph`
+    runs the sweep, so the components can be validated first.
     """
 
     def __init__(self, forms: Sequence[Tuple[Sequence[RationalLike], int]]):
@@ -121,7 +140,7 @@ class _Incidence:
             _require_int(mult, "multiplicity", LineFileError)
             # Nonpositive multiplicities are kept and fail validation, which
             # keeps the schema/data error split uniform across inputs.
-            line = normalize_form(raw).coefficients()
+            line = _canonical(raw)
             k = index.get(line)
             if k is None:
                 index[line] = len(self.lines)
@@ -133,49 +152,93 @@ class _Incidence:
     def components(self) -> Tuple[Component, ...]:
         return tuple(Component(f"l{i + 1}", 1, m) for i, m in enumerate(self.mults))
 
-    @cached_property
-    def through(self) -> dict[Tuple[int, int, int], list[int]]:
-        """Every intersection point (canonical primitive coordinates) with
-        the ascending indices of the lines through it: the one O(L^2) pair
-        loop.
+    def _sweep(self, two_line_points: bool) -> Iterator[list[int]]:
+        """The ascending indices of the lines through each intersection
+        point, once per point: the one O(L^2) pair loop.  Points on exactly
+        two lines are yielded only if ``two_line_points``.
 
-        The first line i through a point meets every later line through it
-        exactly there, so the point first appears in a pair with line i,
-        and each other line k through it is the second line of the pair
-        (i, k).  Appending k only for those pairs lists each line once.
+        Line i groups the later lines by where they meet it.  With line i's
+        coordinates rotated cyclically so that its first nonzero one comes
+        first (a cyclic rotation commutes with the cross product), that
+        point is fixed by the last two coordinates of the cross product, a
+        primitive pair up to sign.  A point belongs to the smallest line
+        through it.  When line i yields a point on lines i < g1 < g2 < ...,
+        each g_s notes g_{s+1}: at line g_s that point is the group whose
+        first line is g_{s+1}, and two lines meet only once, so that group
+        is skipped.  Memory stays O(L) plus one entry per line through each
+        point on three or more lines.
         """
         lines = self.lines
-        through: dict[Tuple[int, int, int], list[int]] = {}
-        for i, (a, b, c) in enumerate(lines):
-            for k in range(i + 1, len(lines)):
-                p, q, r = lines[k]
-                point = _primitive(b * r - c * q, c * p - a * r, a * q - b * p)
-                on_point = through.get(point)
-                if on_point is None:
-                    through[point] = [i, k]
-                elif on_point[0] == i:
-                    on_point.append(k)
-        return through
+        frames = (lines, [(b, c, a) for a, b, c in lines], [(c, a, b) for a, b, c in lines])
+        seen: dict[int, set[int]] = {}
+        for i, line in enumerate(lines):
+            frame = frames[0 if line[0] else 1 if line[1] else 2]
+            a, b, c = frame[i]
+            first: dict[Tuple[int, int], int] = {}
+            groups: dict[int, list[int]] = {}
+            for k, (p, q, r) in enumerate(frame[i + 1 :], i + 1):
+                x = c * p - a * r
+                y = a * q - b * p
+                g = gcd(x, y)
+                if x < 0 or (not x and y < 0):
+                    g = -g
+                j = first.setdefault((x // g, y // g), k)
+                if j != k:
+                    on = groups.get(j)
+                    if on is None:
+                        groups[j] = [i, j, k]
+                    else:
+                        on.append(k)
+            done = seen.pop(i, ())
+            for j, on in groups.items():
+                if j not in done:
+                    for s in range(1, len(on) - 1):
+                        seen.setdefault(on[s], set()).add(on[s + 1])
+                    yield on
+            if two_line_points:
+                for j in first.values():
+                    if j not in groups and j not in done:
+                        yield [i, j]
 
     def graph(self) -> ArrangementGraph:
         """The arrangement graph: points ``v{n + 1}`` in sorted coordinate
-        order, each line through a point a branch of multiplicity 1."""
-        through = self.through
-        points = tuple(
-            SingularPoint(f"v{n + 1}", tuple(Branch(f"l{i + 1}", 1) for i in through[point]))
-            for n, point in enumerate(sorted(through))
+        order, each line through a point a branch of multiplicity 1, in
+        ascending line order."""
+        lines = self.lines
+        points = []
+        for on in self._sweep(True):
+            (a, b, c), (p, q, r) = lines[on[0]], lines[on[1]]
+            points.append((_primitive(b * r - c * q, c * p - a * r, a * q - b * p), on))
+        points.sort(key=itemgetter(0))
+        return ArrangementGraph(
+            self.components(),
+            tuple(
+                SingularPoint(f"v{n + 1}", tuple(Branch(f"l{i + 1}", 1) for i in on))
+                for n, (_, on) in enumerate(points)
+            ),
         )
-        return ArrangementGraph(self.components(), points)
 
     def point_types(self) -> PointTypeSummary:
         """The point-type summary of :func:`curvespec.formulas.spectrum_of_point_types`,
         without building the graph: every line has degree 1 and meets a
         point simply, so a point's type is the sorted tuple of (m_l, 1) over
-        the lines through it, and there are no component pairs."""
+        the lines through it, and there are no component pairs.
+
+        Only the points on three or more lines come from the sweep.  Every
+        pair of lines meets once, so the points on exactly two lines of
+        multiplicities m <= m' number C(c_m, 2) or c_m * c_m' (c_m lines
+        of multiplicity m), less the pairs inside the larger points.
+        """
         mults = self.mults
-        counts = Counter(tuple(sorted([mults[i] for i in on_point])) for on_point in self.through.values())
-        histogram = {tuple((m, 1) for m in type_mults): n for type_mults, n in counts.items()}
-        return PointTypeSummary(Counter(mults), 0, histogram)
+        by_mult = Counter(mults)
+        large = Counter(tuple(sorted([mults[i] for i in on])) for on in self._sweep(False))
+        pairs = _pairs_by_mult(by_mult)
+        for type_mults, n in large.items():
+            for key, inside in _pairs_by_mult(Counter(type_mults)).items():
+                pairs[key] -= n * inside
+        histogram = {((m, 1), (m2, 1)): n for (m, m2), n in pairs.items() if n}
+        histogram.update((tuple((m, 1) for m in type_mults), n) for type_mults, n in large.items())
+        return PointTypeSummary(by_mult, 0, histogram)
 
     def spectrum(self) -> Spectrum:
         """The hyperplane-arrangement spectrum, from the point-type summary."""
@@ -191,7 +254,7 @@ def line_incidence(forms: Sequence[Tuple[Sequence[RationalLike], int]]) -> _Inci
     the whole arrangement, and it runs before the pair loop.  Raises
     :class:`~curvespec.arrangement.InvalidArrangementError` as
     ``require_valid`` does.  The result's ``spectrum()`` and ``graph()``
-    share one pair loop, run on first use.
+    each run the pair loop when called.
     """
     incidence = _Incidence(forms)
     require_valid(ArrangementGraph(incidence.components(), ()))

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -239,6 +240,53 @@ def brute_force_graph(weighted_forms):
     )
 
 
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def concurrent_line_forms(seed):
+    """Seeded weighted lines (weights 1-3) that reach every branch of the
+    incidence sweep: forms with a = 0 and with a = b = 0, pencils of four or
+    more lines through points with zero coordinates, lines through two
+    pencil points, and proportional copies, all in shuffled order."""
+    rng = random.Random(seed)
+    small = (-2, -1, 0, 0, 0, 1, 2)
+    centres = []
+    while len(centres) < rng.randint(2, 4):
+        p = tuple(rng.choice(small) for _ in range(3))
+        if any(p) and p not in centres:
+            centres.append(p)
+    raws = [(0, 0, rng.choice((1, -2))), (0, rng.choice((1, -1)), rng.randint(-2, 2))]
+    for p in centres:
+        for _ in range(rng.randint(4, 6)):
+            line = _cross(p, tuple(rng.randint(-2, 2) for _ in range(3)))
+            if any(line):
+                raws.append(line)
+    for p, q in zip(centres, centres[1:]):
+        if any(_cross(p, q)):
+            raws.append(_cross(p, q))
+    for _ in range(rng.randint(1, 3)):
+        raws.append(tuple(rng.choice((-3, -1, 2, Fraction(1, 2))) * x for x in rng.choice(raws)))
+    rng.shuffle(raws)
+    return [(raw, rng.randint(1, 3)) for raw in raws]
+
+
+def shared_line_forms():
+    """y = 0 passes through two points on four lines: (0:0:1), owned by
+    x = 0, and (1:0:0), owned by z = 0.  Both lie on y = 0 and on two lines
+    after it, so the sweep meets each again there and must skip it."""
+    return [
+        ((1, 0, 0), 1),
+        ((0, 0, 1), 2),
+        ((0, 1, 0), 3),
+        ((1, 1, 0), 1),
+        ((1, -1, 0), 2),
+        ((0, 1, 1), 3),
+        ((0, 1, -1), 1),
+        ((1, 1, 1), 2),
+    ]
+
+
 class TestIncidenceAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(40))
     def test_seeded_small_coefficients(self, seed):
@@ -262,6 +310,15 @@ class TestIncidenceAgainstBruteForce:
         forms = random_line_forms(seed, max_lines=25)
         assert incidence_graph(forms) == brute_force_graph(forms)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_concurrent_lines(self, seed):
+        forms = concurrent_line_forms(seed)
+        assert incidence_graph(forms) == brute_force_graph(forms)
+
+    def test_shared_line_through_two_large_points(self):
+        forms = shared_line_forms()
+        assert incidence_graph(forms) == brute_force_graph(forms)
+
 
 class TestPointTypeSummary:
     """The summary straight from incidence equals the summary of the graph."""
@@ -269,7 +326,30 @@ class TestPointTypeSummary:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_graph_summary(self, seed):
         forms = random_line_forms(seed)
-        assert _Incidence(forms).point_types() == _point_type_summary(incidence_graph(forms))
+        summary = _Incidence(forms).point_types()
+        assert summary == _point_type_summary(incidence_graph(forms))
+        assert all(summary.histogram.values())
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_concurrent_lines_match_graph_summary(self, seed):
+        forms = concurrent_line_forms(seed)
+        summary = _Incidence(forms).point_types()
+        assert summary == _point_type_summary(incidence_graph(forms))
+        assert all(summary.histogram.values())
+
+    def test_shared_line_through_two_large_points(self):
+        forms = shared_line_forms()
+        summary = _Incidence(forms).point_types()
+        assert summary == _point_type_summary(incidence_graph(forms))
+        assert summary.histogram[((1, 1), (1, 1), (2, 1), (3, 1))] == 1
+        assert summary.histogram[((1, 1), (2, 1), (3, 1), (3, 1))] == 1
+
+    def test_two_line_types_all_inside_larger_points_are_dropped(self):
+        # Four lines of multiplicity 1 through one point: every pair of
+        # them meets there, so no point lies on exactly two of them.
+        forms = [((1, t, 0), 1) for t in range(4)] + [((0, 0, 1), 2)]
+        summary = _Incidence(forms).point_types()
+        assert summary.histogram == {((1, 1), (1, 1), (1, 1), (1, 1)): 1, ((1, 1), (2, 1)): 4}
 
     def test_type_is_the_sorted_tuple_of_line_multiplicities(self):
         # A pencil of three lines through (0, 0, 1) and a fourth line z = 0.
@@ -304,12 +384,25 @@ class TestLineValidation:
             assert line_incidence(forms).graph() == g
 
     def test_rejects_before_the_pair_loop(self, monkeypatch):
-        def refuse(self):
+        def refuse(self, *args):
             raise AssertionError("the pair loop ran")
 
-        monkeypatch.setattr(_Incidence, "through", property(refuse))
+        monkeypatch.setattr(_Incidence, "_sweep", refuse)
         with pytest.raises(InvalidArrangementError):
             line_incidence([((1, 0, 0), 2), ((2, 0, 0), -2), ((0, 1, 0), 1)])
+
+
+def test_summary_memory_does_not_grow_with_the_points():
+    # 300 general-position lines meet in 44 850 points, each on two lines;
+    # the summary counts those points and stores none of them.
+    forms = [((1, t, t * t), 1) for t in range(300)]
+    tracemalloc.start()
+    try:
+        line_incidence(forms).spectrum()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 class TestLoadLines:
