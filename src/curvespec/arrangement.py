@@ -114,8 +114,20 @@ class ValidationReport:
         return not self.errors
 
 
+def _component_at(comp: Component) -> str:
+    return f"component {_echo(comp.id)}"
+
+
+def _point_at(point: SingularPoint, branch: Branch | None = None) -> str:
+    at = f"point {_echo(point.id)}"
+    return at if branch is None else f"{at}, branch {_echo(branch.component)}"
+
+
 def validate(graph: ArrangementGraph) -> ValidationReport:
-    """Check every arrangement invariant, accumulating all violations."""
+    """Check every arrangement invariant, accumulating all violations.
+
+    Messages and locations echo values and ids through :func:`_echo`, and
+    are formatted only when a violation or warning is recorded."""
     errors: list[Tuple[str, str, str]] = []
     warnings: list[Tuple[str, str, str]] = []
 
@@ -124,66 +136,64 @@ def validate(graph: ArrangementGraph) -> ValidationReport:
 
     seen_comp: dict[str, Component] = {}
     for comp in graph.components:
-        loc = f"component {comp.id!r}"
         if not comp.id:
-            errors.append(("empty-id", "component id must be a nonempty string", loc))
+            errors.append(("empty-id", "component id must be a nonempty string", _component_at(comp)))
         if comp.id in seen_comp:
-            errors.append(("duplicate-component-id", f"component id {comp.id!r} repeats", loc))
+            message = f"component id {_echo(comp.id)} repeats"
+            errors.append(("duplicate-component-id", message, _component_at(comp)))
         else:
             seen_comp[comp.id] = comp
         if comp.degree < 1:
-            errors.append(("nonpositive-degree", f"degree must be >= 1, got {comp.degree}", loc))
+            message = f"degree must be >= 1, got {_echo(comp.degree)}"
+            errors.append(("nonpositive-degree", message, _component_at(comp)))
         if comp.multiplicity < 1:
-            errors.append(
-                ("nonpositive-multiplicity", f"multiplicity must be >= 1, got {comp.multiplicity}", loc)
-            )
+            message = f"multiplicity must be >= 1, got {_echo(comp.multiplicity)}"
+            errors.append(("nonpositive-multiplicity", message, _component_at(comp)))
     total_degree = sum(comp.multiplicity * comp.degree for comp in graph.components)
     if total_degree > MAX_TOTAL_DEGREE:
-        message = f"total degree {total_degree} exceeds the limit {MAX_TOTAL_DEGREE}"
+        message = f"total degree {_echo(total_degree)} exceeds the limit {MAX_TOTAL_DEGREE}"
         errors.append(("total-degree-too-large", message, "components"))
 
     seen_pt: set[str] = set()
     for point in graph.points:
-        loc = f"point {point.id!r}"
         point_errors = len(errors)
         if not point.id:
-            errors.append(("empty-id", "point id must be a nonempty string", loc))
+            errors.append(("empty-id", "point id must be a nonempty string", _point_at(point)))
         if point.id in seen_pt:
-            errors.append(("duplicate-point-id", f"point id {point.id!r} repeats", loc))
+            errors.append(("duplicate-point-id", f"point id {_echo(point.id)} repeats", _point_at(point)))
         seen_pt.add(point.id)
         if not point.branches:
-            errors.append(("empty-branches", "point must lie on at least one component", loc))
+            errors.append(("empty-branches", "point must lie on at least one component", _point_at(point)))
         branch_comps: set[str] = set()
         for br in point.branches:
-            bloc = f"{loc}, branch {br.component!r}"
             comp = seen_comp.get(br.component)
             if comp is None:
-                errors.append(("unknown-component", f"branch names unknown component {br.component!r}", bloc))
+                message = f"branch names unknown component {_echo(br.component)}"
+                errors.append(("unknown-component", message, _point_at(point, br)))
             if br.component in branch_comps:
-                errors.append(("duplicate-branch", f"component {br.component!r} listed twice", bloc))
+                message = f"component {_echo(br.component)} listed twice"
+                errors.append(("duplicate-branch", message, _point_at(point, br)))
             branch_comps.add(br.component)
             if br.mult < 1:
-                errors.append(("nonpositive-branch-mult", f"branch multiplicity must be >= 1, got {br.mult}", bloc))
+                message = f"branch multiplicity must be >= 1, got {_echo(br.mult)}"
+                errors.append(("nonpositive-branch-mult", message, _point_at(point, br)))
             elif comp is not None and br.mult > comp.degree:
-                errors.append(
-                    (
-                        "branch-mult-exceeds-degree",
-                        f"branch multiplicity {br.mult} exceeds component degree {comp.degree}",
-                        bloc,
-                    )
+                message = (
+                    f"branch multiplicity {_echo(br.mult)} exceeds component degree {_echo(comp.degree)}"
                 )
+                errors.append(("branch-mult-exceeds-degree", message, _point_at(point, br)))
         if len(errors) == point_errors:
             m_red = sum(br.mult for br in point.branches)
             if m_red == 1:
-                warnings.append(
-                    ("smooth-point", "total branch multiplicity 1: point is a smooth point of the union", loc)
-                )
+                message = "total branch multiplicity 1: point is a smooth point of the union"
+                warnings.append(("smooth-point", message, _point_at(point)))
             elif (
                 len(point.branches) == 2
                 and all(br.mult == 1 for br in point.branches)
                 and len(branch_comps) == 2
             ):
-                warnings.append(("snc-node", "transverse crossing of two components (simple node)", loc))
+                message = "transverse crossing of two components (simple node)"
+                warnings.append(("snc-node", message, _point_at(point)))
 
     return ValidationReport(tuple(errors), tuple(warnings))
 
@@ -257,8 +267,14 @@ def complement_euler_characteristic(graph: ArrangementGraph) -> int:
 
 def _echo(value) -> str:
     """repr of an offending input value, cut to 80 characters so the
-    diagnostic stays one short line."""
-    text = repr(value)
+    diagnostic stays one short line.  An int with more digits than str()
+    converts (4300 by default, Python 3.10.7 and later) is cut to about
+    100 leading digits first."""
+    try:
+        text = repr(value)
+    except ValueError:
+        shift = int((value.bit_length() - 1) * 0.30102999566) - 100  # digits below the leading ~100
+        text = "-" * (value < 0) + str(abs(value) // 10**shift)
     return text if len(text) <= 80 else text[:77] + "..."
 
 

@@ -22,6 +22,7 @@ O(L^2) sweep.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,11 +85,22 @@ def _primitive(x: int, y: int, z: int) -> Tuple[int, int, int]:
     return (x // g, y // g, z // g)
 
 
+# A coefficient string: an optional sign, digits and an optional "/digits".
+# Fraction(str) would also take decimals, underscores (from Python 3.11)
+# and exponents such as "1e2000000", whose cost grows with the exponent.
+_RATIONAL_RE = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
+
+
 def _to_fraction(x: RationalLike, what: str) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (Rational, str)):
         raise LineFileError(f"{what} must be an integer or 'p/q' string, got {_echo(x)}")
-    try:
+    if not isinstance(x, str):
         return Fraction(x)
+    m = _RATIONAL_RE.fullmatch(x)
+    try:
+        if m is None:
+            raise ValueError("not of the form [sign]digits[/digits]")
+        return Fraction(int(m[1]), int(m[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise LineFileError(f"{what} is not a valid rational: {_echo(x)}") from exc
 

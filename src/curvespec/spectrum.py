@@ -17,7 +17,8 @@ Three serializations are supported (see :func:`format_spectrum`):
 
 * ``plain``  -- ``t + 2*t^(4/3) + 2*t^(5/3)``; integer exponents bare
   (``t^2``), fractional exponents parenthesized (``t^(4/3)``); ``0`` is the
-  zero spectrum.  :func:`parse_spectrum` inverts this format exactly.
+  zero spectrum.  :func:`parse_spectrum` inverts this format exactly,
+  matching one regular expression per term.
 * ``latex``  -- ``2t+2t^{5/4}+2t^{3/2}-t^{2}``.
 * ``json``   -- ``[{"alpha": "4/3", "n": 2}, ...]`` sorted by exponent.
 """
@@ -250,117 +251,40 @@ def format_spectrum(s: Spectrum, style: str = "plain") -> str:
 # parsing (plain style)
 # ---------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\d+|[t^*+\-()/]")
-
-
-def _tokenize(text: str) -> list[Tuple[str, int]]:
-    tokens: list[Tuple[str, int]] = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise SpectrumParseError("unexpected character", pos, ch)
-        tokens.append((m.group(), pos))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def take(self) -> Tuple[str, int]:
-        if self.i >= len(self.tokens):
-            raise SpectrumParseError("unexpected end of input", len(self.text), "<end>")
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, want: str) -> None:
-        tok, pos = self.take()
-        if tok != want:
-            raise SpectrumParseError(f"expected {want!r}", pos, tok)
-
-    def fail(self, message: str) -> "SpectrumParseError":
-        if self.i < len(self.tokens):
-            tok, pos = self.tokens[self.i]
-        else:
-            tok, pos = "<end>", len(self.text)
-        return SpectrumParseError(message, pos, tok)
-
-    def integer(self) -> int:
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        tok, pos = self.take()
-        if not tok.isdigit():
-            raise SpectrumParseError("expected an integer", pos, tok)
-        return sign * int(tok)
-
-    def exponent(self) -> Fraction:
-        if self.peek() == "(":
-            self.take()
-            p = self.integer()
-            self.expect("/")
-            q_tok, q_pos = self.take()
-            if not q_tok.isdigit() or int(q_tok) == 0:
-                raise SpectrumParseError("expected a positive denominator", q_pos, q_tok)
-            self.expect(")")
-            return Fraction(p, int(q_tok))
-        return Fraction(self.integer())
-
-    def term(self) -> Tuple[Fraction, int]:
-        coef = 1
-        tok = self.peek()
-        if tok is not None and tok.isdigit():
-            coef = int(self.take()[0])
-            self.expect("*")
-        self.expect("t")
-        if self.peek() == "^":
-            self.take()
-            return self.exponent(), coef
-        return Fraction(1), coef
-
-    def spectrum(self) -> Spectrum:
-        # Lone "0" is the zero spectrum.
-        if len(self.tokens) == 1 and self.tokens[0][0] == "0":
-            return Spectrum.zero()
-        terms = []
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        elif self.peek() == "+":
-            self.take()
-        while True:
-            alpha, coef = self.term()
-            terms.append((alpha, sign * coef))
-            tok = self.peek()
-            if tok is None:
-                break
-            if tok == "+":
-                sign = 1
-            elif tok == "-":
-                sign = -1
-            else:
-                raise self.fail("expected '+' or '-' between terms")
-            self.take()
-        return Spectrum(terms)
+# One term of the plain style: an optional sign, an optional "n*"
+# coefficient, t, and an optional exponent "^k" or "^(p/q)", where k and p
+# may carry a minus sign; whitespace may separate any two tokens.  The
+# conditional group asks for "/q)" exactly when the exponent opens with "(".
+_TERM_RE = re.compile(
+    r"(?P<sign>[-+]?)\s*(?:(?P<coef>\d+)\s*\*\s*)?t\s*"
+    r"(?:\^\s*(?P<paren>\()?\s*(?P<neg>-?)\s*(?P<num>\d+)(?(paren)\s*/\s*(?P<den>\d+)\s*\)))?\s*"
+)
 
 
 def parse_spectrum(text: str) -> Spectrum:
-    """Parse the plain-style rendering back into a :class:`Spectrum`."""
-    parser = _Parser(text)
-    if not parser.tokens:
-        raise SpectrumParseError("empty input", 0, "<end>")
-    return parser.spectrum()
+    """Parse the plain-style rendering back into a :class:`Spectrum`.
+
+    The text is ``0`` (the zero spectrum) or a sequence of terms
+    ``[+|-] [n*] t [^k | ^(p/q)]`` in which every term after the first has
+    its sign, q is not zero, and whitespace may separate any two tokens.
+    Anything else raises :class:`SpectrumParseError` at the first text that
+    does not continue a term.
+    """
+    if text.strip() == "0":
+        return Spectrum.zero()
+    pos = len(text) - len(text.lstrip())
+    if pos == len(text):
+        raise SpectrumParseError("empty input", pos, "<end>")
+    terms = []
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        if m is None or (terms and not m["sign"]):
+            message = "expected '+' or '-' and a term" if terms else "expected a term"
+            raise SpectrumParseError(message, pos, text[pos])
+        if m["den"] and int(m["den"]) == 0:
+            raise SpectrumParseError("expected a positive denominator", m.start("den"), m["den"])
+        alpha = Fraction(int(m["neg"] + m["num"]), int(m["den"] or 1)) if m["num"] else 1
+        n = int(m["coef"] or 1)
+        terms.append((alpha, -n if m["sign"] == "-" else n))
+        pos = m.end()
+    return Spectrum(terms)

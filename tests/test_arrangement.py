@@ -106,6 +106,15 @@ class TestValidate:
             ),
         )
 
+    def test_total_degree_too_long_to_print(self):
+        huge = 10**8000  # str() refuses ints of more than 4300 digits
+        report = validate(ArrangementGraph((Component("a", huge, -huge),)))
+        assert [code for code, _, _ in report.errors] == ["nonpositive-multiplicity"]
+        report = validate(ArrangementGraph((Component("a", huge, huge),)))
+        ((code, message, location),) = report.errors
+        assert (code, location) == ("total-degree-too-large", "components")
+        assert message == f"total degree {'1' + '0' * 76}... exceeds the limit {MAX_TOTAL_DEGREE}"
+
     def test_snc_warning(self):
         assert warning_codes(two_line_powers(1, 1)) == {"snc-node"}
 

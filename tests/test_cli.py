@@ -168,6 +168,15 @@ class TestCompute:
         assert captured.out == ""
         assert captured.err.startswith("error [total-degree-too-large] components:")
 
+    def test_total_degree_too_long_to_print(self, tmp_path, capsys):
+        doc = {"components": [{"id": "c", "degree": 10**4000, "multiplicity": 10**4000}]}
+        assert main(["compute", arrangement_file(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error [total-degree-too-large] components: total degree 1{'0' * 76}... exceeds the limit 100000\n"
+        )
+
     def test_invalid_arrangement(self, tmp_path, capsys):
         doc = {
             "components": [{"id": "c", "degree": 3}],
@@ -379,6 +388,16 @@ class TestLines:
         assert not emitted.exists()
         assert elapsed < 10.0
 
+    @pytest.mark.parametrize("text", ["1_000", "1.5", "1e2000000"])
+    def test_coefficient_string_beyond_the_documented_forms(self, tmp_path, capsys, text):
+        doc = [{"form": [text, 0, 1]}, {"form": [0, 1, 0]}]
+        start = time.perf_counter()
+        assert main(["lines", lines_file(tmp_path, doc)]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: entry 0, coefficient 0 is not a valid rational: {text!r}\n"
+
     def test_nonpositive_multiplicity_emits_no_graph(self, tmp_path, capsys):
         doc = [{"form": [1, 0, 0]}, {"form": [-2, 0, 0], "multiplicity": -1}, {"form": [0, 1, 0]}]
         emitted = tmp_path / "derived.json"
@@ -486,6 +505,43 @@ class TestLongValueEcho:
         assert message in captured.err
         assert captured.err.count("\n") == 1
         assert len(captured.err) < 160
+
+
+    @pytest.mark.parametrize(
+        "command, doc, code",
+        [
+            (
+                "compute",
+                {
+                    "components": [{"id": "c", "degree": 3}],
+                    "points": [{"id": "v", "branches": [{"component": "c", "mult": 10**4000}]}],
+                },
+                "branch-mult-exceeds-degree",
+            ),
+            ("compute", {"components": [{"id": "c" * 5000, "degree": 0}]}, "nonpositive-degree"),
+            (
+                "compute",
+                {
+                    "components": [{"id": "c" * 5000, "degree": 1}, {"id": "c" * 5000, "degree": 1}],
+                    "points": [{"id": "v" * 5000, "branches": [{"component": "c" * 5000}, {"component": "w" * 5000}]}],
+                },
+                "unknown-component",
+            ),
+            ("lines", [{"form": [1, 0, 0], "multiplicity": -(10**4000)}], "nonpositive-multiplicity"),
+        ],
+        ids=["4001-digit-branch-mult", "5000-character-id", "5000-character-ids", "4001-digit-multiplicity"],
+    )
+    def test_validation_errors_stay_short(self, tmp_path, capsys, command, doc, code):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error [{code}]" in captured.err
+        for line in captured.err.splitlines():
+            # Each echo is cut to 80 characters ending in "...": the rest
+            # of the line is the fixed text of the diagnostic.
+            assert len(line) < 160 + 80 * line.count("...")
 
 
 class TestExamples:

@@ -72,6 +72,21 @@ class TestNormalizeForm:
         with pytest.raises(LineFileError):
             normalize_form(("one", 0, 0))
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [("3", 3), ("+3", 3), (" -6/4 ", Fraction(-3, 2)), ("\t06/4\n", Fraction(3, 2)), ("\u0663/\u0662", Fraction(3, 2))],
+    )
+    def test_coefficient_strings(self, text, value):
+        assert normalize_form((text, 1, 0)) == normalize_form((value, 1, 0))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "1.5", ".5", "1e3", "1E3", "1e2000000", "1_000", "1/0", "1 /2", "1/-2", "- 1", "nan", "0x10"],
+    )
+    def test_only_sign_digits_and_denominator_accepted(self, text):
+        with pytest.raises(LineFileError, match="is not a valid rational"):
+            normalize_form((text, 0, 0))
+
     @given(st.tuples(*[st.integers(-10**6, 10**6)] * 3).filter(any))
     def test_integer_fast_path_matches_fraction_route(self, t):
         expected = normalize_form(tuple(Fraction(x) for x in t))

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,8 @@ from curvespec.spectrum import (
     format_spectrum,
     parse_spectrum,
 )
+
+BENCH_DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
 
 
 class TestConstruction:
@@ -164,17 +167,58 @@ class TestParse:
         assert parse_spectrum("t + t - 2*t") == Spectrum.zero()
 
     @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (" - 2 * t ^ ( - 1 / 2 ) + 3 * t ^ - 2 - t ", {Fraction(-1, 2): -2, -2: 3, 1: -1}),
+            ("\tt\t+\n7*t^2\t", {1: 1, 2: 7}),
+            ("+t", {1: 1}),
+            ("t^-2", {-2: 1}),
+            ("t^(- 1/2)", {Fraction(-1, 2): 1}),
+            ("t^0 - t^(0/5)", {}),
+            ("0*t", {}),
+            (" 0 ", {}),
+            ("00*t + 012*t^(03/06)", {Fraction(1, 2): 12}),
+            ("\u0663*t^(\u0661/\u0662)", {Fraction(1, 2): 3}),
+        ],
+    )
+    def test_accepted_language(self, text, expected):
+        assert parse_spectrum(text) == Spectrum(expected)
+
+    @pytest.mark.parametrize(
         "text",
-        ["", "t^", "2*", "t^(1/0)", "x", "1 + t", "t t", "2**t", "t^(1/2", "--t", "t^()"],
+        [
+            "", " ", "\t\n", "t^", "2*", "t^(1/0)", "t^(1/00)", "x", "1 + t", "t t", "2**t",
+            "t^(1/2", "--t", "t^()", "2t", "t^+2", "t^(+1/2)", "t^(1/-2)", "0 + t", "00", "\u0660",
+            "t +", "t^2 3", "t^(1 / 2 3)", "1 2*t", "2*t^x",
+        ],
     )
     def test_malformed_inputs_report_position(self, text):
         with pytest.raises(SpectrumParseError) as err:
             parse_spectrum(text)
-        assert err.value.position >= 0
+        assert 0 <= err.value.position <= len(text)
         assert err.value.token
 
     @given(spectra())
     def test_round_trip(self, s):
+        assert parse_spectrum(format_spectrum(s)) == s
+
+    def test_round_trip_of_stored_outputs(self):
+        outputs = [
+            item["stdout"].removesuffix("\n")
+            for name in ("compute", "lines")
+            for item in json.loads((BENCH_DATA / f"{name}.json").read_text(encoding="utf-8"))["items"]
+        ]
+        assert len(outputs) == 131
+        for text in outputs:
+            assert format_spectrum(parse_spectrum(text)) == text
+
+    @given(st.text(alphabet=" \t0123456789t^*+-()/x\u0663", max_size=16))
+    def test_any_text_is_rejected_or_round_trips(self, text):
+        try:
+            s = parse_spectrum(text)
+        except SpectrumParseError as err:
+            assert 0 <= err.position <= len(text)
+            return
         assert parse_spectrum(format_spectrum(s)) == s
 
 
