@@ -10,14 +10,16 @@ multiplicity m_{v,l} of each branch of C_l through that point.
 Everything downstream consumes only this graph; no defining equations are
 needed.  Validation is total: :func:`validate` returns a report instead of
 raising, so the CLI can distinguish malformed files (format errors) from
-well-formed files describing impossible data (validation errors).
+well-formed files describing impossible data (validation errors).  A graph
+is immutable and keeps its report, so :func:`require_valid` validates it once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Tuple
+from functools import cached_property
+from typing import Mapping, Tuple
 
 __all__ = [
     "ArrangementFormatError",
@@ -100,6 +102,11 @@ class ArrangementGraph:
 
     def is_reduced(self) -> bool:
         return all(comp.multiplicity == 1 for comp in self.components)
+
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        """:func:`validate` of this graph, made on first use and kept."""
+        return validate(self)
 
 
 @dataclass(frozen=True)
@@ -199,7 +206,9 @@ def validate(graph: ArrangementGraph) -> ValidationReport:
 
 
 def require_valid(graph: ArrangementGraph) -> ArrangementGraph:
-    report = validate(graph)
+    """The graph itself if it is valid, else :class:`InvalidArrangementError`;
+    the graph's report is made by its first check and read by every later one."""
+    report = graph._report
     if not report.ok:
         raise InvalidArrangementError(report)
     return graph
@@ -278,79 +287,68 @@ def _echo(value) -> str:
     return text if len(text) <= 80 else text[:77] + "..."
 
 
-def _require_int(value, what: str, error=ArrangementFormatError) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise error(f"{what} must be an integer, got {_echo(value)}")
-    return value
+def _require(value, kind: type, where: str, *at, error=ArrangementFormatError):
+    """``value`` if it is a ``kind``, int (not bool) or str, else ``error`` at ``where.format(*at)``."""
+    if type(value) is kind or isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    noun = "an integer" if kind is int else "a string"
+    raise error(f"{where.format(*at)} must be {noun}, got {_echo(value)}")
 
 
-def _require_str(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise ArrangementFormatError(f"{what} must be a string, got {_echo(value)}")
-    return value
+# Each object of the schema: {key: (type of its value, or None if the caller
+# checks it; default, or _NEEDED)} and the error for a missing needed key.
+_NEEDED = object()
+_ARRANGEMENT = ({"components": (None, None), "points": (None, [])}, "")
+_COMPONENT = ({"id": (str, _NEEDED), "degree": (int, _NEEDED), "multiplicity": (int, 1)}, "needs 'id' and 'degree'")
+_POINT = ({"id": (None, _NEEDED), "branches": (None, _NEEDED)}, "needs 'id' and 'branches'")
+_BRANCH = ({"component": (str, _NEEDED), "mult": (int, 1)}, "needs 'component'")
 
 
-def _check_keys(obj: Mapping, allowed: Iterable[str], what: str, error=ArrangementFormatError) -> None:
-    extra = set(obj) - set(allowed)
-    if extra:
-        raise error(f"{what} has unknown keys: {_echo(sorted(extra))}")
+def _object(obj, schema, where: str, *at, error=ArrangementFormatError) -> list:
+    """The values of ``schema``'s keys in ``obj``, in schema order, once ``obj``
+    is an object (any ``Mapping``) with no other key, every needed key and
+    typed values of their types; ``where.format(*at)`` is formatted only for an error."""
+    fields, missing = schema
+    if type(obj) is not dict and not isinstance(obj, Mapping):  # a dict skips the slow abstract check
+        raise error(f"{where.format(*at)} must be an object")
+    if not obj.keys() <= fields.keys():  # a subset test on the keys view builds no set
+        extra = [key for key in obj if key not in fields]
+        try:
+            extra.sort()
+        except TypeError:  # keys of several types, which only a Python mapping has
+            extra.sort(key=_echo)
+        raise error(f"{where.format(*at)} has unknown keys: {_echo(extra)}")
+    for key, (_, default) in fields.items():
+        if default is _NEEDED and key not in obj:
+            raise error(f"{where.format(*at)} {missing}")
+    values = []
+    for key, (kind, default) in fields.items():
+        value = obj.get(key, default)
+        if kind is not None and type(value) is not kind:
+            _require(value, kind, where + "." + key, *at, error=error)
+        values.append(value)
+    return values
 
 
 def graph_from_dict(data) -> ArrangementGraph:
     """Build a graph from the JSON object layout; schema errors raise
     :class:`ArrangementFormatError`, semantic problems are left to
-    :func:`validate`.
-
-    Objects may be any ``Mapping``; plain dicts (all that JSON gives) are
-    recognised by their exact type first, which skips the slow abstract
-    ``isinstance`` check."""
+    :func:`validate`.  Objects may be any ``Mapping``."""
     if type(data) is not dict and not isinstance(data, Mapping):
         raise ArrangementFormatError(f"arrangement must be a JSON object, got {type(data).__name__}")
-    _check_keys(data, ("components", "points"), "arrangement")
-    raw_comps = data.get("components")
+    raw_comps, raw_pts = _object(data, _ARRANGEMENT, "arrangement")
     if not isinstance(raw_comps, list):
         raise ArrangementFormatError("'components' must be a list")
-    comps = []
-    for i, rc in enumerate(raw_comps):
-        if type(rc) is not dict and not isinstance(rc, Mapping):
-            raise ArrangementFormatError(f"components[{i}] must be an object")
-        _check_keys(rc, ("id", "degree", "multiplicity"), f"components[{i}]")
-        if "id" not in rc or "degree" not in rc:
-            raise ArrangementFormatError(f"components[{i}] needs 'id' and 'degree'")
-        comps.append(
-            Component(
-                id=_require_str(rc["id"], f"components[{i}].id"),
-                degree=_require_int(rc["degree"], f"components[{i}].degree"),
-                multiplicity=_require_int(rc.get("multiplicity", 1), f"components[{i}].multiplicity"),
-            )
-        )
-    raw_pts = data.get("points", [])
+    comps = [Component(*_object(rc, _COMPONENT, "components[{}]", i)) for i, rc in enumerate(raw_comps)]
     if not isinstance(raw_pts, list):
         raise ArrangementFormatError("'points' must be a list")
     points = []
     for i, rp in enumerate(raw_pts):
-        if type(rp) is not dict and not isinstance(rp, Mapping):
-            raise ArrangementFormatError(f"points[{i}] must be an object")
-        _check_keys(rp, ("id", "branches"), f"points[{i}]")
-        if "id" not in rp or "branches" not in rp:
-            raise ArrangementFormatError(f"points[{i}] needs 'id' and 'branches'")
-        raw_brs = rp["branches"]
+        point_id, raw_brs = _object(rp, _POINT, "points[{}]", i)
         if not isinstance(raw_brs, list):
             raise ArrangementFormatError(f"points[{i}].branches must be a list")
-        branches = []
-        for k, rb in enumerate(raw_brs):
-            if type(rb) is not dict and not isinstance(rb, Mapping):
-                raise ArrangementFormatError(f"points[{i}].branches[{k}] must be an object")
-            _check_keys(rb, ("component", "mult"), f"points[{i}].branches[{k}]")
-            if "component" not in rb:
-                raise ArrangementFormatError(f"points[{i}].branches[{k}] needs 'component'")
-            branches.append(
-                Branch(
-                    component=_require_str(rb["component"], f"points[{i}].branches[{k}].component"),
-                    mult=_require_int(rb.get("mult", 1), f"points[{i}].branches[{k}].mult"),
-                )
-            )
-        points.append(SingularPoint(id=_require_str(rp["id"], f"points[{i}].id"), branches=tuple(branches)))
+        branches = [Branch(*_object(rb, _BRANCH, "points[{}].branches[{}]", i, k)) for k, rb in enumerate(raw_brs)]
+        points.append(SingularPoint(_require(point_id, str, "points[{}].id", i), tuple(branches)))
     return ArrangementGraph(tuple(comps), tuple(points))
 
 

@@ -11,12 +11,13 @@ arrays, and one prefix pass over j emits the rows.  A graph is summarised
 here; ``curvespec.lines`` builds the same summary straight from line
 incidence, where a point's type is the sorted tuple of (m_l, 1) over the
 lines through it.  :func:`spectrum_smooth_components` and
-:func:`spectrum_hyperplane` are that kernel behind a domain check: their
-agreement with the general formula tests the check, not a second
-implementation.  The reduced, irreducible-power, binary and isolated
-displays are separate code that shares no formula code with the kernel, so
-each of them is an independent check of the general formula on its own
-domain, and the test suite checks that.  They evaluate every j directly;
+:func:`spectrum_hyperplane` check their domain and call
+:func:`spectrum_general`: their agreement with it tests the check, not a
+second implementation, and the graph is still validated once.  The
+reduced, irreducible-power, binary and isolated displays are separate code
+that shares no formula code with the kernel, so each of them is an
+independent check of the general formula on its own domain, and the test
+suite checks that.  They evaluate every j directly;
 the reduced display groups its points by (m_v, branch pair count).
 
 Shared shape of all the plane-curve formulas: for each j in [1, d] (d the
@@ -215,15 +216,10 @@ def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
     return _three_level_spectrum(d, rows)
 
 
-def _general_display(graph: ArrangementGraph) -> Spectrum:
-    """The general display of a valid graph."""
-    return spectrum_of_point_types(_point_type_summary(graph))
-
-
 def spectrum_general(graph: ArrangementGraph) -> Spectrum:
     """Spectrum of a possibly non-reduced ordinary curve arrangement."""
     require_valid(graph)
-    return _general_display(graph)
+    return spectrum_of_point_types(_point_type_summary(graph))
 
 
 def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
@@ -268,7 +264,7 @@ def spectrum_smooth_components(graph: ArrangementGraph) -> Spectrum:
     """Spectrum when every component is a smooth curve, i.e. every branch
     multiplicity m_{v,l} is 1 (so the per-branch pair counts vanish).
 
-    The general display behind a domain check."""
+    :func:`spectrum_general` behind a domain check."""
     require_valid(graph)
     bad = [
         (p.id, br.component)
@@ -278,19 +274,19 @@ def spectrum_smooth_components(graph: ArrangementGraph) -> Spectrum:
     ]
     if bad:
         raise ValueError(f"smooth-components formula needs every branch multiplicity 1; got {bad}")
-    return _general_display(graph)
+    return spectrum_general(graph)
 
 
 def spectrum_hyperplane(graph: ArrangementGraph) -> Spectrum:
     """Spectrum of a line arrangement (all component degrees 1), where both
     the component pair count and the branch pair counts vanish.
 
-    The general display behind a domain check."""
+    :func:`spectrum_general` behind a domain check."""
     require_valid(graph)
     bad = [c.id for c in graph.components if c.degree != 1]
     if bad:
         raise ValueError(f"hyperplane formula needs all component degrees 1; components {bad} violate that")
-    return _general_display(graph)
+    return spectrum_general(graph)
 
 
 def spectrum_irreducible_power(d: int, m: int, point_mults: Sequence[int]) -> Spectrum:

@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import Iterator, Sequence, Tuple, Union
 
 from .arrangement import ArrangementGraph, Branch, Component, SingularPoint, require_valid
-from .arrangement import _check_keys, _echo, _load_json, _require_int
+from .arrangement import _NEEDED, _echo, _load_json, _object, _require
 from .formulas import PointTypeSummary, spectrum_of_point_types
 from .spectrum import Spectrum
 
@@ -149,7 +149,7 @@ class _Incidence:
         self.lines: list[Tuple[int, int, int]] = []
         self.mults: list[int] = []
         for raw, mult in forms:
-            _require_int(mult, "multiplicity", LineFileError)
+            _require(mult, int, "multiplicity", error=LineFileError)
             # Nonpositive multiplicities are kept and fail validation, which
             # keeps the schema/data error split uniform across inputs.
             line = _canonical(raw)
@@ -283,6 +283,10 @@ def incidence_graph(forms: Sequence[Tuple[Sequence[RationalLike], int]]) -> Arra
     return _Incidence(forms).graph()
 
 
+# A line file entry, as the objects of curvespec.arrangement's schema.
+_ENTRY = ({"form": (None, _NEEDED), "multiplicity": (None, 1)}, "needs a 'form'")
+
+
 def load_lines(path: str) -> list[Tuple[Tuple[RationalLike, ...], int]]:
     """Read a line-arrangement JSON file: an array of
     {"form": [a, b, c], "multiplicity": m} with integer or "p/q" entries."""
@@ -291,17 +295,11 @@ def load_lines(path: str) -> list[Tuple[Tuple[RationalLike, ...], int]]:
         raise LineFileError("line file must be a JSON array")
     out = []
     for i, entry in enumerate(data):
-        if not isinstance(entry, dict):
-            raise LineFileError(f"entry {i} must be an object")
-        _check_keys(entry, ("form", "multiplicity"), f"entry {i}", LineFileError)
-        if "form" not in entry:
-            raise LineFileError(f"entry {i} needs a 'form'")
-        raw = entry["form"]
+        raw, mult = _object(entry, _ENTRY, "entry {}", i, error=LineFileError)
         if not isinstance(raw, list) or len(raw) != 3:
             raise LineFileError(f"entry {i}: 'form' must be a 3-element array")
         if not all(type(x) is int for x in raw):
             for k, x in enumerate(raw):
                 _to_fraction(x, f"entry {i}, coefficient {k}")
-        mult = _require_int(entry.get("multiplicity", 1), f"entry {i}: multiplicity", LineFileError)
-        out.append((tuple(raw), mult))
+        out.append((tuple(raw), _require(mult, int, "entry {}: multiplicity", i, error=LineFileError)))
     return out

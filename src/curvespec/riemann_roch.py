@@ -65,7 +65,10 @@ def _strict_transform_classes(graph: ArrangementGraph) -> list[CohClass]:
     return [exceptional_class(c.degree, mults) for c, mults in zip(graph.components, _branch_mults(graph))]
 
 
-def _chern_tangent(graph: ArrangementGraph) -> CohClass:
+def chern_tangent(graph: ArrangementGraph) -> CohClass:
+    """Total Chern class of the tangent bundle of the blow-up, by the
+    product formula c = (1 - e0)^3 * prod_v (1 + e_v)((1 - e0 - e_v)/(1 - e0))^2."""
+    require_valid(graph)
     # The factors have integer coefficients, so they sit on the grid 1:
     # CohClass._of(1, a, b0, bv, c) is a + b0*e0 + sum_v bv[v]*e_v + c*e0^2.
     # The per-point denominators (1 - e0)^2 join the (1 - e0)^3 of the plane.
@@ -77,13 +80,6 @@ def _chern_tangent(graph: ArrangementGraph) -> CohClass:
     return product(factors)
 
 
-def chern_tangent(graph: ArrangementGraph) -> CohClass:
-    """Total Chern class of the tangent bundle of the blow-up, by the
-    product formula c = (1 - e0)^3 * prod_v (1 + e_v)((1 - e0 - e_v)/(1 - e0))^2."""
-    require_valid(graph)
-    return _chern_tangent(graph)
-
-
 def _dual(c: CohClass) -> CohClass:
     return c.degree_part(0) - c.degree_part(1) + c.degree_part(2)
 
@@ -91,7 +87,7 @@ def _dual(c: CohClass) -> CohClass:
 def _chern_cotangent_log(graph: ArrangementGraph, tangent: CohClass) -> CohClass:
     factors = [(_dual(tangent), 1)]
     # 1 - e_v for each point and 1 - [E_l] = 1 + d_l*e0 + sum_v m_{v,l}*e_v
-    # for each component, on the grid 1 as in _chern_tangent.
+    # for each component, on the grid 1 as in chern_tangent.
     factors.extend((CohClass._of(1, 1, 0, {point.id: -1}, 0), -1) for point in graph.points)
     factors.extend(
         (CohClass._of(1, 1, c.degree, mults, 0), -1) for c, mults in zip(graph.components, _branch_mults(graph))
@@ -212,8 +208,7 @@ def euler_characteristic(graph: ArrangementGraph, p: int, divisor: CohClass) -> 
     Rational numbers appear mid-computation (Todd denominators); the result
     is asserted integral, so a fractional value signals an internal bug.
     """
-    require_valid(graph)
-    tangent = _chern_tangent(graph)
+    tangent = chern_tangent(graph)
     log_chern = _chern_cotangent_log(graph, tangent)
     integrand = wedge_ch(log_chern, p) * line_bundle_ch(divisor) * _todd(tangent)
     return _integer(integrand.integrate(), f"chi_{p}")
@@ -223,7 +218,7 @@ def _euler_characteristics(graph: ArrangementGraph, data: DerivedData):
     """Yield (j, [chi_0, chi_1, chi_2]) for the twists j = 1..d of a valid
     graph with derived data ``data``: the integer form of
     euler_characteristic(graph, p, twist_class(graph, j))."""
-    tangent = _chern_tangent(graph)
+    tangent = chern_tangent(graph)
     log_chern = _chern_cotangent_log(graph, tangent)
     td = _todd(tangent)
     weighted = [wedge_ch(log_chern, p) * td for p in range(3)]

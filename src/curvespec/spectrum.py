@@ -261,6 +261,15 @@ _TERM_RE = re.compile(
 )
 
 
+def _digits(m: re.Match, group: str, sign: str = "") -> int:
+    """The integer of a digit run; a run longer than ``int()`` converts
+    (``sys.get_int_max_str_digits()``) raises :class:`SpectrumParseError`."""
+    try:
+        return int(sign + m[group])
+    except ValueError:
+        raise SpectrumParseError("digit run too long", m.start(group), m[group]) from None
+
+
 def parse_spectrum(text: str) -> Spectrum:
     """Parse the plain-style rendering back into a :class:`Spectrum`.
 
@@ -268,7 +277,7 @@ def parse_spectrum(text: str) -> Spectrum:
     ``[+|-] [n*] t [^k | ^(p/q)]`` in which every term after the first has
     its sign, q is not zero, and whitespace may separate any two tokens.
     Anything else raises :class:`SpectrumParseError` at the first text that
-    does not continue a term.
+    does not continue a term, and so does a digit run too long for ``int()``.
     """
     if text.strip() == "0":
         return Spectrum.zero()
@@ -281,10 +290,11 @@ def parse_spectrum(text: str) -> Spectrum:
         if m is None or (terms and not m["sign"]):
             message = "expected '+' or '-' and a term" if terms else "expected a term"
             raise SpectrumParseError(message, pos, text[pos])
-        if m["den"] and int(m["den"]) == 0:
+        den = _digits(m, "den") if m["den"] else 1
+        if not den:
             raise SpectrumParseError("expected a positive denominator", m.start("den"), m["den"])
-        alpha = Fraction(int(m["neg"] + m["num"]), int(m["den"] or 1)) if m["num"] else 1
-        n = int(m["coef"] or 1)
+        alpha = Fraction(_digits(m, "num", m["neg"]), den) if m["num"] else 1
+        n = _digits(m, "coef") if m["coef"] else 1
         terms.append((alpha, -n if m["sign"] == "-" else n))
         pos = m.end()
     return Spectrum(terms)

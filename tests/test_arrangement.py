@@ -4,6 +4,8 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given
 
+import curvespec.arrangement
+
 from conftest import (
     arrangement_graphs,
     graph,
@@ -30,6 +32,26 @@ from curvespec.arrangement import (
     validate,
 )
 from curvespec.binomial import binom
+from curvespec.cli import main
+from curvespec.cohomology import CohClass
+from curvespec.formulas import (
+    spectrum_general,
+    spectrum_hyperplane,
+    spectrum_reduced,
+    spectrum_smooth_components,
+    twist_coefficients,
+)
+from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
+from curvespec.riemann_roch import (
+    chern_cotangent_log,
+    chern_cotangent_log_closed,
+    chern_tangent,
+    euler_characteristic,
+    spectrum_via_riemann_roch,
+    todd,
+    todd_closed,
+    twist_class,
+)
 
 
 def error_codes(g):
@@ -136,6 +158,81 @@ class TestValidate:
         assert err.value.report.errors
 
 
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The graphs passed to curvespec.arrangement.validate, in call order."""
+    calls = []
+    validate = curvespec.arrangement.validate
+
+    def counted(graph):
+        calls.append(graph)
+        return validate(graph)
+
+    monkeypatch.setattr(curvespec.arrangement, "validate", counted)
+    return calls
+
+
+LINES_THROUGH_A_POINT = {
+    "components": [{"id": "a", "degree": 1}, {"id": "b", "degree": 1}, {"id": "c", "degree": 1}],
+    "points": [{"id": "v", "branches": [{"component": "a"}, {"component": "b"}, {"component": "c"}]}],
+}
+DOUBLE_LINES = {
+    "components": [{"id": "a", "degree": 1, "multiplicity": 2}, {"id": "b", "degree": 1, "multiplicity": 2}],
+    "points": [{"id": "v", "branches": [{"component": "a"}, {"component": "b"}]}],
+}
+
+# Every public entry that takes a graph, called on one.
+GRAPH_ENTRIES = {
+    "spectrum_general": spectrum_general,
+    "spectrum_reduced": spectrum_reduced,
+    "spectrum_smooth_components": spectrum_smooth_components,
+    "spectrum_hyperplane": spectrum_hyperplane,
+    "twist_coefficients": lambda g: twist_coefficients(g, 1),
+    "chern_tangent": chern_tangent,
+    "chern_cotangent_log": chern_cotangent_log,
+    "chern_cotangent_log_closed": chern_cotangent_log_closed,
+    "todd": todd,
+    "todd_closed": todd_closed,
+    "twist_class": lambda g: twist_class(g, 1),
+    "euler_characteristic": lambda g: euler_characteristic(g, 0, CohClass()),
+    "spectrum_via_riemann_roch": spectrum_via_riemann_roch,
+}
+
+
+class TestValidatedOnce:
+    """A graph keeps its validation report, so each graph object is
+    validated once, however many entries it passes through."""
+
+    @pytest.mark.parametrize("doc", [LINES_THROUGH_A_POINT, DOUBLE_LINES], ids=["reduced", "non-reduced"])
+    @pytest.mark.parametrize(
+        "options",
+        [[], ["--verify"], ["--formula", "smooth"], ["--formula", "hyperplane"]],
+        ids=["auto", "verify", "smooth", "hyperplane"],
+    )
+    def test_one_call_per_compute(self, tmp_path, capsys, validate_calls, doc, options):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))
+        assert main(["compute", str(path), *options]) == 0
+        assert len(validate_calls) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_check_validates_each_graph_once(self, capsys, validate_calls, seed):
+        # check also inserts a smooth point and, given two components, a node.
+        components = len(generate_graph(SplitMix64(seed), GraphBounds()).components)
+        assert main(["check", "--count", "1", "--seed", str(seed)]) == 0
+        assert len(validate_calls) == 1 + (2 if components >= 2 else 1)
+        assert len(set(map(id, validate_calls))) == len(validate_calls)
+
+    @pytest.mark.parametrize("entry", GRAPH_ENTRIES.values(), ids=GRAPH_ENTRIES.keys())
+    def test_invalid_graph_raises_on_every_call(self, validate_calls, entry):
+        g = graph([(1, 1)], [[(0, 1), (0, 1)]])  # the line listed twice at one point
+        for _ in range(3):
+            with pytest.raises(InvalidArrangementError) as err:
+                entry(g)
+            assert [code for code, _, _ in err.value.report.errors] == ["duplicate-branch"]
+        assert validate_calls == [g]
+
+
 class TestDerived:
     def test_line_and_nodal_cubic(self):
         data = derived(line_and_nodal_cubic())
@@ -207,6 +304,84 @@ class TestComplementEulerCharacteristic:
         assert complement_euler_characteristic(g) == pairwise_complement_euler_characteristic(g)
 
 
+CUBIC = {"id": "c", "degree": 3}
+
+# graph_from_dict's diagnostics, which `compute` prints as they are: a
+# non-object, unknown keys and missing keys at each level, bad scalar types
+# and non-list arrays.  Errors are found in document order, except that a
+# point's branches are read before its id.
+SCHEMA_VIOLATIONS = [
+    ([], "arrangement must be a JSON object, got list"),
+    ({"components": {}}, "'components' must be a list"),
+    ({"components": [{"id": "c"}]}, "components[0] needs 'id' and 'degree'"),
+    ({"components": [{"id": "c", "degree": "3"}]}, "components[0].degree must be an integer, got '3'"),
+    ({"components": [{"id": 1, "degree": 3}]}, "components[0].id must be a string, got 1"),
+    ({"components": [{"id": "c", "degree": 3.0}]}, "components[0].degree must be an integer, got 3.0"),
+    ({"components": [{"id": "c", "degree": True}]}, "components[0].degree must be an integer, got True"),
+    ({"components": [{"id": "c", "degree": 3, "extra": 1}]}, "components[0] has unknown keys: ['extra']"),
+    ({"components": [CUBIC], "points": [{"id": "v"}]}, "points[0] needs 'id' and 'branches'"),
+    (
+        {"components": [CUBIC], "points": [{"id": "v", "branches": [{}]}]},
+        "points[0].branches[0] needs 'component'",
+    ),
+    (
+        {"components": [CUBIC], "points": [{"id": "v", "branches": [{"component": "c", "mult": "2"}]}]},
+        "points[0].branches[0].mult must be an integer, got '2'",
+    ),
+    ({"components": [CUBIC], "extra": []}, "arrangement has unknown keys: ['extra']"),
+    ({"components": [], 1: 2, "x": 3}, "arrangement has unknown keys: ['x', 1]"),
+    (None, "arrangement must be a JSON object, got NoneType"),
+    ({}, "'components' must be a list"),
+    ({"components": [CUBIC], "points": None}, "'points' must be a list"),
+    ({"components": [CUBIC, 3]}, "components[1] must be an object"),
+    ({"components": [CUBIC, {"degree": 3}]}, "components[1] needs 'id' and 'degree'"),
+    (
+        {"components": [{"id": "c", "degree": 3, "zeta": 1, "alpha": 2}]},
+        "components[0] has unknown keys: ['alpha', 'zeta']",
+    ),
+    (
+        {"components": [{"id": "c", "degree": 3, "multiplicity": 1.5}]},
+        "components[0].multiplicity must be an integer, got 1.5",
+    ),
+    (
+        {"components": [{"id": "c", "degree": 3, "multiplicity": False}]},
+        "components[0].multiplicity must be an integer, got False",
+    ),
+    ({"components": [CUBIC], "points": {}}, "'points' must be a list"),
+    ({"components": [CUBIC], "points": ["v"]}, "points[0] must be an object"),
+    ({"components": [CUBIC], "points": [{"branches": []}]}, "points[0] needs 'id' and 'branches'"),
+    (
+        {"components": [CUBIC], "points": [{"id": "v", "branches": [], "color": "red"}]},
+        "points[0] has unknown keys: ['color']",
+    ),
+    ({"components": [CUBIC], "points": [{"id": 7, "branches": []}]}, "points[0].id must be a string, got 7"),
+    ({"components": [CUBIC], "points": [{"id": "v", "branches": "c"}]}, "points[0].branches must be a list"),
+    (
+        {
+            "components": [CUBIC],
+            "points": [{"id": "v", "branches": []}, {"id": "w", "branches": [{"component": "c"}, ["c", 2]]}],
+        },
+        "points[1].branches[1] must be an object",
+    ),
+    (
+        {"components": [CUBIC], "points": [{"id": "v", "branches": [{"component": "c", "weight": 2}]}]},
+        "points[0].branches[0] has unknown keys: ['weight']",
+    ),
+    (
+        {"components": [CUBIC], "points": [{"id": "v", "branches": [{"component": 5}]}]},
+        "points[0].branches[0].component must be a string, got 5",
+    ),
+    (
+        {"components": [CUBIC], "points": [{"id": "v", "branches": [{"component": "c", "mult": True}]}]},
+        "points[0].branches[0].mult must be an integer, got True",
+    ),
+    (
+        {"components": [CUBIC], "points": [{"id": 7, "branches": [{"component": "c", "mult": 2.0}]}]},
+        "points[0].branches[0].mult must be an integer, got 2.0",
+    ),
+]
+
+
 class TestSerialization:
     @given(arrangement_graphs())
     def test_round_trip(self, g):
@@ -227,25 +402,12 @@ class TestSerialization:
         assert g.points == ()
 
     @pytest.mark.parametrize(
-        "data",
-        [
-            [],
-            {"components": {}},
-            {"components": [{"id": "c"}]},
-            {"components": [{"id": "c", "degree": "3"}]},
-            {"components": [{"id": 1, "degree": 3}]},
-            {"components": [{"id": "c", "degree": 3.0}]},
-            {"components": [{"id": "c", "degree": True}]},
-            {"components": [{"id": "c", "degree": 3, "extra": 1}]},
-            {"components": [{"id": "c", "degree": 3}], "points": [{"id": "v"}]},
-            {"components": [{"id": "c", "degree": 3}], "points": [{"id": "v", "branches": [{}]}]},
-            {"components": [{"id": "c", "degree": 3}], "points": [{"id": "v", "branches": [{"component": "c", "mult": "2"}]}]},
-            {"components": [{"id": "c", "degree": 3}], "extra": []},
-        ],
+        "data, message", SCHEMA_VIOLATIONS, ids=[f"data{i}" for i in range(len(SCHEMA_VIOLATIONS))]
     )
-    def test_schema_violations(self, data):
-        with pytest.raises(ArrangementFormatError):
+    def test_schema_violations(self, data, message):
+        with pytest.raises(ArrangementFormatError) as err:
             graph_from_dict(data)
+        assert str(err.value) == message
 
     @given(arrangement_graphs())
     def test_any_mapping_loads_like_a_dict(self, g):

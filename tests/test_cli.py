@@ -132,11 +132,11 @@ class TestCompute:
         ids=["nodal-cubic", "lines", "smooth-branches"],
     )
     def test_auto_cross_checks_reduced_input(self, tmp_path, capsys, monkeypatch, doc):
-        general = curvespec.formulas._general_display
+        general = curvespec.formulas.spectrum_of_point_types
         monkeypatch.setattr(
             curvespec.formulas,
-            "_general_display",
-            lambda g: general(g) + curvespec.formulas.Spectrum.term(1),
+            "spectrum_of_point_types",
+            lambda summary: general(summary) + curvespec.formulas.Spectrum.term(1),
         )
         code = main(["compute", arrangement_file(tmp_path, doc)])
         captured = capsys.readouterr()
@@ -453,7 +453,7 @@ class TestLinesSummaryPath:
 
         monkeypatch.setattr(curvespec.lines, "incidence_graph", refuse)
         monkeypatch.setattr(curvespec.lines._Incidence, "graph", refuse)
-        monkeypatch.setattr(curvespec.formulas, "_general_display", refuse)
+        monkeypatch.setattr(curvespec.formulas, "_point_type_summary", refuse)
         assert main(["lines", path]) == 0
         assert capsys.readouterr().out == expected
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -197,6 +198,21 @@ class TestParse:
             parse_spectrum(text)
         assert 0 <= err.value.position <= len(text)
         assert err.value.token
+
+    @pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+        reason="int() converts 5000-digit strings here",
+    )
+    @pytest.mark.parametrize(
+        "text, position",
+        [("1" * 5000 + "*t", 0), ("t^" + "1" * 5000, 2), ("t^(1/" + "1" * 5000 + ")", 5)],
+        ids=["coefficient", "exponent", "denominator"],
+    )
+    def test_digit_run_too_long_for_int(self, text, position):
+        with pytest.raises(SpectrumParseError) as err:
+            parse_spectrum(text)
+        assert err.value.position == position
+        assert err.value.token == "1" * 5000
 
     @given(spectra())
     def test_round_trip(self, s):
