@@ -39,7 +39,7 @@ from .formulas import (
     spectrum_smooth_components,
     twist_coefficients,
 )
-from .lines import LinearForm, incidence_graph, load_lines, normalize_form
+from .lines import incidence_graph, load_lines, normalize_form
 from .randomgraphs import GraphBounds, SplitMix64, generate_graph
 from .riemann_roch import (
     chern_cotangent_log,
@@ -68,7 +68,6 @@ __all__ = [
     "DerivedData",
     "GraphBounds",
     "InvalidArrangementError",
-    "LinearForm",
     "SingularPoint",
     "Spectrum",
     "SpectrumParseError",

@@ -17,7 +17,7 @@ is immutable and keeps its report, so :func:`require_valid` validates it once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Tuple
 
@@ -216,30 +216,23 @@ def require_valid(graph: ArrangementGraph) -> ArrangementGraph:
 
 @dataclass(frozen=True)
 class DerivedData:
-    """Aggregates every formula consumes, computed once from the graph.
-
-    ``total_degree`` is deg f = sum(m_l * d_l); ``reduced_degree`` is the
-    degree sum(d_l) of the reduced union.  ``point_mult[v]`` is the
-    multiplicity sum(m_l * m_{v,l}) of f at v; ``reduced_point_mult[v]``
-    the multiplicity sum(m_{v,l}) of the reduced union at v.
+    """Aggregates of f that the formulas read, computed once from the graph:
+    ``total_degree`` is deg f = sum(m_l * d_l) and ``point_mult[v]`` the
+    multiplicity sum(m_l * m_{v,l}) of f at v.  The reduced union's degree
+    and point multiplicities are summed from the graph where they are read.
     """
 
     total_degree: int
-    reduced_degree: int
-    point_mult: Mapping[str, int] = field(default_factory=dict)
-    reduced_point_mult: Mapping[str, int] = field(default_factory=dict)
+    point_mult: Mapping[str, int]
 
 
 def derived(graph: ArrangementGraph) -> DerivedData:
     comp_mult = {comp.id: comp.multiplicity for comp in graph.components}
     total = sum(comp.multiplicity * comp.degree for comp in graph.components)
-    reduced = sum(comp.degree for comp in graph.components)
-    point_mult: dict[str, int] = {}
-    reduced_point_mult: dict[str, int] = {}
-    for point in graph.points:
-        point_mult[point.id] = sum(comp_mult[br.component] * br.mult for br in point.branches)
-        reduced_point_mult[point.id] = sum(br.mult for br in point.branches)
-    return DerivedData(total, reduced, point_mult, reduced_point_mult)
+    point_mult = {
+        point.id: sum(comp_mult[br.component] * br.mult for br in point.branches) for point in graph.points
+    }
+    return DerivedData(total, point_mult)
 
 
 def complement_euler_characteristic(graph: ArrangementGraph) -> int:
@@ -278,10 +271,13 @@ def _echo(value) -> str:
     """repr of an offending input value, cut to 80 characters so the
     diagnostic stays one short line.  An int with more digits than str()
     converts (4300 by default, Python 3.10.7 and later) is cut to about
-    100 leading digits first."""
+    100 leading digits first; any other value whose repr fails (say, a
+    list holding such an int) is echoed by its type alone."""
     try:
         text = repr(value)
     except ValueError:
+        if not isinstance(value, int):
+            return f"<{type(value).__name__} too long to print>"
         shift = int((value.bit_length() - 1) * 0.30102999566) - 100  # digits below the leading ~100
         text = "-" * (value < 0) + str(abs(value) // 10**shift)
     return text if len(text) <= 80 else text[:77] + "..."

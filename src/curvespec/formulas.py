@@ -228,18 +228,18 @@ def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
 
     Each j is evaluated directly, with no breakpoints or difference arrays,
     so this is a second algorithm beside the general kernel.  Points enter
-    only through m_v and their branch pair count, so points sharing both
-    are grouped and each group's step is taken once, times its size."""
+    only through m_v = sum(m_{v,l}) and their branch pair count, so points
+    sharing both are grouped and each group's step is taken once, times its
+    size.  d = sum(d_l) and m_v are summed from the graph."""
     require_valid(graph)
     if not graph.is_reduced():
         bad = [c.id for c in graph.components if c.multiplicity != 1]
         raise ValueError(f"reduced formula needs all multiplicities 1; components {bad} violate that")
-    data = derived(graph)
-    d = data.total_degree
+    d = sum(c.degree for c in graph.components)
     comp_pairs = sum(c.degree * (c.degree - 1) // 2 for c in graph.components)
-    point_mult = data.point_mult
     groups = Counter(
-        (point_mult[p.id], sum(br.mult * (br.mult - 1) // 2 for br in p.branches)) for p in graph.points
+        (sum(br.mult for br in p.branches), sum(br.mult * (br.mult - 1) // 2 for br in p.branches))
+        for p in graph.points
     ).items()
 
     # binom(x, 2) is written x*(x - 1)//2, ceil(j*m_v/d) as (j*m_v + d - 1)//d.

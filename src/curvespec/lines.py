@@ -6,7 +6,9 @@ component with summed multiplicity, and each line, in one sweep, groups
 the later lines by where they meet it (the cross product of coefficient
 triples, reduced to a primitive pair in that line's own coordinates).  All
 arithmetic is exact, so collinearity and concurrency decisions are never
-subject to rounding.
+subject to rounding.  Each coefficient is checked and converted once:
+:func:`load_lines` returns integer triples, and :func:`normalize_form` turns
+one into the line's primitive triple, a plain ``(a, b, c)`` tuple.
 
 The spectrum needs less than the graph.  A line has degree 1 and meets
 each of its points simply, so a point's type is the sorted tuple of
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
@@ -38,7 +39,6 @@ from .spectrum import Spectrum
 
 __all__ = [
     "LineFileError",
-    "LinearForm",
     "ZeroFormError",
     "incidence_graph",
     "line_incidence",
@@ -55,23 +55,6 @@ class ZeroFormError(ValueError):
 
 class LineFileError(ValueError):
     """Line-arrangement file does not match the expected schema."""
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """Primitive integer representative of a projective line.
-
-    Canonical: gcd(|a|, |b|, |c|) = 1 and the first nonzero coefficient is
-    positive, so two triples define the same line iff their canonical forms
-    are equal.
-    """
-
-    a: int
-    b: int
-    c: int
-
-    def coefficients(self) -> Tuple[int, int, int]:
-        return (self.a, self.b, self.c)
 
 
 def _primitive(x: int, y: int, z: int) -> Tuple[int, int, int]:
@@ -91,9 +74,9 @@ def _primitive(x: int, y: int, z: int) -> Tuple[int, int, int]:
 _RATIONAL_RE = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
 
 
-def _to_fraction(x: RationalLike, what: str) -> Fraction:
+def _to_fraction(x: RationalLike, where: str, *at) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (Rational, str)):
-        raise LineFileError(f"{what} must be an integer or 'p/q' string, got {_echo(x)}")
+        raise LineFileError(f"{where.format(*at)} must be an integer or 'p/q' string, got {_echo(x)}")
     if not isinstance(x, str):
         return Fraction(x)
     m = _RATIONAL_RE.fullmatch(x)
@@ -102,24 +85,28 @@ def _to_fraction(x: RationalLike, what: str) -> Fraction:
             raise ValueError("not of the form [sign]digits[/digits]")
         return Fraction(int(m[1]), int(m[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
-        raise LineFileError(f"{what} is not a valid rational: {_echo(x)}") from exc
+        raise LineFileError(f"{where.format(*at)} is not a valid rational: {_echo(x)}") from exc
 
 
-def _canonical(raw: Sequence[RationalLike]) -> Tuple[int, int, int]:
-    """The coefficients of :func:`normalize_form`, as a plain tuple."""
+def _integer_triple(raw: Sequence[RationalLike], where: str, *at) -> Tuple[int, int, int]:
+    """The three coefficients ``raw`` times the lcm of their denominators,
+    each coefficient checked and converted once; ``where.format(*at, k)``
+    names coefficient k, and is formatted only for an error."""
+    if all(type(x) is int for x in raw):  # no denominators to clear (bool is not int here)
+        return tuple(raw)
+    triple = [_to_fraction(x, where, *at, k) for k, x in enumerate(raw)]
+    denom = lcm(*(x.denominator for x in triple))
+    return tuple(x.numerator * (denom // x.denominator) for x in triple)
+
+
+def normalize_form(raw: Sequence[RationalLike]) -> Tuple[int, int, int]:
+    """The primitive integer triple (a, b, c) of the line a*x + b*y + c*z:
+    denominators cleared, divided by the content, and the first nonzero
+    coefficient positive.  Two forms define the same line iff their
+    normalized triples are equal."""
     if len(raw) != 3:
         raise LineFileError(f"a linear form needs exactly 3 coefficients, got {len(raw)}")
-    if all(type(x) is int for x in raw):  # no denominators to clear (bool is not int here)
-        return _primitive(*raw)
-    triple = [_to_fraction(x, f"coefficient {i}") for i, x in enumerate(raw)]
-    denom = lcm(*(x.denominator for x in triple))
-    return _primitive(*(int(x * denom) for x in triple))
-
-
-def normalize_form(raw: Sequence[RationalLike]) -> LinearForm:
-    """Clear denominators, divide by the content, and fix the sign so the
-    first nonzero coefficient is positive."""
-    return LinearForm(*_canonical(raw))
+    return _primitive(*_integer_triple(raw, "coefficient {}"))
 
 
 def _pairs_by_mult(by_mult: Counter) -> dict[Tuple[int, int], int]:
@@ -152,7 +139,7 @@ class _Incidence:
             _require(mult, int, "multiplicity", error=LineFileError)
             # Nonpositive multiplicities are kept and fail validation, which
             # keeps the schema/data error split uniform across inputs.
-            line = _canonical(raw)
+            line = normalize_form(raw)
             k = index.get(line)
             if k is None:
                 index[line] = len(self.lines)
@@ -287,9 +274,13 @@ def incidence_graph(forms: Sequence[Tuple[Sequence[RationalLike], int]]) -> Arra
 _ENTRY = ({"form": (None, _NEEDED), "multiplicity": (None, 1)}, "needs a 'form'")
 
 
-def load_lines(path: str) -> list[Tuple[Tuple[RationalLike, ...], int]]:
+def load_lines(path: str) -> list[Tuple[Tuple[int, int, int], int]]:
     """Read a line-arrangement JSON file: an array of
-    {"form": [a, b, c], "multiplicity": m} with integer or "p/q" entries."""
+    {"form": [a, b, c], "multiplicity": m} with integer or "p/q" entries.
+
+    Each form comes back as an integer triple, its denominators cleared
+    (not yet divided by its content).  A zero form passes here and is
+    reported by :func:`normalize_form`, after the whole file is read."""
     data = _load_json(path, LineFileError)
     if not isinstance(data, list):
         raise LineFileError("line file must be a JSON array")
@@ -298,8 +289,6 @@ def load_lines(path: str) -> list[Tuple[Tuple[RationalLike, ...], int]]:
         raw, mult = _object(entry, _ENTRY, "entry {}", i, error=LineFileError)
         if not isinstance(raw, list) or len(raw) != 3:
             raise LineFileError(f"entry {i}: 'form' must be a 3-element array")
-        if not all(type(x) is int for x in raw):
-            for k, x in enumerate(raw):
-                _to_fraction(x, f"entry {i}, coefficient {k}")
-        out.append((tuple(raw), _require(mult, int, "entry {}: multiplicity", i, error=LineFileError)))
+        form = _integer_triple(raw, "entry {}, coefficient {}", i)
+        out.append((form, _require(mult, int, "entry {}: multiplicity", i, error=LineFileError)))
     return out

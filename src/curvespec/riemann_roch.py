@@ -109,23 +109,23 @@ def chern_cotangent_log_closed(graph: ArrangementGraph) -> CohClass:
 
     Degree 1 carries -(d_red - 3) on e0 and -(m_{v,red} - 2) on each e_v;
     degree 2 is assembled with e_v^2 rewritten as -e0^2.  The reduced degree
-    d_red enters (not the total degree): log poles see each component once,
-    whatever its multiplicity.
+    d_red = sum(d_l) enters (not the total degree), and m_{v,red} =
+    sum(m_{v,l}): log poles see each component once, whatever its
+    multiplicity.
     """
     require_valid(graph)
-    data = derived(graph)
-    d_red = data.reduced_degree
+    d_red = sum(c.degree for c in graph.components)
     sq_deg = sum(c.degree**2 for c in graph.components)
-    sq_branch = {p.id: sum(br.mult**2 for br in p.branches) for p in graph.points}
 
     b0 = Fraction(-(d_red - 3))
-    bv = {p.id: Fraction(-(data.reduced_point_mult[p.id] - 2)) for p in graph.points}
-    c2_e0 = Fraction(d_red**2 + sq_deg, 2) + 3 * (1 - d_red)
-    top = c2_e0
+    bv = {}
+    top = Fraction(d_red**2 + sq_deg, 2) + 3 * (1 - d_red)
     for p in graph.points:
-        m_red = data.reduced_point_mult[p.id]
+        m_red = sum(br.mult for br in p.branches)
+        sq_branch = sum(br.mult**2 for br in p.branches)
+        bv[p.id] = Fraction(-(m_red - 2))
         # e_v^2 coefficient, flipped in sign by e_v^2 = -e0^2.
-        top -= Fraction(m_red**2 + sq_branch[p.id], 2) - 2 * m_red + 1
+        top -= Fraction(m_red**2 + sq_branch, 2) - 2 * m_red + 1
     return CohClass(a=1, b0=b0, bv=bv, c=top)
 
 

@@ -363,6 +363,45 @@ class TestLines:
         doc = [{"form": [1, 0, 0], "multiplicity": "two"}]
         assert main(["lines", lines_file(tmp_path, doc)]) == 1
 
+    @pytest.mark.parametrize(
+        "doc, code, err",
+        [
+            (
+                [{"form": [0, 0, 0]}, {"form": [1.5, 0, 0]}],
+                1,
+                "error: entry 1, coefficient 0 must be an integer or 'p/q' string, got 1.5\n",
+            ),
+            ([{"form": ["0", "0/3", 0]}, {"form": [1, 0, 0]}], 2, "error: all three coefficients are zero\n"),
+            (
+                [{"form": ["1/2", 0, 0]}, {"form": [0, 1, 0], "multiplicity": "x"}],
+                1,
+                "error: entry 1: multiplicity must be an integer, got 'x'\n",
+            ),
+        ],
+        ids=["coefficient-before-zero-form", "zero-form-after-schema", "multiplicity-after-coefficients"],
+    )
+    def test_error_precedence(self, tmp_path, capsys, doc, code, err):
+        # The whole file passes the schema check before a zero form is
+        # reported; within an entry, coefficients come before multiplicity.
+        assert main(["lines", lines_file(tmp_path, doc)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+
+    def test_each_coefficient_is_converted_once(self, tmp_path, capsys, monkeypatch):
+        to_fraction = curvespec.lines._to_fraction
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return to_fraction(*args)
+
+        monkeypatch.setattr(curvespec.lines, "_to_fraction", counted)
+        doc = [{"form": ["2", "0", "0"]}, {"form": ["0", "1/2", "0"]}, {"form": ["0", "0", "-3/4"]}]
+        assert main(["lines", lines_file(tmp_path, doc)]) == 0
+        assert capsys.readouterr().out == "t - 2*t^2\n"
+        assert calls == ["2", "0", "0", "0", "1/2", "0", "0", "0", "-3/4"]
+
     def test_missing_file(self, tmp_path):
         assert main(["lines", str(tmp_path / "absent.json")]) == 1
 

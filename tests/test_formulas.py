@@ -122,8 +122,8 @@ class TestGeneral:
 def per_point_display(g):
     """The general display summed point by point from the public twist
     coefficients: the reference for the type-grouped kernel."""
-    data = derived(g)
-    d, d_red = data.total_degree, data.reduced_degree
+    d = derived(g).total_degree
+    d_red = sum(c.degree for c in g.components)
     comp_pairs = sum(binom(c.degree, 2) for c in g.components)
     terms = []
     for j in range(1, d + 1):
@@ -132,7 +132,7 @@ def per_point_display(g):
         n1 = (tw.e0 - 1) * (d_red - tw.e0 - 1) + comp_pairs
         n2 = binom(tw.e0 - 1, 2) - (1 if j == d else 0)
         for p in g.points:
-            uv, m_red = tw.ev[p.id], data.reduced_point_mult[p.id]
+            uv, m_red = tw.ev[p.id], sum(br.mult for br in p.branches)
             n0 -= binom(m_red - uv - 1, 2)
             n1 -= uv * (m_red - uv - 1) + sum(binom(br.mult, 2) for br in p.branches)
             n2 -= binom(uv, 2)
