@@ -90,11 +90,14 @@ def twist_coefficients(graph: ArrangementGraph, j: int) -> TwistCoefficients:
 
 def _three_level_spectrum(d: int, rows) -> Spectrum:
     """Assemble coefficients {(j, n0, n1, n2)} into a spectrum over exponents
-    j/d, 1 + j/d, 2 + j/d, i.e. the numerators j, d + j, 2d + j on the grid 1/d."""
-    terms = []
+    j/d, 1 + j/d, 2 + j/d, i.e. the numerators j, d + j, 2d + j on the grid 1/d.
+    Each j in [1, d] comes once, so no two terms share a numerator."""
+    terms = {}
     for j, n0, n1, n2 in rows:
-        terms += ((j, n0), (d + j, n1), (2 * d + j, n2))
-    return Spectrum(terms, den=d)
+        terms[j] = n0
+        terms[d + j] = n1
+        terms[2 * d + j] = n2
+    return Spectrum._of(d, terms)
 
 
 @dataclass(frozen=True)

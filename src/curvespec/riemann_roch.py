@@ -22,14 +22,17 @@ the Todd class.  The weighted classes W_p = ch(wedge^p of log 1-forms) * td
 are built once.  For an integral twist u = u0*e0 + sum_v u_v*e_v the
 integral of W*ch(u) is W.c + W.b0*u0 - sum_v W.bv[v]*u_v +
 W.a*(u0^2 - sum_v u_v^2)/2, so after scaling the three W_p to one
-denominator D, times 2, every j costs integer sums only, one step per
-point, and a remainder modulo 2D still fails the integrality assertion.
-No :class:`fractions.Fraction` is made between the factor builds and the
-pairing.
+denominator D, times 2, every j costs integer sums only, and a remainder
+modulo 2D still fails the integrality assertion.  A point enters those sums
+only through its type (m_v, its branches as (m_l, m_{v,l}) pairs, and its
+three W_p.bv numerators), so each j takes one step per point type, times
+its count.  No :class:`fractions.Fraction` is made between the factor
+builds and the pairing.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -229,7 +232,7 @@ def _euler_characteristics(graph: ArrangementGraph, data: DerivedData):
     scale = 2 * half
     grids = [(half // w.den, w.numerators()) for w in weighted]
     const = [2 * k * c for k, (_, _, _, c) in grids]
-    lin0 = [2 * k * b0 for k, (_, b0, _, _) in grids]
+    lin_e0 = [2 * k * b0 for k, (_, b0, _, _) in grids]
     quad = [k * a for k, (a, _, _, _) in grids]
 
     comp_mult = {c.id: c.multiplicity for c in graph.components}
@@ -237,27 +240,38 @@ def _euler_characteristics(graph: ArrangementGraph, data: DerivedData):
     degree_by_mult: dict[int, int] = {}
     for c in graph.components:
         degree_by_mult[c.multiplicity] = degree_by_mult.get(c.multiplicity, 0) + c.degree
-    points = [
+    # A point enters the pairing only through its key: m_v, its branches
+    # as sorted (m_l, m_{v,l}) pairs and its three scaled W_p.bv numerators.
+    # Points sharing a key share u, so each key steps once, times its count.
+    groups = Counter(
         (
             data.point_mult[point.id],
-            [(comp_mult[br.component], br.mult) for br in point.branches],
-            [2 * k * bv.get(point.id, 0) for k, (_, _, bv, _) in grids],
+            tuple(sorted((comp_mult[br.component], br.mult) for br in point.branches)),
+            *(2 * k * bv.get(point.id, 0) for k, (_, _, bv, _) in grids),
         )
         for point in graph.points
-    ]
+    )
 
     for j in range(1, d + 1):
         # Twist u = i*e0 + sum_v floor(i*m_v/d)*e_v + sum_l floor(i*m_l/d)*[E_l].
         i = d - j
-        floors = {m: (i * m) // d for m in degree_by_mult}
-        u0 = i - sum(floors[m] * deg for m, deg in degree_by_mult.items())
-        lin = [lin0[p] * u0 for p in range(3)]
-        square = u0 * u0
-        for point_mult, branches, weights in points:
-            u = (i * point_mult) // d - sum(floors[m] * mu for m, mu in branches)
-            for p in range(3):
-                lin[p] -= weights[p] * u
-            square -= u * u
+        floors = {}
+        u0 = i
+        for m, deg in degree_by_mult.items():
+            floors[m] = floor = (i * m) // d
+            u0 -= floor * deg
+        lin0 = lin1 = lin2 = square = 0
+        for (point_mult, branches, w0, w1, w2), count in groups.items():
+            u = (i * point_mult) // d
+            for m, mu in branches:
+                u -= floors[m] * mu
+            cu = count * u
+            lin0 += w0 * cu
+            lin1 += w1 * cu
+            lin2 += w2 * cu
+            square += cu * u
+        lin = (lin_e0[0] * u0 - lin0, lin_e0[1] * u0 - lin1, lin_e0[2] * u0 - lin2)
+        square = u0 * u0 - square
         chis = []
         for p in range(3):
             total = const[p] + lin[p] + quad[p] * square
@@ -275,12 +289,10 @@ def spectrum_via_riemann_roch(graph: ArrangementGraph) -> Spectrum:
     require_valid(graph)
     data = derived(graph)
     d = data.total_degree
-    terms = []
-    for j, chis in _euler_characteristics(graph, data):
+    terms = {}
+    for j, (chi0, chi1, chi2) in _euler_characteristics(graph, data):
         # Exponent k + j/d is the numerator k*d + j on the grid 1/d.
-        for k in range(3):
-            chi = chis[2 - k]
-            if k == 2 and j == d:
-                chi -= 1
-            terms.append((k * d + j, chi if k % 2 == 0 else -chi))
-    return Spectrum(terms, den=d)
+        terms[j] = chi2
+        terms[d + j] = -chi1
+        terms[2 * d + j] = chi0 - 1 if j == d else chi0
+    return Spectrum._of(d, terms)

@@ -9,8 +9,9 @@ denominator of the exponents (it is divided by gcd(den, *numerators)), so
 colliding terms such as t^(6/4) and t^(3/2) merge, and zero coefficients
 are dropped eagerly, so that equality of spectra is plain structural
 equality.  The closed formulas and the characteristic-class route build
-their spectra directly on the grid 1/d (``Spectrum(pairs, den=d)``) with
-integer arithmetic only; :meth:`Spectrum.items`, :meth:`Spectrum.support`
+their spectra directly on the grid 1/d with integer arithmetic only,
+through the trusted constructor ``Spectrum._of(d, terms)``, which skips the
+per-term type checks; :meth:`Spectrum.items`, :meth:`Spectrum.support`
 and :meth:`Spectrum.coefficient` still speak :class:`fractions.Fraction`.
 
 Three serializations are supported (see :func:`format_spectrum`):
@@ -86,6 +87,9 @@ class Spectrum:
             if type(k) is not int and not _is_int(k):
                 raise TypeError(f"grid numerator must be an integer, got {k!r}")
             data[k] = data.get(k, 0) + n
+        self._store(den, data)
+
+    def _store(self, den: int, data: Mapping[int, int]) -> None:
         data = {k: n for k, n in data.items() if n}
         g = gcd(den, *data)
         if g > 1:
@@ -98,6 +102,16 @@ class Spectrum:
         raise AttributeError("Spectrum is immutable")
 
     # -- construction ------------------------------------------------
+
+    @classmethod
+    def _of(cls, den: int, terms: Mapping[int, int]) -> "Spectrum":
+        """Spectrum from a dict of int grid numerators to int coefficients
+        over the positive denominator den, brought to lowest terms with zero
+        coefficients dropped: the formula routes use it in place of the
+        checking constructor, which also merges repeated numerators."""
+        obj = object.__new__(cls)
+        obj._store(den, terms)
+        return obj
 
     @classmethod
     def zero(cls) -> "Spectrum":

@@ -7,6 +7,7 @@ import pytest
 import curvespec.cli
 import curvespec.formulas
 import curvespec.lines
+import curvespec.riemann_roch
 from curvespec.arrangement import derived, graph_to_dict, load_arrangement
 from curvespec.cli import build_parser, main
 from curvespec.formulas import spectrum_general, spectrum_hyperplane
@@ -285,6 +286,19 @@ class TestCheck:
         for line in dumps:
             assert "components" in json.loads(line)
 
+    def test_corrupted_characteristic_class_layout_is_caught(self, capsys, monkeypatch):
+        # The RR twin of corrupt_rows: shift chi_1 by one at j = 1.
+        pairing = curvespec.riemann_roch._euler_characteristics
+
+        def corrupted(graph, data):
+            for j, (chi0, chi1, chi2) in pairing(graph, data):
+                yield j, [chi0, chi1 + 1 if j == 1 else chi1, chi2]
+
+        monkeypatch.setattr(curvespec.riemann_roch, "_euler_characteristics", corrupted)
+        assert main(["check", "--count", "1", "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "0/1 ok\n"
+        assert "general vs characteristic-class pipeline" in captured.err
 
     def test_failure_lines_name_the_first_difference(self, capsys, monkeypatch):
         rr = curvespec.cli.spectrum_via_riemann_roch

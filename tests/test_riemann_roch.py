@@ -90,6 +90,31 @@ def general_position_lines(count):
     return incidence_graph([((1, t, t * t), 1) for t in range(count)])
 
 
+def fermat_graph():
+    """The Fermat arrangement A(3), (x^3 - y^3)(y^3 - z^3)(z^3 - x^3), as a
+    graph: the lines x = w^a*y (components 0-2), y = w^b*z (3-5) and
+    z = w^c*x (6-8), w a primitive cube root of unity.  Each family meets in
+    a coordinate point, and x = w^a*y, y = w^b*z, z = w^c*x share a point
+    exactly when a + b + c = 0 mod 3."""
+    coordinate = [[(3 * f + a, 1) for a in range(3)] for f in range(3)]
+    inner = [[(a, 1), (3 + b, 1), (6 + (-a - b) % 3, 1)] for a in range(3) for b in range(3)]
+    return graph([(1, 1)] * 9, inner + coordinate)
+
+
+def equal_mult_split_branches():
+    """Three double lines through (0:0:1), and lines of multiplicities 1, 2
+    and 3 through (1:1:1): both triple points have m_v = 6 and three simple
+    branches, but their branch lists differ, and so do their twists.  (At a
+    point with two simple branches the twist is 0 or 1 and the pairing
+    cannot tell such points apart.)"""
+    return incidence_graph(
+        [((1, 0, 0), 2), ((0, 1, 0), 2), ((1, 1, 0), 2), ((1, 0, -1), 1), ((0, 1, -1), 2), ((1, -2, 1), 3)]
+    )
+
+
+GROUPING_GRAPHS = [general_position_lines(12), fermat_graph(), equal_mult_split_branches()]
+
+
 class TestChernTangent:
     def test_plane_without_blow_ups(self):
         g = graph([(3, 1)])
@@ -280,7 +305,10 @@ HIGH_MULT_GRAPHS = seeded_graphs(4, GraphBounds(max_degree=3, max_mult=5))
 class TestIntegerPairing:
     @pytest.mark.parametrize(
         "g",
-        seeded_graphs(12, GraphBounds(max_degree=3, max_mult=3)) + repeated_type_graphs() + HIGH_MULT_GRAPHS,
+        seeded_graphs(12, GraphBounds(max_degree=3, max_mult=3))
+        + repeated_type_graphs()
+        + HIGH_MULT_GRAPHS
+        + GROUPING_GRAPHS,
     )
     def test_matches_euler_characteristic(self, g):
         data = derived(g)
@@ -291,7 +319,7 @@ class TestIntegerPairing:
             u = twist_class(g, j)
             assert chis == [euler_characteristic(g, p, u) for p in range(3)]
 
-    @pytest.mark.parametrize("g", HIGH_MULT_GRAPHS + repeated_type_graphs())
+    @pytest.mark.parametrize("g", HIGH_MULT_GRAPHS + repeated_type_graphs() + GROUPING_GRAPHS)
     def test_no_fraction_between_factor_builds_and_pairing(self, g):
         data = derived(g)
         calls = []
@@ -363,6 +391,15 @@ class TestSpectrumViaRiemannRoch:
 
     def test_forty_general_lines_within_budget(self):
         g = general_position_lines(40)
+        start = time.perf_counter()
+        result = spectrum_via_riemann_roch(g)
+        elapsed = time.perf_counter() - start
+        assert result == spectrum_general(g)
+        assert elapsed < 5.0
+
+    def test_two_hundred_general_lines_within_budget(self):
+        # 19 900 points of one type: the pairing takes one step per j.
+        g = general_position_lines(200)
         start = time.perf_counter()
         result = spectrum_via_riemann_roch(g)
         elapsed = time.perf_counter() - start

@@ -394,3 +394,15 @@ class TestGrid:
     def test_coefficients_must_be_integers(self, n):
         with pytest.raises(TypeError):
             Spectrum([(1, n)], den=2)
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.dictionaries(st.integers(-20, 20), st.integers(-3, 3)))
+    def test_trusted_constructor_matches_checking_one(self, factor, den, terms):
+        # A common factor of den and every numerator leaves a grid to
+        # reduce; coefficient 0 is drawn often.
+        den *= factor
+        terms = {factor * k: n for k, n in terms.items()}
+        trusted = Spectrum._of(den, terms)
+        checked = Spectrum(list(terms.items()), den=den)
+        assert trusted == checked
+        assert trusted._den == checked._den
+        assert trusted._terms == checked._terms
