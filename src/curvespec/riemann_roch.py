@@ -15,29 +15,34 @@ regression targets so the two routes check each other.  Agreement of
 
 Cost.  Every factor of the product formulas has scalar part 1, so each
 product is formed as exp(sum of logs) (:func:`curvespec.cohomology.product`)
-in time linear in the points and branches; the per-point and per-component
-factors are built straight on the ring's integer grid, and the tangent
-class is built once per spectrum and feeds both the log cotangent class and
-the Todd class.  The weighted classes W_p = ch(wedge^p of log 1-forms) * td
-are built once.  For an integral twist u = u0*e0 + sum_v u_v*e_v the
-integral of W*ch(u) is W.c + W.b0*u0 - sum_v W.bv[v]*u_v +
-W.a*(u0^2 - sum_v u_v^2)/2, so after scaling the three W_p to one
-denominator D, times 2, every j costs integer sums only, and a remainder
-modulo 2D still fails the integrality assertion.  A point enters those sums
-only through its type (m_v, its branches as (m_l, m_{v,l}) pairs, and its
-three W_p.bv numerators), so each j takes one step per point type, times
-its count.  No :class:`fractions.Fraction` is made between the factor
-builds and the pairing.
+in time linear in the points and branches.  The public per-point builds
+(:func:`chern_tangent`, :func:`chern_cotangent_log`, :func:`todd`,
+:func:`wedge_ch`, :func:`euler_characteristic`) are the reference; the
+spectrum route builds no :class:`curvespec.cohomology.CohClass`.  Since
+e_v*e_w = 0 for v != w and e_v*e0 = 0, a point's e_v coefficient in every
+product, log and exp comes from its own factors only, so points of one
+type (m_v and its branches as sorted (m_l, m_{v,l}) pairs) share it.  The
+weighted classes W_p = ch(wedge^p of log 1-forms) * td are therefore built
+once per type, in a private ring of plain ints with one coefficient e_T per
+type and e_T*e_T = -count_T*e0^2, by the same factor lists, dual, Todd class
+and wedge characters: O(P) to group the points, then O(T) per ring
+operation.  For an integral twist u = u0*e0 + sum_v u_v*e_v the integral of
+W*ch(u) is W.c + W.b0*u0 - sum_v W.bv[v]*u_v + W.a*(u0^2 - sum_v u_v^2)/2,
+so after scaling the three W_p to one denominator D, times 2, each j takes
+integer sums with one step per type, times its count, O(T*d) in all, and a
+remainder modulo 2D still fails the integrality assertion.  No
+:class:`fractions.Fraction` is made between the class build and the
+pairing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .arrangement import ArrangementGraph, DerivedData, derived, require_valid
-from .cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e, product
+from .cohomology import ONE, CohClass, product
 from .spectrum import Spectrum
 
 __all__ = [
@@ -63,11 +68,6 @@ def _branch_mults(graph: ArrangementGraph) -> list[dict[str, int]]:
     return [through[c.id] for c in graph.components]
 
 
-def _strict_transform_classes(graph: ArrangementGraph) -> list[CohClass]:
-    """[E_l] = -(d_l*e0 + sum_v m_{v,l}*e_v) for each component l."""
-    return [exceptional_class(c.degree, mults) for c, mults in zip(graph.components, _branch_mults(graph))]
-
-
 def chern_tangent(graph: ArrangementGraph) -> CohClass:
     """Total Chern class of the tangent bundle of the blow-up, by the
     product formula c = (1 - e0)^3 * prod_v (1 + e_v)((1 - e0 - e_v)/(1 - e0))^2."""
@@ -83,7 +83,7 @@ def chern_tangent(graph: ArrangementGraph) -> CohClass:
     return product(factors)
 
 
-def _dual(c: CohClass) -> CohClass:
+def _dual(c):
     return c.degree_part(0) - c.degree_part(1) + c.degree_part(2)
 
 
@@ -132,10 +132,12 @@ def chern_cotangent_log_closed(graph: ArrangementGraph) -> CohClass:
     return CohClass(a=1, b0=b0, bv=bv, c=top)
 
 
-def _todd(tangent: CohClass) -> CohClass:
+def _todd(tangent):
+    # The scalar part of a tangent class is 1, in either ring.
+    one = tangent.degree_part(0)
     c1 = tangent.degree_part(1)
     c2 = tangent.degree_part(2)
-    return ONE + c1 / 2 + (c1 * c1 + c2) / 12
+    return one + c1 / 2 + (c1 * c1 + c2) / 12
 
 
 def todd(graph: ArrangementGraph) -> CohClass:
@@ -159,15 +161,19 @@ def wedge_ch(c_total: CohClass, p: int) -> CohClass:
     given total Chern class (p = 0, 1, 2)."""
     if c_total.degree_part(0) != ONE:
         raise ValueError("total Chern class must have scalar part 1")
+    if p not in (0, 1, 2):
+        raise ValueError(f"wedge power must be 0, 1 or 2, got {p}")
+    return _wedges(c_total)[p]
+
+
+def _wedges(c_total):
+    """[ch(wedge^p) for p = 0, 1, 2] for a total Chern class with scalar
+    part 1, in either ring."""
+    one = c_total.degree_part(0)
     c1 = c_total.degree_part(1)
     c2 = c_total.degree_part(2)
-    if p == 0:
-        return ONE
-    if p == 1:
-        return 2 * ONE + c1 + (c1 * c1 - 2 * c2) / 2
-    if p == 2:
-        return ONE + c1 + c1 * c1 / 2
-    raise ValueError(f"wedge power must be 0, 1 or 2, got {p}")
+    c1_sq = c1 * c1
+    return [one, 2 * one + c1 + (c1_sq - 2 * c2) / 2, one + c1 + c1_sq / 2]
 
 
 def line_bundle_ch(divisor: CohClass) -> CohClass:
@@ -190,12 +196,15 @@ def twist_class(graph: ArrangementGraph, j: int) -> CohClass:
     if not 1 <= j <= d:
         raise ValueError(f"j must lie in [1, {d}], got {j}")
     i = d - j
-    total = hyperplane_e0(i)
-    for point in graph.points:
-        total = total + point_e(point.id, (i * data.point_mult[point.id]) // d)
-    for comp, e_class in zip(graph.components, _strict_transform_classes(graph)):
-        total = total + e_class * ((i * comp.multiplicity) // d)
-    return total
+    # Each floor(i*m_l/d)*[E_l] = -floor(i*m_l/d)*(d_l*e0 + sum_v m_{v,l}*e_v)
+    # is collected into the integer coefficients in one pass.
+    floors = {comp.id: (i * comp.multiplicity) // d for comp in graph.components}
+    b0 = i - sum(floors[comp.id] * comp.degree for comp in graph.components)
+    bv = {
+        point.id: (i * data.point_mult[point.id]) // d - sum(floors[br.component] * br.mult for br in point.branches)
+        for point in graph.points
+    }
+    return CohClass._of(1, 0, b0, bv, 0)
 
 
 def _integer(value: Fraction, what: str) -> int:
@@ -217,40 +226,163 @@ def euler_characteristic(graph: ArrangementGraph, p: int, divisor: CohClass) -> 
     return _integer(integrand.integrate(), f"chi_{p}")
 
 
+class _Typed:
+    """Class a + b0*e0 + sum_T x[T]*e_T + c*e0^2 over the positive denominator
+    den, on the point types of one graph.  e_T is the sum of e_v over the
+    counts[T] points of type T, so x[T] is the e_v coefficient of each of
+    them: e_v*e_w = 0 for v != w and e_v*e0 = 0 make a point's e_v
+    coefficient in every product, log and exp depend on its own factors only.
+    Distinct types and e0 stay orthogonal and e_T*e_T = -counts[T]*e0^2.  The
+    classes of one build share ``counts``; x is a list in its order."""
+
+    __slots__ = ("counts", "den", "a", "b0", "x", "c")
+
+    def __init__(self, counts: list[int], den: int, a: int, b0: int, x: list[int], c: int):
+        self.counts = counts
+        self.den, self.a, self.b0, self.x, self.c = den, a, b0, x, c
+
+    def reduced(self) -> "_Typed":
+        """The same class in lowest terms."""
+        g = gcd(self.den, self.a, self.b0, self.c, *self.x)
+        return _Typed(self.counts, self.den // g, self.a // g, self.b0 // g, [u // g for u in self.x], self.c // g)
+
+    def degree_part(self, k: int) -> "_Typed":
+        zero = [0] * len(self.x)
+        if k == 0:
+            return _Typed(self.counts, self.den, self.a, 0, zero, 0)
+        if k == 1:
+            return _Typed(self.counts, self.den, 0, self.b0, self.x, 0)
+        return _Typed(self.counts, self.den, 0, 0, zero, self.c)
+
+    def _square(self) -> int:
+        """e0^2 numerator, over den^2, of the square of the degree-1 part."""
+        return self.b0 * self.b0 - sum(n * u * u for n, u in zip(self.counts, self.x))
+
+    def __add__(self, other: "_Typed") -> "_Typed":
+        d, e = self.den, other.den
+        den = d if d == e else lcm(d, e)
+        s, t = den // d, den // e
+        x = [s * u + t * v for u, v in zip(self.x, other.x)]
+        a, b0, c = s * self.a + t * other.a, s * self.b0 + t * other.b0, s * self.c + t * other.c
+        return _Typed(self.counts, den, a, b0, x, c)
+
+    def __sub__(self, other: "_Typed") -> "_Typed":
+        return self + other * -1
+
+    def __mul__(self, other) -> "_Typed":
+        if type(other) is int:
+            x = [other * u for u in self.x]
+            return _Typed(self.counts, self.den, other * self.a, other * self.b0, x, other * self.c)
+        a, a2 = self.a, other.a
+        cross = self.b0 * other.b0 - sum(n * u * v for n, u, v in zip(self.counts, self.x, other.x))
+        x = [a * v + a2 * u for u, v in zip(self.x, other.x)]
+        b0, c = a * other.b0 + a2 * self.b0, a * other.c + a2 * self.c + cross
+        return _Typed(self.counts, self.den * other.den, a * a2, b0, x, c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k: int) -> "_Typed":
+        """Division by a positive integer."""
+        return _Typed(self.counts, self.den * k, self.a, self.b0, self.x, self.c)
+
+    def log(self) -> "_Typed":
+        """log(1 + n) = n - n^2/2 of a class with scalar part 1."""
+        t = 2 * self.den
+        return _Typed(self.counts, t * self.den, 0, t * self.b0, [t * u for u in self.x], t * self.c - self._square())
+
+    def exp(self) -> "_Typed":
+        """exp(s) = 1 + s + s^2/2 of a class with scalar part 0."""
+        t = 2 * self.den
+        x = [t * u for u in self.x]
+        return _Typed(self.counts, t * self.den, t * self.den, t * self.b0, x, t * self.c + self._square())
+
+
+class _LogSum:
+    """Sum of k*log(1 + n) over factors with integer coefficients, as
+    numerators over 2.  log(1 + n) = n - n^2/2, and for n = b0*e0 + sum_v
+    bv*e_v the square (b0^2 - sum_v bv^2)*e0^2 splits into an e0 part and
+    one e_v part per point, so a factor enters in those parts."""
+
+    def __init__(self, counts: list[int]):
+        self.counts = counts
+        self.b0 = self.c = 0
+        self.x = [0] * len(counts)
+
+    def e0_part(self, k: int, b0: int, copies: int = 1) -> None:
+        """k*log of the e0 part b0*e0 of ``copies`` factors."""
+        self.b0 += 2 * k * copies * b0
+        self.c -= k * copies * b0 * b0
+
+    def ev_part(self, k: int, t: int, bv: int) -> None:
+        """k*log of the e_v part bv*e_v, at each point v of type t."""
+        self.x[t] += 2 * k * bv
+        self.c += k * self.counts[t] * bv * bv
+
+    def total(self) -> _Typed:
+        return _Typed(self.counts, 2, 0, self.b0, self.x, self.c)
+
+
+def _weighted_classes(graph: ArrangementGraph, data: DerivedData) -> tuple[Counter, list[_Typed]]:
+    """The RR keys of the points of a valid graph, with their counts, and
+    W_p = ch(wedge^p of log 1-forms) * td for p = 0, 1, 2 on the typed ring
+    of those keys.
+
+    A point's key is m_v and its branches as sorted (m_l, m_{v,l}) pairs.
+    The build takes the factor lists of chern_tangent and
+    _chern_cotangent_log as exp(sum k*log f), then _dual, _todd and _wedges,
+    with each per-point factor entered once per key, times its count.
+    """
+    comp_mult = {c.id: c.multiplicity for c in graph.components}
+    groups = Counter(
+        (data.point_mult[point.id], tuple(sorted((comp_mult[br.component], br.mult) for br in point.branches)))
+        for point in graph.points
+    )
+    counts = list(groups.values())
+    points = len(graph.points)
+    # (1 - e0)^(3 - 2P) * prod_v (1 + e_v) * (1 - e0 - e_v)^2
+    logs = _LogSum(counts)
+    logs.e0_part(3 - 2 * points, -1)
+    logs.e0_part(2, -1, points)
+    for t in range(len(counts)):
+        logs.ev_part(1, t, 1)
+        logs.ev_part(2, t, -1)
+    tangent = logs.total().exp()
+    # The dual tangent class over prod_v (1 - e_v) and over
+    # prod_l (1 - [E_l]) = prod_l (1 + d_l*e0 + sum_v m_{v,l}*e_v).
+    logs = _LogSum(counts)
+    for comp in graph.components:
+        logs.e0_part(-1, comp.degree)
+    for t, (_, branches) in enumerate(groups):
+        logs.ev_part(-1, t, -1)
+        for _, mult in branches:
+            logs.ev_part(-1, t, mult)
+    log_chern = (_dual(tangent).log() + logs.total()).exp()
+    td = _todd(tangent)
+    return groups, [(w * td).reduced() for w in _wedges(log_chern)]
+
+
 def _euler_characteristics(graph: ArrangementGraph, data: DerivedData):
     """Yield (j, [chi_0, chi_1, chi_2]) for the twists j = 1..d of a valid
     graph with derived data ``data``: the integer form of
     euler_characteristic(graph, p, twist_class(graph, j))."""
-    tangent = chern_tangent(graph)
-    log_chern = _chern_cotangent_log(graph, tangent)
-    td = _todd(tangent)
-    weighted = [wedge_ch(log_chern, p) * td for p in range(3)]
+    groups, weighted = _weighted_classes(graph, data)
 
     # With D the lcm of the three grids, 2*D*W_p has integer coefficients
     # and D*W_p.a is an integer.
     half = lcm(*(w.den for w in weighted))
     scale = 2 * half
-    grids = [(half // w.den, w.numerators()) for w in weighted]
-    const = [2 * k * c for k, (_, _, _, c) in grids]
-    lin_e0 = [2 * k * b0 for k, (_, b0, _, _) in grids]
-    quad = [k * a for k, (a, _, _, _) in grids]
+    grids = [half // w.den for w in weighted]
+    const = [2 * k * w.c for k, w in zip(grids, weighted)]
+    lin_e0 = [2 * k * w.b0 for k, w in zip(grids, weighted)]
+    quad = [k * w.a for k, w in zip(grids, weighted)]
+    # Points sharing a key share u and their W_p.bv numerators, so each key
+    # steps once per j, times its count.
+    types = list(zip(groups, groups.values(), *([2 * k * u for u in w.x] for k, w in zip(grids, weighted))))
 
-    comp_mult = {c.id: c.multiplicity for c in graph.components}
     d = data.total_degree
     degree_by_mult: dict[int, int] = {}
     for c in graph.components:
         degree_by_mult[c.multiplicity] = degree_by_mult.get(c.multiplicity, 0) + c.degree
-    # A point enters the pairing only through its key: m_v, its branches
-    # as sorted (m_l, m_{v,l}) pairs and its three scaled W_p.bv numerators.
-    # Points sharing a key share u, so each key steps once, times its count.
-    groups = Counter(
-        (
-            data.point_mult[point.id],
-            tuple(sorted((comp_mult[br.component], br.mult) for br in point.branches)),
-            *(2 * k * bv.get(point.id, 0) for k, (_, _, bv, _) in grids),
-        )
-        for point in graph.points
-    )
 
     for j in range(1, d + 1):
         # Twist u = i*e0 + sum_v floor(i*m_v/d)*e_v + sum_l floor(i*m_l/d)*[E_l].
@@ -261,7 +393,7 @@ def _euler_characteristics(graph: ArrangementGraph, data: DerivedData):
             floors[m] = floor = (i * m) // d
             u0 -= floor * deg
         lin0 = lin1 = lin2 = square = 0
-        for (point_mult, branches, w0, w1, w2), count in groups.items():
+        for (point_mult, branches), count, w0, w1, w2 in types:
             u = (i * point_mult) // d
             for m, mu in branches:
                 u -= floors[m] * mu

@@ -16,6 +16,8 @@ from curvespec.lines import incidence_graph
 from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
 from curvespec.riemann_roch import (
     _euler_characteristics,
+    _Typed,
+    _weighted_classes,
     chern_cotangent_log,
     chern_cotangent_log_closed,
     chern_tangent,
@@ -236,6 +238,16 @@ class TestTwistClass:
         with pytest.raises(ValueError):
             twist_class(nodal_cubic(), j)
 
+    def test_hundred_twenty_general_lines_within_budget(self):
+        # 7 140 points: the coefficients are collected in one pass, where a
+        # sum of per-point classes copies every e_v coefficient per term.
+        g = general_position_lines(120)
+        d = derived(g).total_degree
+        start = time.perf_counter()
+        for j in (1, d // 2, d):
+            twist_class(g, j)
+        assert time.perf_counter() - start < 1.0
+
     @given(arrangement_graphs(), st.data())
     def test_expansion_matches_ceiling_coefficients(self, g, data):
         # floor((d-j)m/d) = m - ceil(jm/d) turns the floor-built divisor
@@ -338,15 +350,51 @@ class TestIntegerPairing:
         assert calls == []
 
     def test_non_integral_weighted_class_is_caught(self, monkeypatch):
-        honest = curvespec.riemann_roch.wedge_ch
+        honest = curvespec.riemann_roch._weighted_classes
 
-        def corrupted(c_total, p):
-            shifted = honest(c_total, p)
-            return shifted + CohClass(c=Fraction(1, 3)) if p == 1 else shifted
+        def corrupted(g, data):
+            groups, weighted = honest(g, data)
+            w1 = weighted[1]
+            third = _Typed(w1.counts, 3, 0, 0, [0] * len(w1.x), 1)  # e0^2 / 3
+            return groups, [weighted[0], w1 + third, weighted[2]]
 
-        monkeypatch.setattr(curvespec.riemann_roch, "wedge_ch", corrupted)
+        monkeypatch.setattr(curvespec.riemann_roch, "_weighted_classes", corrupted)
         with pytest.raises(ArithmeticError, match="chi_1 must be an integer"):
             spectrum_via_riemann_roch(line_and_nodal_cubic())
+
+
+def assert_typed_build_matches_reference(g):
+    """Each W_p of the typed build has the a, b0 and c of the per-point
+    wedge_ch(chern_cotangent_log(g), p) * todd(g), and each key's
+    coefficient is the e_v coefficient of every point of that key."""
+    data = derived(g)
+    groups, weighted = _weighted_classes(g, data)
+    assert sum(groups.values()) == len(g.points)
+    comp_mult = {c.id: c.multiplicity for c in g.components}
+    index = {key: t for t, key in enumerate(groups)}
+    log_chern, td = chern_cotangent_log(g), todd(g)
+    for p, w in enumerate(weighted):
+        ref = wedge_ch(log_chern, p) * td
+        assert (Fraction(w.a, w.den), Fraction(w.b0, w.den), Fraction(w.c, w.den)) == (ref.a, ref.b0, ref.c)
+        bv = ref.bv
+        for point in g.points:
+            key = (
+                data.point_mult[point.id],
+                tuple(sorted((comp_mult[br.component], br.mult) for br in point.branches)),
+            )
+            assert Fraction(w.x[index[key]], w.den) == bv.get(point.id, 0)
+
+
+class TestTypedBuild:
+    @pytest.mark.parametrize(
+        "g", seeded_graphs(40) + HIGH_MULT_GRAPHS + repeated_type_graphs() + GROUPING_GRAPHS
+    )
+    def test_matches_per_point_build(self, g):
+        assert_typed_build_matches_reference(g)
+
+    @given(arrangement_graphs())
+    def test_matches_per_point_build_on_generated_graphs(self, g):
+        assert_typed_build_matches_reference(g)
 
 
 class TestSpectrumViaRiemannRoch:
@@ -397,11 +445,35 @@ class TestSpectrumViaRiemannRoch:
         assert result == spectrum_general(g)
         assert elapsed < 5.0
 
-    def test_two_hundred_general_lines_within_budget(self):
-        # 19 900 points of one type: the pairing takes one step per j.
-        g = general_position_lines(200)
+    def test_three_hundred_general_lines_within_budget(self):
+        # 44 850 points of one type: the classes are built once and the
+        # pairing takes one step per j.
+        g = general_position_lines(300)
         start = time.perf_counter()
         result = spectrum_via_riemann_roch(g)
         elapsed = time.perf_counter() - start
         assert result == spectrum_general(g)
         assert elapsed < 5.0
+
+    @pytest.mark.parametrize("count", [12, 40])
+    def test_builds_no_cohomology_class(self, count, monkeypatch):
+        g = general_position_lines(count)
+        made = []
+        honest_of = CohClass._of.__func__
+        honest_init = CohClass.__init__
+
+        def counted_of(cls, *args):
+            made.append(args)
+            return honest_of(cls, *args)
+
+        def counted_init(self, *args, **kwargs):
+            made.append(args)
+            honest_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CohClass, "_of", classmethod(counted_of))
+        monkeypatch.setattr(CohClass, "__init__", counted_init)
+        spectrum_via_riemann_roch(g)
+        assert made == []
+        # The per-point reference builds are seen by the same count.
+        todd(g)
+        assert made
