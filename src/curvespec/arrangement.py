@@ -59,7 +59,7 @@ class InvalidArrangementError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Component:
     """One irreducible curve in the arrangement.
 
@@ -72,7 +72,7 @@ class Component:
     multiplicity: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     """A component passing through a singular point with local multiplicity ``mult``."""
 
@@ -80,7 +80,7 @@ class Branch:
     mult: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SingularPoint:
     id: str
     branches: Tuple[Branch, ...]
@@ -340,11 +340,32 @@ def graph_from_dict(data) -> ArrangementGraph:
         raise ArrangementFormatError("'points' must be a list")
     points = []
     for i, rp in enumerate(raw_pts):
-        point_id, raw_brs = _object(rp, _POINT, "points[{}]", i)
-        if not isinstance(raw_brs, list):
-            raise ArrangementFormatError(f"points[{i}].branches must be a list")
-        branches = [Branch(*_object(rb, _BRANCH, "points[{}].branches[{}]", i, k)) for k, rb in enumerate(raw_brs)]
-        points.append(SingularPoint(_require(point_id, str, "points[{}].id", i), tuple(branches)))
+        # A plain dict with exactly the schema's keys and values of their exact
+        # types is read inline; anything else goes through _object and
+        # _require, which define the schema's messages and their order.
+        if not (
+            type(rp) is dict
+            and len(rp) == 2
+            and type(point_id := rp.get("id")) is str
+            and type(raw_brs := rp.get("branches")) is list
+        ):
+            point_id, raw_brs = _object(rp, _POINT, "points[{}]", i)
+            if not isinstance(raw_brs, list):
+                raise ArrangementFormatError(f"points[{i}].branches must be a list")
+        branches = []
+        for k, rb in enumerate(raw_brs):
+            if (
+                type(rb) is dict
+                and len(rb) == 2
+                and type(component := rb.get("component")) is str
+                and type(mult := rb.get("mult")) is int
+            ):
+                branches.append(Branch(component, mult))
+            else:
+                branches.append(Branch(*_object(rb, _BRANCH, "points[{}].branches[{}]", i, k)))
+        if type(point_id) is not str:
+            point_id = _require(point_id, str, "points[{}].id", i)
+        points.append(SingularPoint(point_id, tuple(branches)))
     return ArrangementGraph(tuple(comps), tuple(points))
 
 

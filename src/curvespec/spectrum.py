@@ -242,22 +242,27 @@ def format_spectrum(s: Spectrum, style: str = "plain") -> str:
         raise ValueError(f"unknown spectrum style {style!r}")
     if not s:
         return "0"
-    parts: list[str] = []
     plain = style == "plain"
-    for alpha, n in _exponents(s):
-        if alpha == "1":
+    times, plus, minus = ("*", " + ", " - ") if plain else ("", "+", "-")
+    den = s._den
+    terms = sorted(s._terms.items())
+    parts: list[str] = []
+    for k, n in terms:
+        g = gcd(k, den)
+        if g != den:
+            power = f"t^({k // g}/{den // g})" if plain else f"t^{{{k // g}/{den // g}}}"
+        elif k != den:
+            power = f"t^{k // den}" if plain else f"t^{{{k // den}}}"
+        else:
             power = "t"
-        elif plain:
-            power = f"t^({alpha})" if "/" in alpha else f"t^{alpha}"
+        if n == 1:
+            parts.append(plus + power)
+        elif n == -1:
+            parts.append(minus + power)
         else:
-            power = f"t^{{{alpha}}}"
-        mag = abs(n)
-        if mag != 1:
-            power = f"{mag}*{power}" if plain else f"{mag}{power}"
-        if n < 0:
-            parts.append(f" - {power}" if plain and parts else f"-{power}")
-        else:
-            parts.append((" + " if plain else "+") + power if parts else power)
+            parts.append(f"{minus if n < 0 else plus}{-n if n < 0 else n}{times}{power}")
+    # The first term carries no "+", and its "-" no spaces.
+    parts[0] = "-" + parts[0][len(minus) :] if terms[0][1] < 0 else parts[0][len(plus) :]
     return "".join(parts)
 
 

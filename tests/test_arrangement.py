@@ -1,8 +1,11 @@
+import dataclasses
 import json
+from collections import OrderedDict
 from types import MappingProxyType
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import curvespec.arrangement
 
@@ -380,7 +383,49 @@ SCHEMA_VIOLATIONS = [
         "components[0].degree must be an integer, got <list too long to print>",
     ),
     ({"components": [], (10**5000,): 1}, "arrangement has unknown keys: <list too long to print>"),
+    # Several faults in one point: the first branch fault wins, and the
+    # point's id is checked only after its branches.
+    (
+        {"components": [CUBIC], "points": [{"id": 7, "branches": [{"component": "c", "mult": 2}, ["c", 2]]}]},
+        "points[0].branches[1] must be an object",
+    ),
+    (
+        {"components": [CUBIC], "points": [{"id": None, "branches": [{"component": "c", "mult": False}]}]},
+        "points[0].branches[0].mult must be an integer, got False",
+    ),
+    (
+        {"components": [CUBIC], "points": [{"id": True, "branches": [{"component": "c", "mult": 1, "w": 2}]}]},
+        "points[0].branches[0] has unknown keys: ['w']",
+    ),
+    (
+        {"components": [CUBIC], "points": [{"id": 7, "branches": [{"component": "c", "mult": 2}]}]},
+        "points[0].id must be a string, got 7",
+    ),
+    ({"components": [CUBIC], "points": [{"id": False, "branches": []}]}, "points[0].id must be a string, got False"),
+    # Two keys, but not the schema's two.
+    ({"components": [CUBIC], "points": [{"id": "v", "color": "red"}]}, "points[0] has unknown keys: ['color']"),
+    (
+        {"components": [CUBIC], "points": [{"id": "v", "branches": [{"mult": 2, "weight": 1}]}]},
+        "points[0].branches[0] has unknown keys: ['weight']",
+    ),
+    (
+        {"components": [CUBIC], "points": [{"id": "v", "branches": [{"component": None, "mult": 1}]}]},
+        "points[0].branches[0].component must be a string, got None",
+    ),
+    ({"components": [CUBIC], "points": [{"id": "v", "branches": None}]}, "points[0].branches must be a list"),
 ]
+
+
+def wrapped(data, mapping):
+    """``data`` with every dict in it, at any depth, rebuilt as ``mapping``."""
+    if type(data) is dict:
+        return mapping({key: wrapped(value, mapping) for key, value in data.items()})
+    if type(data) is list:
+        return [wrapped(value, mapping) for value in data]
+    return data
+
+
+MAPPINGS = [MappingProxyType, OrderedDict]
 
 
 class TestSerialization:
@@ -410,23 +455,83 @@ class TestSerialization:
             graph_from_dict(data)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("mapping", MAPPINGS)
+    @pytest.mark.parametrize(
+        "data, message", SCHEMA_VIOLATIONS, ids=[f"data{i}" for i in range(len(SCHEMA_VIOLATIONS))]
+    )
+    def test_schema_violations_in_any_mapping(self, data, message, mapping):
+        # Objects that are not plain dicts skip the inline read of points
+        # and branches and must fail with the same first message.
+        with pytest.raises(ArrangementFormatError) as err:
+            graph_from_dict(wrapped(data, mapping))
+        assert str(err.value) == message
+
     @given(arrangement_graphs())
     def test_any_mapping_loads_like_a_dict(self, g):
         data = graph_to_dict(g)
-        proxied = MappingProxyType(
-            {
-                "components": [MappingProxyType(c) for c in data["components"]],
-                "points": [
-                    MappingProxyType({**p, "branches": [MappingProxyType(b) for b in p["branches"]]})
-                    for p in data["points"]
-                ],
-            }
-        )
-        assert graph_from_dict(proxied) == g
+        for mapping in MAPPINGS:
+            assert graph_from_dict(wrapped(data, mapping)) == g
+
+    @given(st.integers(0, 2**64 - 1))
+    def test_generator_graphs_round_trip(self, seed):
+        g = generate_graph(SplitMix64(seed), GraphBounds(max_components=8, max_points=24, max_degree=6, max_mult=5))
+        data = graph_to_dict(g)
+        assert graph_from_dict(data) == g
+        assert graph_from_dict(wrapped(data, MappingProxyType)) == g
+
+    def test_subclassed_values_load(self):
+        class Name(str):
+            pass
+
+        class Count(int):
+            pass
+
+        data = {
+            "components": [{"id": Name("l1"), "degree": Count(3)}],
+            "points": [{"id": Name("v1"), "branches": [{"component": Name("l1"), "mult": Count(2)}]}],
+        }
+        assert graph_from_dict(data) == nodal_cubic()
+        assert graph_from_dict(wrapped(data, OrderedDict)) == nodal_cubic()
 
     def test_graphs_are_hashable(self):
         cache = {nodal_cubic(): "a"}
         assert cache[nodal_cubic()] == "a"
+
+
+class TestRecords:
+    RECORDS = [Component("c", 3, 2), Branch("c", 2), SingularPoint("v", [Branch("c"), Branch("d", 2)])]
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_slotted_frozen_values(self, record):
+        assert not hasattr(record, "__dict__")
+        first = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, first, "x")
+        # A name that is not a field has no slot.  The generated __setattr__
+        # may still name the class that slots=True replaced, and then raises
+        # TypeError rather than FrozenInstanceError (CPython 3.11 does).
+        with pytest.raises((AttributeError, TypeError)):
+            record.color = "red"
+        copy = dataclasses.replace(record)
+        assert copy == record and copy is not record
+        assert {record: 1}[copy] == 1
+        assert dataclasses.replace(record, **{first: "other"}) != record
+
+    def test_constructors_keep_their_defaults_and_coercion(self):
+        assert Component("c", 3) == Component(id="c", degree=3, multiplicity=1)
+        assert Branch("c") == Branch(component="c", mult=1)
+        point = SingularPoint("v", [Branch("c")])
+        assert point.branches == (Branch("c"),)
+        assert repr(point) == "SingularPoint(id='v', branches=(Branch(component='c', mult=1),))"
+        assert repr(Component("c", 3)) == "Component(id='c', degree=3, multiplicity=1)"
+        assert dataclasses.replace(point, branches=[Branch("d")]).branches == (Branch("d"),)
+
+    def test_graph_keeps_its_report(self):
+        g = nodal_cubic()
+        assert require_valid(g) is g
+        assert g.__dict__["_report"] == validate(g)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.points = ()
 
 
 class TestLoadArrangement(object):
