@@ -11,12 +11,14 @@ Everything downstream consumes only this graph; no defining equations are
 needed.  Validation is total: :func:`validate` returns a report instead of
 raising, so the CLI can distinguish malformed files (format errors) from
 well-formed files describing impossible data (validation errors).  A graph
-is immutable and keeps its report, so :func:`require_valid` validates it once.
+is immutable and keeps its report, so :func:`require_valid` validates it once,
+and its :class:`PointTypeSummary`, the one sorting of its points into types.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Tuple
@@ -29,6 +31,7 @@ __all__ = [
     "DerivedData",
     "InvalidArrangementError",
     "MAX_TOTAL_DEGREE",
+    "PointTypeSummary",
     "SingularPoint",
     "ValidationReport",
     "complement_euler_characteristic",
@@ -107,6 +110,34 @@ class ArrangementGraph:
     def _report(self) -> "ValidationReport":
         """:func:`validate` of this graph, made on first use and kept."""
         return validate(self)
+
+    @cached_property
+    def point_types(self) -> "PointTypeSummary":
+        """The :class:`PointTypeSummary` of this valid graph, made on first use and kept."""
+        comp_mult = {c.id: c.multiplicity for c in self.components}
+        histogram = Counter(
+            tuple(sorted((comp_mult[br.component], br.mult) for br in p.branches)) for p in self.points
+        )
+        degree_by_mult: dict[int, int] = {}
+        for c in self.components:
+            degree_by_mult[c.multiplicity] = degree_by_mult.get(c.multiplicity, 0) + c.degree
+        comp_pairs = sum(c.degree * (c.degree - 1) // 2 for c in self.components)
+        return PointTypeSummary(degree_by_mult, comp_pairs, histogram)
+
+
+@dataclass(frozen=True)
+class PointTypeSummary:
+    """All the spectrum routes read of an arrangement.
+
+    ``degree_by_mult`` maps each component multiplicity m to the sum of the
+    degrees of the components with that multiplicity, ``comp_pairs`` is
+    sum_l binom(d_l, 2), and ``histogram`` counts the singular points of
+    each type: the sorted tuple of (m_l, m_{v,l}) over a point's branches.
+    """
+
+    degree_by_mult: Mapping[int, int]
+    comp_pairs: int
+    histogram: Mapping[tuple, int]
 
 
 @dataclass(frozen=True)

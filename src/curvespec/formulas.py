@@ -2,15 +2,15 @@
 
 One kernel evaluates the general display (:func:`spectrum_general`).  It
 sees a singular point only through its type, so it runs once per type, not
-once per point.  It is split in two: a :class:`PointTypeSummary` (degree by
-component multiplicity, the component pair count and the histogram of point
-types) and :func:`spectrum_of_point_types`, which walks the breakpoints of
-the twist coefficients: each ceil(j*m/d) is a step function of j, so every
-type is visited only where its uv steps, its changes go into difference
-arrays, and one prefix pass over j emits the rows.  A graph is summarised
-here; ``curvespec.lines`` builds the same summary straight from line
-incidence, where a point's type is the sorted tuple of (m_l, 1) over the
-lines through it.  :func:`spectrum_smooth_components` and
+once per point: :func:`spectrum_of_point_types` reads a graph's cached
+``point_types`` summary, which the characteristic-class route reads too
+(the routes share that counting, no formula code), and walks the
+breakpoints of the twist coefficients: each ceil(j*m/d) is a step function
+of j, so every type is visited only where its uv steps, its changes go
+into difference arrays, and one prefix pass over j emits the rows.
+``curvespec.lines`` builds the same summary straight from line incidence,
+where a point's type is the sorted tuple of (m_l, 1) over the lines
+through it.  :func:`spectrum_smooth_components` and
 :func:`spectrum_hyperplane` check their domain and call
 :func:`spectrum_general`: their agreement with it tests the check, not a
 second implementation, and the graph is still validated once.  The
@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .arrangement import ArrangementGraph, derived, require_valid
+from .arrangement import ArrangementGraph, PointTypeSummary, derived, require_valid
 from .binomial import binom, ceil_div
 from .spectrum import Spectrum
 
@@ -98,33 +98,6 @@ def _three_level_spectrum(d: int, rows) -> Spectrum:
         terms[d + j] = n1
         terms[2 * d + j] = n2
     return Spectrum._of(d, terms)
-
-
-@dataclass(frozen=True)
-class PointTypeSummary:
-    """All the general display reads of an arrangement.
-
-    ``degree_by_mult`` maps each component multiplicity m to the sum of the
-    degrees of the components with that multiplicity, ``comp_pairs`` is
-    sum_l binom(d_l, 2), and ``histogram`` counts the singular points of
-    each type: the sorted tuple of (m_l, m_{v,l}) over a point's branches.
-    """
-
-    degree_by_mult: Mapping[int, int]
-    comp_pairs: int
-    histogram: Mapping[tuple, int]
-
-
-def _point_type_summary(graph: ArrangementGraph) -> PointTypeSummary:
-    comp_mult = {c.id: c.multiplicity for c in graph.components}
-    histogram = Counter(
-        tuple(sorted((comp_mult[br.component], br.mult) for br in p.branches)) for p in graph.points
-    )
-    degree_by_mult: dict[int, int] = {}
-    for c in graph.components:
-        degree_by_mult[c.multiplicity] = degree_by_mult.get(c.multiplicity, 0) + c.degree
-    comp_pairs = sum(c.degree * (c.degree - 1) // 2 for c in graph.components)
-    return PointTypeSummary(degree_by_mult, comp_pairs, histogram)
 
 
 def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
@@ -221,8 +194,7 @@ def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
 
 def spectrum_general(graph: ArrangementGraph) -> Spectrum:
     """Spectrum of a possibly non-reduced ordinary curve arrangement."""
-    require_valid(graph)
-    return spectrum_of_point_types(_point_type_summary(graph))
+    return spectrum_of_point_types(require_valid(graph).point_types)
 
 
 def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:

@@ -12,9 +12,9 @@ one into the line's primitive triple, a plain ``(a, b, c)`` tuple.
 
 The spectrum needs less than the graph.  A line has degree 1 and meets
 each of its points simply, so a point's type is the sorted tuple of
-(m_l, 1) over the lines through it, and the point-type summary of
-:mod:`curvespec.formulas` comes straight from the incidence data, with no
-point objects built.  Every pair of lines meets once, so the points on
+(m_l, 1) over the lines through it, and the point-type summary that both
+spectrum routes read of a graph comes straight from the incidence data, with
+no point objects built.  Every pair of lines meets once, so the points on
 exactly two lines are counted from the line multiplicities and the points
 on three or more lines, which are the only ones the sweep keeps.  Such
 data can fail validation only at the components (multiplicities and the
@@ -32,9 +32,9 @@ from numbers import Rational
 from operator import itemgetter
 from typing import Iterator, Sequence, Tuple, Union
 
-from .arrangement import ArrangementGraph, Branch, Component, SingularPoint, require_valid
+from .arrangement import ArrangementGraph, Branch, Component, PointTypeSummary, SingularPoint, require_valid
 from .arrangement import _NEEDED, _echo, _load_json, _object, _require
-from .formulas import PointTypeSummary, spectrum_of_point_types
+from .formulas import spectrum_of_point_types
 from .spectrum import Spectrum
 
 __all__ = [
@@ -218,10 +218,10 @@ class _Incidence:
         )
 
     def point_types(self) -> PointTypeSummary:
-        """The point-type summary of :func:`curvespec.formulas.spectrum_of_point_types`,
-        without building the graph: every line has degree 1 and meets a
-        point simply, so a point's type is the sorted tuple of (m_l, 1) over
-        the lines through it, and there are no component pairs.
+        """The arrangement graph's ``point_types``, without building the
+        graph: every line has degree 1 and meets a point simply, so a
+        point's type is the sorted tuple of (m_l, 1) over the lines through
+        it, and there are no component pairs.
 
         Only the points on three or more lines come from the sweep.  Every
         pair of lines meets once, so the points on exactly two lines of

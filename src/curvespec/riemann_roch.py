@@ -21,27 +21,27 @@ in time linear in the points and branches.  The public per-point builds
 spectrum route builds no :class:`curvespec.cohomology.CohClass`.  Since
 e_v*e_w = 0 for v != w and e_v*e0 = 0, a point's e_v coefficient in every
 product, log and exp comes from its own factors only, so points of one
-type (m_v and its branches as sorted (m_l, m_{v,l}) pairs) share it.  The
-weighted classes W_p = ch(wedge^p of log 1-forms) * td are therefore built
-once per type, in a private ring of plain ints with one coefficient e_T per
-type and e_T*e_T = -count_T*e0^2, by the same factor lists, dual, Todd class
-and wedge characters: O(P) to group the points, then O(T) per ring
-operation.  For an integral twist u = u0*e0 + sum_v u_v*e_v the integral of
-W*ch(u) is W.c + W.b0*u0 - sum_v W.bv[v]*u_v + W.a*(u0^2 - sum_v u_v^2)/2,
-so after scaling the three W_p to one denominator D, times 2, each j takes
-integer sums with one step per type, times its count, O(T*d) in all, and a
-remainder modulo 2D still fails the integrality assertion.  No
+type (its sorted (m_l, m_{v,l}) pairs) share it.  The route reads only the
+graph's :class:`~curvespec.arrangement.PointTypeSummary`, the point-type
+counting it shares with the closed formulas, and builds the weighted
+classes W_p = ch(wedge^p of log 1-forms) * td once per type, in a private
+ring of plain ints with one coefficient e_T per type and e_T*e_T =
+-count_T*e0^2, by the same factor lists, dual, Todd class and wedge
+characters, O(T) per ring operation.  For an integral twist u = u0*e0 +
+sum_v u_v*e_v the integral of W*ch(u) is W.c + W.b0*u0 - sum_v W.bv[v]*u_v
++ W.a*(u0^2 - sum_v u_v^2)/2, so after scaling the three W_p to one
+denominator D, times 2, each j takes integer sums with one step per type,
+times its count, O(T*d) in all, and a remainder modulo 2D still fails the integrality assertion.  No
 :class:`fractions.Fraction` is made between the class build and the
 pairing.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arrangement import ArrangementGraph, DerivedData, derived, require_valid
+from .arrangement import ArrangementGraph, PointTypeSummary, derived, require_valid
 from .cohomology import ONE, CohClass, product
 from .spectrum import Spectrum
 
@@ -308,10 +308,11 @@ class _LogSum:
         self.b0 = self.c = 0
         self.x = [0] * len(counts)
 
-    def e0_part(self, k: int, b0: int, copies: int = 1) -> None:
-        """k*log of the e0 part b0*e0 of ``copies`` factors."""
-        self.b0 += 2 * k * copies * b0
-        self.c -= k * copies * b0 * b0
+    def e0_part(self, k: int, b0: int, square: int) -> None:
+        """k*log of the e0 parts b*e0 of factors whose b sum to b0 and whose
+        b^2 sum to square."""
+        self.b0 += 2 * k * b0
+        self.c -= k * square
 
     def ev_part(self, k: int, t: int, bv: int) -> None:
         """k*log of the e_v part bv*e_v, at each point v of type t."""
@@ -322,50 +323,44 @@ class _LogSum:
         return _Typed(self.counts, 2, 0, self.b0, self.x, self.c)
 
 
-def _weighted_classes(graph: ArrangementGraph, data: DerivedData) -> tuple[Counter, list[_Typed]]:
-    """The RR keys of the points of a valid graph, with their counts, and
-    W_p = ch(wedge^p of log 1-forms) * td for p = 0, 1, 2 on the typed ring
-    of those keys.
+def _weighted_classes(summary: PointTypeSummary) -> list[_Typed]:
+    """W_p = ch(wedge^p of log 1-forms) * td for p = 0, 1, 2 on the typed
+    ring of the point types of a valid arrangement's summary, in the order
+    of its histogram.
 
-    A point's key is m_v and its branches as sorted (m_l, m_{v,l}) pairs.
     The build takes the factor lists of chern_tangent and
     _chern_cotangent_log as exp(sum k*log f), then _dual, _todd and _wedges,
-    with each per-point factor entered once per key, times its count.
+    with each per-point factor entered once per type, times its count.
     """
-    comp_mult = {c.id: c.multiplicity for c in graph.components}
-    groups = Counter(
-        (data.point_mult[point.id], tuple(sorted((comp_mult[br.component], br.mult) for br in point.branches)))
-        for point in graph.points
-    )
-    counts = list(groups.values())
-    points = len(graph.points)
-    # (1 - e0)^(3 - 2P) * prod_v (1 + e_v) * (1 - e0 - e_v)^2
+    counts = list(summary.histogram.values())
+    # (1 - e0)^(3 - 2P) * prod_v (1 + e_v) * (1 - e0 - e_v)^2, whose e0 parts
+    # fold to (1 - e0)^3.
     logs = _LogSum(counts)
-    logs.e0_part(3 - 2 * points, -1)
-    logs.e0_part(2, -1, points)
+    logs.e0_part(3, -1, 1)
     for t in range(len(counts)):
         logs.ev_part(1, t, 1)
         logs.ev_part(2, t, -1)
     tangent = logs.total().exp()
     # The dual tangent class over prod_v (1 - e_v) and over
-    # prod_l (1 - [E_l]) = prod_l (1 + d_l*e0 + sum_v m_{v,l}*e_v).
+    # prod_l (1 - [E_l]) = prod_l (1 + d_l*e0 + sum_v m_{v,l}*e_v), where
+    # sum_l d_l = d_red and sum_l d_l^2 = 2*comp_pairs + d_red.
     logs = _LogSum(counts)
-    for comp in graph.components:
-        logs.e0_part(-1, comp.degree)
-    for t, (_, branches) in enumerate(groups):
+    d_red = sum(summary.degree_by_mult.values())
+    logs.e0_part(-1, d_red, 2 * summary.comp_pairs + d_red)
+    for t, branches in enumerate(summary.histogram):
         logs.ev_part(-1, t, -1)
         for _, mult in branches:
             logs.ev_part(-1, t, mult)
     log_chern = (_dual(tangent).log() + logs.total()).exp()
     td = _todd(tangent)
-    return groups, [(w * td).reduced() for w in _wedges(log_chern)]
+    return [(w * td).reduced() for w in _wedges(log_chern)]
 
 
-def _euler_characteristics(graph: ArrangementGraph, data: DerivedData):
+def _euler_characteristics(summary: PointTypeSummary):
     """Yield (j, [chi_0, chi_1, chi_2]) for the twists j = 1..d of a valid
-    graph with derived data ``data``: the integer form of
+    arrangement with point-type summary ``summary``: the integer form of
     euler_characteristic(graph, p, twist_class(graph, j))."""
-    groups, weighted = _weighted_classes(graph, data)
+    weighted = _weighted_classes(summary)
 
     # With D the lcm of the three grids, 2*D*W_p has integer coefficients
     # and D*W_p.a is an integer.
@@ -375,15 +370,15 @@ def _euler_characteristics(graph: ArrangementGraph, data: DerivedData):
     const = [2 * k * w.c for k, w in zip(grids, weighted)]
     lin_e0 = [2 * k * w.b0 for k, w in zip(grids, weighted)]
     quad = [k * w.a for k, w in zip(grids, weighted)]
-    # Points sharing a key share u and their W_p.bv numerators, so each key
-    # steps once per j, times its count.
-    types = list(zip(groups, groups.values(), *([2 * k * u for u in w.x] for k, w in zip(grids, weighted))))
+    # Points of one type share m_v = sum m_l*m_{v,l}, u and their W_p.bv
+    # numerators, so each type steps once per j, times its count.
+    histogram = summary.histogram
+    point_mults = (sum(m * mu for m, mu in branches) for branches in histogram)
+    scaled = ([2 * k * u for u in w.x] for k, w in zip(grids, weighted))
+    types = list(zip(point_mults, histogram, histogram.values(), *scaled))
 
-    d = data.total_degree
-    degree_by_mult: dict[int, int] = {}
-    for c in graph.components:
-        degree_by_mult[c.multiplicity] = degree_by_mult.get(c.multiplicity, 0) + c.degree
-
+    degree_by_mult = summary.degree_by_mult
+    d = sum(m * deg for m, deg in degree_by_mult.items())
     for j in range(1, d + 1):
         # Twist u = i*e0 + sum_v floor(i*m_v/d)*e_v + sum_l floor(i*m_l/d)*[E_l].
         i = d - j
@@ -393,7 +388,7 @@ def _euler_characteristics(graph: ArrangementGraph, data: DerivedData):
             floors[m] = floor = (i * m) // d
             u0 -= floor * deg
         lin0 = lin1 = lin2 = square = 0
-        for (point_mult, branches), count, w0, w1, w2 in types:
+        for point_mult, branches, count, w0, w1, w2 in types:
             u = (i * point_mult) // d
             for m, mu in branches:
                 u -= floors[m] * mu
@@ -419,10 +414,10 @@ def spectrum_via_riemann_roch(graph: ArrangementGraph) -> Spectrum:
     exponent k + j/d is (-1)^k * (chi_{2-k}(twist_j) - delta), where delta
     is 1 exactly at the top exponent 3 (reduced cohomology correction)."""
     require_valid(graph)
-    data = derived(graph)
-    d = data.total_degree
+    summary = graph.point_types
+    d = sum(m * deg for m, deg in summary.degree_by_mult.items())
     terms = {}
-    for j, (chi0, chi1, chi2) in _euler_characteristics(graph, data):
+    for j, (chi0, chi1, chi2) in _euler_characteristics(summary):
         # Exponent k + j/d is the numerator k*d + j on the grid 1/d.
         terms[j] = chi2
         terms[d + j] = -chi1

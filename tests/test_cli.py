@@ -8,7 +8,7 @@ import curvespec.cli
 import curvespec.formulas
 import curvespec.lines
 import curvespec.riemann_roch
-from curvespec.arrangement import derived, graph_to_dict, load_arrangement
+from curvespec.arrangement import ArrangementGraph, derived, graph_to_dict, load_arrangement
 from curvespec.cli import build_parser, main
 from curvespec.formulas import spectrum_general, spectrum_hyperplane
 from curvespec.lines import incidence_graph
@@ -290,8 +290,8 @@ class TestCheck:
         # The RR twin of corrupt_rows: shift chi_1 by one at j = 1.
         pairing = curvespec.riemann_roch._euler_characteristics
 
-        def corrupted(graph, data):
-            for j, (chi0, chi1, chi2) in pairing(graph, data):
+        def corrupted(summary):
+            for j, (chi0, chi1, chi2) in pairing(summary):
                 yield j, [chi0, chi1 + 1 if j == 1 else chi1, chi2]
 
         monkeypatch.setattr(curvespec.riemann_roch, "_euler_characteristics", corrupted)
@@ -506,7 +506,7 @@ class TestLinesSummaryPath:
 
         monkeypatch.setattr(curvespec.lines, "incidence_graph", refuse)
         monkeypatch.setattr(curvespec.lines._Incidence, "graph", refuse)
-        monkeypatch.setattr(curvespec.formulas, "_point_type_summary", refuse)
+        monkeypatch.setattr(ArrangementGraph, "point_types", property(refuse))
         assert main(["lines", path]) == 0
         assert capsys.readouterr().out == expected
 

@@ -21,14 +21,13 @@ from conftest import (
 from curvespec.arrangement import (
     ArrangementGraph,
     Branch,
+    PointTypeSummary,
     SingularPoint,
     complement_euler_characteristic,
     derived,
 )
 from curvespec.binomial import binom, ceil_div
 from curvespec.formulas import (
-    PointTypeSummary,
-    _point_type_summary,
     spectrum_binary_linear,
     spectrum_general,
     spectrum_hyperplane,
@@ -229,12 +228,12 @@ class TestBreakpointKernel:
     )
     def test_matches_per_j_kernel_on_generator_graphs(self, seed, comps, points, degree, mult):
         bounds = GraphBounds(max_components=comps, max_points=points, max_degree=degree, max_mult=mult)
-        summary = _point_type_summary(generate_graph(SplitMix64(seed), bounds))
+        summary = generate_graph(SplitMix64(seed), bounds).point_types
         assert spectrum_of_point_types(summary) == per_j_kernel(summary)
 
     @given(arrangement_graphs(max_components=5, max_points=8, max_degree=5, max_mult=12))
     def test_matches_per_j_kernel_on_drawn_graphs(self, g):
-        summary = _point_type_summary(g)
+        summary = g.point_types
         assert spectrum_of_point_types(summary) == per_j_kernel(summary)
 
     @pytest.mark.parametrize("seed", range(30))

@@ -16,7 +16,7 @@ from curvespec.arrangement import (
     SingularPoint,
     validate,
 )
-from curvespec.formulas import _point_type_summary, spectrum_hyperplane
+from curvespec.formulas import spectrum_hyperplane
 from curvespec.lines import (
     LineFileError,
     ZeroFormError,
@@ -26,6 +26,7 @@ from curvespec.lines import (
     load_lines,
     normalize_form,
 )
+from curvespec.riemann_roch import spectrum_via_riemann_roch
 
 from conftest import pencil_graph, random_line_forms, triangle_graph, two_line_powers
 
@@ -341,20 +342,23 @@ class TestPointTypeSummary:
     def test_matches_graph_summary(self, seed):
         forms = random_line_forms(seed)
         summary = _Incidence(forms).point_types()
-        assert summary == _point_type_summary(incidence_graph(forms))
+        assert summary == incidence_graph(forms).point_types
         assert all(summary.histogram.values())
+        # RR, fed by the graph's summary, against the kernel, fed by the
+        # summary built from line incidence.
+        assert spectrum_via_riemann_roch(incidence_graph(forms)) == _Incidence(forms).spectrum()
 
     @pytest.mark.parametrize("seed", range(40))
     def test_concurrent_lines_match_graph_summary(self, seed):
         forms = concurrent_line_forms(seed)
         summary = _Incidence(forms).point_types()
-        assert summary == _point_type_summary(incidence_graph(forms))
+        assert summary == incidence_graph(forms).point_types
         assert all(summary.histogram.values())
 
     def test_shared_line_through_two_large_points(self):
         forms = shared_line_forms()
         summary = _Incidence(forms).point_types()
-        assert summary == _point_type_summary(incidence_graph(forms))
+        assert summary == incidence_graph(forms).point_types
         assert summary.histogram[((1, 1), (1, 1), (2, 1), (3, 1))] == 1
         assert summary.histogram[((1, 1), (2, 1), (3, 1), (3, 1))] == 1
 

@@ -2,13 +2,14 @@ import fractions
 import sys
 import time
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvespec.riemann_roch
-from curvespec.arrangement import derived
+from curvespec.arrangement import ArrangementGraph, derived
 from curvespec.binomial import binom
 from curvespec.cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e
 from curvespec.formulas import spectrum_general, twist_coefficients
@@ -323,9 +324,8 @@ class TestIntegerPairing:
         + GROUPING_GRAPHS,
     )
     def test_matches_euler_characteristic(self, g):
-        data = derived(g)
-        d = data.total_degree
-        table = list(_euler_characteristics(g, data))
+        d = derived(g).total_degree
+        table = list(_euler_characteristics(g.point_types))
         assert [j for j, _ in table] == list(range(1, d + 1))
         for j, chis in table:
             u = twist_class(g, j)
@@ -333,7 +333,7 @@ class TestIntegerPairing:
 
     @pytest.mark.parametrize("g", HIGH_MULT_GRAPHS + repeated_type_graphs() + GROUPING_GRAPHS)
     def test_no_fraction_between_factor_builds_and_pairing(self, g):
-        data = derived(g)
+        summary = g.point_types
         calls = []
 
         def profile(frame, event, arg):
@@ -343,20 +343,20 @@ class TestIntegerPairing:
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            table = list(_euler_characteristics(g, data))
+            table = list(_euler_characteristics(summary))
         finally:
             sys.setprofile(previous)
-        assert len(table) == data.total_degree
+        assert len(table) == derived(g).total_degree
         assert calls == []
 
     def test_non_integral_weighted_class_is_caught(self, monkeypatch):
         honest = curvespec.riemann_roch._weighted_classes
 
-        def corrupted(g, data):
-            groups, weighted = honest(g, data)
+        def corrupted(summary):
+            weighted = honest(summary)
             w1 = weighted[1]
             third = _Typed(w1.counts, 3, 0, 0, [0] * len(w1.x), 1)  # e0^2 / 3
-            return groups, [weighted[0], w1 + third, weighted[2]]
+            return [weighted[0], w1 + third, weighted[2]]
 
         monkeypatch.setattr(curvespec.riemann_roch, "_weighted_classes", corrupted)
         with pytest.raises(ArithmeticError, match="chi_1 must be an integer"):
@@ -365,23 +365,20 @@ class TestIntegerPairing:
 
 def assert_typed_build_matches_reference(g):
     """Each W_p of the typed build has the a, b0 and c of the per-point
-    wedge_ch(chern_cotangent_log(g), p) * todd(g), and each key's
-    coefficient is the e_v coefficient of every point of that key."""
-    data = derived(g)
-    groups, weighted = _weighted_classes(g, data)
-    assert sum(groups.values()) == len(g.points)
+    wedge_ch(chern_cotangent_log(g), p) * todd(g), and each type's
+    coefficient is the e_v coefficient of every point of that type."""
+    summary = g.point_types
+    weighted = _weighted_classes(summary)
+    assert sum(summary.histogram.values()) == len(g.points)
     comp_mult = {c.id: c.multiplicity for c in g.components}
-    index = {key: t for t, key in enumerate(groups)}
+    index = {key: t for t, key in enumerate(summary.histogram)}
     log_chern, td = chern_cotangent_log(g), todd(g)
     for p, w in enumerate(weighted):
         ref = wedge_ch(log_chern, p) * td
         assert (Fraction(w.a, w.den), Fraction(w.b0, w.den), Fraction(w.c, w.den)) == (ref.a, ref.b0, ref.c)
         bv = ref.bv
         for point in g.points:
-            key = (
-                data.point_mult[point.id],
-                tuple(sorted((comp_mult[br.component], br.mult) for br in point.branches)),
-            )
+            key = tuple(sorted((comp_mult[br.component], br.mult) for br in point.branches))
             assert Fraction(w.x[index[key]], w.den) == bv.get(point.id, 0)
 
 
@@ -395,6 +392,23 @@ class TestTypedBuild:
     @given(arrangement_graphs())
     def test_matches_per_point_build_on_generated_graphs(self, g):
         assert_typed_build_matches_reference(g)
+
+
+class TestSharedSummary:
+    def test_general_then_riemann_roch_build_one_summary(self, monkeypatch):
+        build = ArrangementGraph.point_types.func
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return build(g)
+
+        counted_property = cached_property(counted)
+        counted_property.__set_name__(ArrangementGraph, "point_types")
+        monkeypatch.setattr(ArrangementGraph, "point_types", counted_property)
+        g = fermat_graph()
+        assert spectrum_general(g) == spectrum_via_riemann_roch(g)
+        assert len(calls) == 1 and calls[0] is g
 
 
 class TestSpectrumViaRiemannRoch:
