@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Mapping, Tuple
 
@@ -62,6 +62,24 @@ class InvalidArrangementError(ValueError):
         self.report = report
 
 
+def _frozen(cls):
+    """Refuse every attribute set or delete on a frozen slotted record with
+    :class:`dataclasses.FrozenInstanceError`.  The methods that
+    ``dataclass(frozen=True, slots=True)`` generates name the class that
+    ``slots=True`` replaced, so on CPython 3.11 a name that is not a field
+    raises TypeError from their ``super()`` call instead."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
+
+
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Component:
     """One irreducible curve in the arrangement.
@@ -75,6 +93,7 @@ class Component:
     multiplicity: int = 1
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Branch:
     """A component passing through a singular point with local multiplicity ``mult``."""
@@ -83,6 +102,7 @@ class Branch:
     mult: int = 1
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class SingularPoint:
     id: str
@@ -111,13 +131,16 @@ class ArrangementGraph:
         """:func:`validate` of this graph, made on first use and kept."""
         return validate(self)
 
+    def point_type_keys(self):
+        """Each point's type, in point order: the sorted tuple of
+        (m_l, m_{v,l}) over its branches."""
+        comp_mult = {c.id: c.multiplicity for c in self.components}
+        return (tuple(sorted((comp_mult[br.component], br.mult) for br in p.branches)) for p in self.points)
+
     @cached_property
     def point_types(self) -> "PointTypeSummary":
         """The :class:`PointTypeSummary` of this valid graph, made on first use and kept."""
-        comp_mult = {c.id: c.multiplicity for c in self.components}
-        histogram = Counter(
-            tuple(sorted((comp_mult[br.component], br.mult) for br in p.branches)) for p in self.points
-        )
+        histogram = Counter(self.point_type_keys())
         degree_by_mult: dict[int, int] = {}
         for c in self.components:
             degree_by_mult[c.multiplicity] = degree_by_mult.get(c.multiplicity, 0) + c.degree

@@ -7,31 +7,32 @@ its wedge powers, twist by an explicit divisor class depending on an
 integer sample index j, multiply by the Todd class, and integrate.  The
 resulting Euler characteristics assemble into spectrum coefficients.
 
-Everything is computed from first principles in the truncated cohomology
-ring; the closed-form expansions (`*_closed` functions) are kept only as
-regression targets so the two routes check each other.  Agreement of
+The public per-point builds (:func:`chern_tangent`,
+:func:`chern_cotangent_log`, :func:`todd`, :func:`wedge_ch`,
+:func:`euler_characteristic`) work from first principles in the truncated
+cohomology ring; they are the reference.  The spectrum route takes the two
+classes from their closed expansions instead, written once in
+:meth:`_Typed._closed_classes`; the ``*_closed`` functions are per-point
+views of those expansions, so tests compare the two builds.  Agreement of
 :func:`spectrum_via_riemann_roch` with the combinatorial formulas in
 :mod:`curvespec.formulas` is the package's central cross-validation.
 
-Cost.  Every factor of the product formulas has scalar part 1, so each
-product is formed as exp(sum of logs) (:func:`curvespec.cohomology.product`)
-in time linear in the points and branches.  The public per-point builds
-(:func:`chern_tangent`, :func:`chern_cotangent_log`, :func:`todd`,
-:func:`wedge_ch`, :func:`euler_characteristic`) are the reference; the
-spectrum route builds no :class:`curvespec.cohomology.CohClass`.  Since
-e_v*e_w = 0 for v != w and e_v*e0 = 0, a point's e_v coefficient in every
-product, log and exp comes from its own factors only, so points of one
-type (its sorted (m_l, m_{v,l}) pairs) share it.  The route reads only the
-graph's :class:`~curvespec.arrangement.PointTypeSummary`, the point-type
-counting it shares with the closed formulas, and builds the weighted
-classes W_p = ch(wedge^p of log 1-forms) * td once per type, in a private
-ring of plain ints with one coefficient e_T per type and e_T*e_T =
--count_T*e0^2, by the same factor lists, dual, Todd class and wedge
-characters, O(T) per ring operation.  For an integral twist u = u0*e0 +
-sum_v u_v*e_v the integral of W*ch(u) is W.c + W.b0*u0 - sum_v W.bv[v]*u_v
-+ W.a*(u0^2 - sum_v u_v^2)/2, so after scaling the three W_p to one
-denominator D, times 2, each j takes integer sums with one step per type,
-times its count, O(T*d) in all, and a remainder modulo 2D still fails the integrality assertion.  No
+Cost.  The per-point builds form every product as exp(sum of logs)
+(:func:`curvespec.cohomology.product`), in time linear in the points and
+branches.  The spectrum route builds no
+:class:`curvespec.cohomology.CohClass`.  It reads only the graph's
+:class:`~curvespec.arrangement.PointTypeSummary`, the point-type counting
+it shares with the closed formulas.  The closed e_v coefficients of a
+point depend only on its type (its sorted (m_l, m_{v,l}) pairs), and
+e_v*e_w = 0 for v != w and e_v*e0 = 0, so the route builds
+c(Omega^1(log)), td and the weighted classes W_p = ch(wedge^p of log
+1-forms) * td once per type, in a private ring of plain ints with one
+coefficient e_T per type and e_T*e_T = -count_T*e0^2, O(T) per ring
+operation.  For an integral twist u = u0*e0 + sum_v u_v*e_v the integral of
+W*ch(u) is W.c + W.b0*u0 - sum_v W.bv[v]*u_v + W.a*(u0^2 - sum_v u_v^2)/2,
+so after scaling the three W_p to one denominator D, times 2, each j takes
+integer sums with one step per type, times its count, O(T*d) in all, and a
+remainder modulo 2D still fails the integrality assertion.  No
 :class:`fractions.Fraction` is made between the class build and the
 pairing.
 """
@@ -106,34 +107,25 @@ def chern_cotangent_log(graph: ArrangementGraph) -> CohClass:
     return _chern_cotangent_log(graph, chern_tangent(graph))
 
 
+def _closed(graph: ArrangementGraph, k: int) -> CohClass:
+    """Class k of :meth:`_Typed._closed_classes` of a valid graph, with
+    each point's e_v coefficient that of its type."""
+    summary = require_valid(graph).point_types
+    typed = _Typed._closed_classes(summary)[k]
+    by_type = dict(zip(summary.histogram, typed.x))
+    bv = {point.id: by_type[key] for point, key in zip(graph.points, graph.point_type_keys())}
+    return CohClass._of(typed.den, typed.a, typed.b0, bv, typed.c)
+
+
 def chern_cotangent_log_closed(graph: ArrangementGraph) -> CohClass:
-    """Closed-form expansion of :func:`chern_cotangent_log`, used as a
-    regression target for the product route.
-
-    Degree 1 carries -(d_red - 3) on e0 and -(m_{v,red} - 2) on each e_v;
-    degree 2 is assembled with e_v^2 rewritten as -e0^2.  The reduced degree
-    d_red = sum(d_l) enters (not the total degree), and m_{v,red} =
-    sum(m_{v,l}): log poles see each component once, whatever its
-    multiplicity.
-    """
-    require_valid(graph)
-    d_red = sum(c.degree for c in graph.components)
-    sq_deg = sum(c.degree**2 for c in graph.components)
-
-    b0 = Fraction(-(d_red - 3))
-    bv = {}
-    top = Fraction(d_red**2 + sq_deg, 2) + 3 * (1 - d_red)
-    for p in graph.points:
-        m_red = sum(br.mult for br in p.branches)
-        sq_branch = sum(br.mult**2 for br in p.branches)
-        bv[p.id] = Fraction(-(m_red - 2))
-        # e_v^2 coefficient, flipped in sign by e_v^2 = -e0^2.
-        top -= Fraction(m_red**2 + sq_branch, 2) - 2 * m_red + 1
-    return CohClass(a=1, b0=b0, bv=bv, c=top)
+    """Closed-form expansion of :func:`chern_cotangent_log` (see
+    :meth:`_Typed._closed_classes`), a regression target for the product
+    route."""
+    return _closed(graph, 0)
 
 
 def _todd(tangent):
-    # The scalar part of a tangent class is 1, in either ring.
+    # The scalar part of a tangent class is 1.
     one = tangent.degree_part(0)
     c1 = tangent.degree_part(1)
     c2 = tangent.degree_part(2)
@@ -146,14 +138,9 @@ def todd(graph: ArrangementGraph) -> CohClass:
 
 
 def todd_closed(graph: ArrangementGraph) -> CohClass:
-    """Closed form 1 - (sum_v e_v + 3 e0)/2 + e0^2, regression target."""
-    require_valid(graph)
-    return CohClass(
-        a=1,
-        b0=Fraction(-3, 2),
-        bv={p.id: Fraction(-1, 2) for p in graph.points},
-        c=1,
-    )
+    """Closed form 1 - (sum_v e_v + 3 e0)/2 + e0^2 of :func:`todd`,
+    regression target."""
+    return _closed(graph, 1)
 
 
 def wedge_ch(c_total: CohClass, p: int) -> CohClass:
@@ -230,10 +217,11 @@ class _Typed:
     """Class a + b0*e0 + sum_T x[T]*e_T + c*e0^2 over the positive denominator
     den, on the point types of one graph.  e_T is the sum of e_v over the
     counts[T] points of type T, so x[T] is the e_v coefficient of each of
-    them: e_v*e_w = 0 for v != w and e_v*e0 = 0 make a point's e_v
-    coefficient in every product, log and exp depend on its own factors only.
-    Distinct types and e0 stay orthogonal and e_T*e_T = -counts[T]*e0^2.  The
-    classes of one build share ``counts``; x is a list in its order."""
+    them: the closed expansions give the points of one type the same
+    coefficients, and e_v*e_w = 0 for v != w and e_v*e0 = 0 keep them equal
+    in every product.  Distinct types and e0 stay orthogonal and
+    e_T*e_T = -counts[T]*e0^2.  The classes of one build share ``counts``; x
+    is a list in its order."""
 
     __slots__ = ("counts", "den", "a", "b0", "x", "c")
 
@@ -253,10 +241,6 @@ class _Typed:
         if k == 1:
             return _Typed(self.counts, self.den, 0, self.b0, self.x, 0)
         return _Typed(self.counts, self.den, 0, 0, zero, self.c)
-
-    def _square(self) -> int:
-        """e0^2 numerator, over den^2, of the square of the degree-1 part."""
-        return self.b0 * self.b0 - sum(n * u * u for n, u in zip(self.counts, self.x))
 
     def __add__(self, other: "_Typed") -> "_Typed":
         d, e = self.den, other.den
@@ -285,74 +269,39 @@ class _Typed:
         """Division by a positive integer."""
         return _Typed(self.counts, self.den * k, self.a, self.b0, self.x, self.c)
 
-    def log(self) -> "_Typed":
-        """log(1 + n) = n - n^2/2 of a class with scalar part 1."""
-        t = 2 * self.den
-        return _Typed(self.counts, t * self.den, 0, t * self.b0, [t * u for u in self.x], t * self.c - self._square())
+    @classmethod
+    def _closed_classes(cls, summary: PointTypeSummary) -> tuple["_Typed", "_Typed"]:
+        """(c(Omega^1(log)), td) over the denominator 2 on the point types of
+        a valid arrangement's summary, in the order of its histogram, from
+        the closed expansions
 
-    def exp(self) -> "_Typed":
-        """exp(s) = 1 + s + s^2/2 of a class with scalar part 0."""
-        t = 2 * self.den
-        x = [t * u for u in self.x]
-        return _Typed(self.counts, t * self.den, t * self.den, t * self.b0, x, t * self.c + self._square())
+            c(Omega^1(log)) = 1 - (d_red - 3)*e0 - sum_v (m_{v,red} - 2)*e_v
+                + ((d_red^2 + sum_l d_l^2)/2 + 3*(1 - d_red)
+                   - sum_v ((m_{v,red}^2 + sum_l m_{v,l}^2)/2 - 2*m_{v,red} + 1))*e0^2,
+            td = 1 - (3*e0 + sum_v e_v)/2 + e0^2,
 
-
-class _LogSum:
-    """Sum of k*log(1 + n) over factors with integer coefficients, as
-    numerators over 2.  log(1 + n) = n - n^2/2, and for n = b0*e0 + sum_v
-    bv*e_v the square (b0^2 - sum_v bv^2)*e0^2 splits into an e0 part and
-    one e_v part per point, so a factor enters in those parts."""
-
-    def __init__(self, counts: list[int]):
-        self.counts = counts
-        self.b0 = self.c = 0
-        self.x = [0] * len(counts)
-
-    def e0_part(self, k: int, b0: int, square: int) -> None:
-        """k*log of the e0 parts b*e0 of factors whose b sum to b0 and whose
-        b^2 sum to square."""
-        self.b0 += 2 * k * b0
-        self.c -= k * square
-
-    def ev_part(self, k: int, t: int, bv: int) -> None:
-        """k*log of the e_v part bv*e_v, at each point v of type t."""
-        self.x[t] += 2 * k * bv
-        self.c += k * self.counts[t] * bv * bv
-
-    def total(self) -> _Typed:
-        return _Typed(self.counts, 2, 0, self.b0, self.x, self.c)
+        with e_v^2 rewritten as -e0^2.  The reduced degree d_red = sum_l d_l
+        enters (not the total degree), and m_{v,red} = sum_l m_{v,l}: log
+        poles see each component once, whatever its multiplicity.
+        sum_l d_l^2 = 2*comp_pairs + d_red, and a type's count multiplies
+        its e0^2 term."""
+        counts = list(summary.histogram.values())
+        d_red = sum(summary.degree_by_mult.values())
+        top = d_red * d_red + 2 * summary.comp_pairs + d_red + 6 * (1 - d_red)
+        x = []
+        for branches, count in summary.histogram.items():
+            m_red = sum(mu for _, mu in branches)
+            x.append(4 - 2 * m_red)
+            top -= count * (m_red * m_red + sum(mu * mu for _, mu in branches) - 4 * m_red + 2)
+        log_chern = cls(counts, 2, 2, 6 - 2 * d_red, x, top)
+        return log_chern, cls(counts, 2, 2, -3, [-1] * len(counts), 2)
 
 
 def _weighted_classes(summary: PointTypeSummary) -> list[_Typed]:
     """W_p = ch(wedge^p of log 1-forms) * td for p = 0, 1, 2 on the typed
     ring of the point types of a valid arrangement's summary, in the order
-    of its histogram.
-
-    The build takes the factor lists of chern_tangent and
-    _chern_cotangent_log as exp(sum k*log f), then _dual, _todd and _wedges,
-    with each per-point factor entered once per type, times its count.
-    """
-    counts = list(summary.histogram.values())
-    # (1 - e0)^(3 - 2P) * prod_v (1 + e_v) * (1 - e0 - e_v)^2, whose e0 parts
-    # fold to (1 - e0)^3.
-    logs = _LogSum(counts)
-    logs.e0_part(3, -1, 1)
-    for t in range(len(counts)):
-        logs.ev_part(1, t, 1)
-        logs.ev_part(2, t, -1)
-    tangent = logs.total().exp()
-    # The dual tangent class over prod_v (1 - e_v) and over
-    # prod_l (1 - [E_l]) = prod_l (1 + d_l*e0 + sum_v m_{v,l}*e_v), where
-    # sum_l d_l = d_red and sum_l d_l^2 = 2*comp_pairs + d_red.
-    logs = _LogSum(counts)
-    d_red = sum(summary.degree_by_mult.values())
-    logs.e0_part(-1, d_red, 2 * summary.comp_pairs + d_red)
-    for t, branches in enumerate(summary.histogram):
-        logs.ev_part(-1, t, -1)
-        for _, mult in branches:
-            logs.ev_part(-1, t, mult)
-    log_chern = (_dual(tangent).log() + logs.total()).exp()
-    td = _todd(tangent)
+    of its histogram."""
+    log_chern, td = _Typed._closed_classes(summary)
     return [(w * td).reduced() for w in _wedges(log_chern)]
 
 

@@ -1,0 +1,85 @@
+"""Guards on the package's layout: the independence of the two spectrum
+routes, and the names the benchmark's tracer wraps."""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import curvespec.cohomology
+import curvespec.formulas
+import curvespec.riemann_roch
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def curvespec_imports(module):
+    """The curvespec submodules a module's source imports from."""
+    found = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                found.update([node.module] if node.module else [alias.name for alias in node.names])
+            elif node.module and node.module.startswith("curvespec"):
+                found.add(node.module.partition(".")[2] or "curvespec")
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.partition(".")[2] or "curvespec"
+                for alias in node.names
+                if alias.name.split(".")[0] == "curvespec"
+            )
+    return found
+
+
+class TestIndependence:
+    """The characteristic-class route and the truly different closed
+    displays share no formula code with the general formula."""
+
+    @pytest.mark.parametrize("module", [curvespec.riemann_roch, curvespec.cohomology], ids=lambda m: m.__name__)
+    def test_characteristic_class_route_imports_no_formula_code(self, module):
+        imported = curvespec_imports(module)
+        assert imported <= {"arrangement", "cohomology", "spectrum"}
+        assert not imported & {"formulas", "binomial"}
+
+    @pytest.mark.parametrize(
+        "name", ["spectrum_reduced", "spectrum_irreducible_power", "spectrum_binary_linear", "spectrum_isolated"]
+    )
+    def test_closed_displays_do_not_call_the_general_formula(self, name):
+        tree = ast.parse(Path(curvespec.formulas.__file__).read_text(encoding="utf-8"))
+        (function,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+        names = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)}
+        assert not names & {"spectrum_of_point_types", "spectrum_general"}
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    """bench/tracer.py, imported with bench/ on sys.path; the bench modules
+    it loads are dropped again afterwards."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    before = set(sys.modules)
+    try:
+        yield importlib.import_module("tracer")
+    finally:
+        for name in set(sys.modules) - before:
+            path = getattr(sys.modules[name], "__file__", None)
+            if path and Path(path).resolve().parent == BENCH:
+                del sys.modules[name]
+
+
+class TestBenchmarkHooks:
+    """Every name the benchmark's tracer wraps exists, so dropping or
+    renaming one fails here and not only in the benchmark's own tests."""
+
+    def test_wrapped_functions_resolve(self, tracer):
+        assert tracer.FUNCTIONS
+        for module, name, *_ in tracer.FUNCTIONS:
+            assert callable(getattr(importlib.import_module(f"curvespec.{module}"), name, None)), (module, name)
+
+    def test_wrapped_methods_are_defined_on_their_classes(self, tracer):
+        assert tracer.METHODS
+        for module, cls_name, method, *_ in tracer.METHODS:
+            cls = getattr(importlib.import_module(f"curvespec.{module}"), cls_name)
+            assert method in cls.__dict__, (module, cls_name, method)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curvespec.riemann_roch
@@ -117,6 +117,18 @@ def equal_mult_split_branches():
 
 GROUPING_GRAPHS = [general_position_lines(12), fermat_graph(), equal_mult_split_branches()]
 
+# Non-reduced graphs with component multiplicities up to 5: larger total
+# degrees, so the twists' floor divisions take more distinct values.
+HIGH_MULT_GRAPHS = seeded_graphs(4, GraphBounds(max_degree=3, max_mult=5))
+
+
+def on_repeated_types(test):
+    """Run a test given arrangement_graphs() also on graphs with many points
+    of one type, whose counts enter the closed e0^2 coefficients."""
+    for g in repeated_type_graphs() + GROUPING_GRAPHS + HIGH_MULT_GRAPHS:
+        test = example(g)(test)
+    return test
+
 
 class TestChernTangent:
     def test_plane_without_blow_ups(self):
@@ -148,6 +160,7 @@ class TestChernTangent:
 
 
 class TestChernLog:
+    @on_repeated_types
     @given(arrangement_graphs())
     def test_product_route_matches_closed_form(self, g):
         assert chern_cotangent_log(g) == chern_cotangent_log_closed(g)
@@ -171,6 +184,7 @@ class TestChernLog:
 
 
 class TestTodd:
+    @on_repeated_types
     @given(arrangement_graphs())
     def test_matches_closed_form(self, g):
         assert todd(g) == todd_closed(g)
@@ -308,11 +322,6 @@ class TestLogExpBuild:
     def test_matches_sequential_products(self, g):
         assert chern_tangent(g) == sequential_chern_tangent(g)
         assert chern_cotangent_log(g) == sequential_chern_cotangent_log(g)
-
-
-# Non-reduced graphs with component multiplicities up to 5: larger total
-# degrees, so the twists' floor divisions take more distinct values.
-HIGH_MULT_GRAPHS = seeded_graphs(4, GraphBounds(max_degree=3, max_mult=5))
 
 
 class TestIntegerPairing:
