@@ -163,16 +163,29 @@ class PointTypeSummary:
     histogram: Mapping[tuple, int]
 
 
+# The message of each warning code; a warning is worded only when read.
+_WARNINGS = {
+    "smooth-point": "total branch multiplicity 1: point is a smooth point of the union",
+    "snc-node": "transverse crossing of two components (simple node)",
+}
+
+
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of :func:`validate`: (code, message, location) triples."""
+    """Outcome of :func:`validate`: errors as (code, message, location)
+    triples, and ``flagged``, the (code, point) of each warning, which
+    ``warnings`` words as such triples when first read."""
 
     errors: Tuple[Tuple[str, str, str], ...] = ()
-    warnings: Tuple[Tuple[str, str, str], ...] = ()
+    flagged: Tuple[Tuple[str, SingularPoint], ...] = ()
 
     @property
     def ok(self) -> bool:
         return not self.errors
+
+    @cached_property
+    def warnings(self) -> Tuple[Tuple[str, str, str], ...]:
+        return tuple((code, _WARNINGS[code], _point_at(point)) for code, point in self.flagged)
 
 
 def _component_at(comp: Component) -> str:
@@ -187,10 +200,11 @@ def _point_at(point: SingularPoint, branch: Branch | None = None) -> str:
 def validate(graph: ArrangementGraph) -> ValidationReport:
     """Check every arrangement invariant, accumulating all violations.
 
-    Messages and locations echo values and ids through :func:`_echo`, and
-    are formatted only when a violation or warning is recorded."""
+    Messages and locations echo values and ids through :func:`_echo`; an
+    error is worded when it is recorded, a warning when the report's
+    ``warnings`` are read."""
     errors: list[Tuple[str, str, str]] = []
-    warnings: list[Tuple[str, str, str]] = []
+    flagged: list[Tuple[str, SingularPoint]] = []
 
     if not graph.components:
         errors.append(("empty-components", "arrangement needs at least one component", "components"))
@@ -246,17 +260,15 @@ def validate(graph: ArrangementGraph) -> ValidationReport:
         if len(errors) == point_errors:
             m_red = sum(br.mult for br in point.branches)
             if m_red == 1:
-                message = "total branch multiplicity 1: point is a smooth point of the union"
-                warnings.append(("smooth-point", message, _point_at(point)))
+                flagged.append(("smooth-point", point))
             elif (
                 len(point.branches) == 2
                 and all(br.mult == 1 for br in point.branches)
                 and len(branch_comps) == 2
             ):
-                message = "transverse crossing of two components (simple node)"
-                warnings.append(("snc-node", message, _point_at(point)))
+                flagged.append(("snc-node", point))
 
-    return ValidationReport(tuple(errors), tuple(warnings))
+    return ValidationReport(tuple(errors), tuple(flagged))
 
 
 def require_valid(graph: ArrangementGraph) -> ArrangementGraph:

@@ -6,9 +6,14 @@ component with summed multiplicity, and each line, in one sweep, groups
 the later lines by where they meet it (the cross product of coefficient
 triples, reduced to a primitive pair in that line's own coordinates).  All
 arithmetic is exact, so collinearity and concurrency decisions are never
-subject to rounding.  Each coefficient is checked and converted once:
-:func:`load_lines` returns integer triples, and :func:`normalize_form` turns
-one into the line's primitive triple, a plain ``(a, b, c)`` tuple.
+subject to rounding.  Each coefficient is checked and converted once.
+:func:`load_lines` returns integer triples; an entry of the common shape (a
+plain object with a form of three ints and an int multiplicity) is read
+inline with one ``type(x) is int`` test per value, any other through the
+schema checks that word the diagnostics.  The incidence step divides an int
+triple by its content directly, and passes any other form to
+:func:`normalize_form`, which checks and converts it into the line's
+primitive triple, a plain ``(a, b, c)`` tuple.
 
 The spectrum needs less than the graph.  A line has degree 1 and meets
 each of its points simply, so a point's type is the sorted tuple of
@@ -18,8 +23,9 @@ no point objects built.  Every pair of lines meets once, so the points on
 exactly two lines are counted from the line multiplicities and the points
 on three or more lines, which are the only ones the sweep keeps.  Such
 data can fail validation only at the components (multiplicities and the
-total degree), so :func:`line_incidence` checks those alone, before the
-O(L^2) sweep.
+total degree), so :func:`line_incidence` checks those alone, on the merged
+multiplicities and before the O(L^2) sweep; it builds component records only
+to word an error.
 """
 
 from __future__ import annotations
@@ -32,7 +38,15 @@ from numbers import Rational
 from operator import itemgetter
 from typing import Iterator, Sequence, Tuple, Union
 
-from .arrangement import ArrangementGraph, Branch, Component, PointTypeSummary, SingularPoint, require_valid
+from .arrangement import (
+    MAX_TOTAL_DEGREE,
+    ArrangementGraph,
+    Branch,
+    Component,
+    PointTypeSummary,
+    SingularPoint,
+    require_valid,
+)
 from .arrangement import _NEEDED, _echo, _load_json, _object, _require
 from .formulas import spectrum_of_point_types
 from .spectrum import Spectrum
@@ -71,7 +85,8 @@ def _primitive(x: int, y: int, z: int) -> Tuple[int, int, int]:
 # A coefficient string: an optional sign, digits and an optional "/digits".
 # Fraction(str) would also take decimals, underscores (from Python 3.11)
 # and exponents such as "1e2000000", whose cost grows with the exponent.
-_RATIONAL_RE = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
+# ASCII only: a Unicode \d would also take digits such as "\u0663".
+_RATIONAL_RE = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*", re.ASCII)
 
 
 def _to_fraction(x: RationalLike, where: str, *at) -> Fraction:
@@ -136,10 +151,20 @@ class _Incidence:
         self.lines: list[Tuple[int, int, int]] = []
         self.mults: list[int] = []
         for raw, mult in forms:
-            _require(mult, int, "multiplicity", error=LineFileError)
+            if type(mult) is not int:
+                _require(mult, int, "multiplicity", error=LineFileError)
             # Nonpositive multiplicities are kept and fail validation, which
             # keeps the schema/data error split uniform across inputs.
-            line = normalize_form(raw)
+            if (
+                type(raw) is tuple
+                and len(raw) == 3
+                and type(raw[0]) is int
+                and type(raw[1]) is int
+                and type(raw[2]) is int
+            ):
+                line = _primitive(*raw)  # as load_lines returns forms: no denominators to clear
+            else:
+                line = normalize_form(raw)
             k = index.get(line)
             if k is None:
                 index[line] = len(self.lines)
@@ -249,14 +274,18 @@ def line_incidence(forms: Sequence[Tuple[Sequence[RationalLike], int]]) -> _Inci
 
     Line data can break an invariant only at its components: every branch
     has multiplicity 1, which never exceeds degree 1, the ids are fresh and
-    a line is listed once per point.  So checking the components validates
-    the whole arrangement, and it runs before the pair loop.  Raises
-    :class:`~curvespec.arrangement.InvalidArrangementError` as
+    a line is listed once per point.  Of the component rules, lines of
+    degree 1 named ``l1``, ``l2``, ... can break only two: each multiplicity
+    is at least 1, and their sum is at most ``MAX_TOTAL_DEGREE``.  So those
+    two checks validate the whole arrangement, before the pair loop; only
+    when one fails are the components built and validated, which words the
+    :class:`~curvespec.arrangement.InvalidArrangementError` exactly as
     ``require_valid`` does.  The result's ``spectrum()`` and ``graph()``
     each run the pair loop when called.
     """
     incidence = _Incidence(forms)
-    require_valid(ArrangementGraph(incidence.components(), ()))
+    if min(incidence.mults) < 1 or sum(incidence.mults) > MAX_TOTAL_DEGREE:
+        require_valid(ArrangementGraph(incidence.components(), ()))
     return incidence
 
 
@@ -286,6 +315,22 @@ def load_lines(path: str) -> list[Tuple[Tuple[int, int, int], int]]:
         raise LineFileError("line file must be a JSON array")
     out = []
     for i, entry in enumerate(data):
+        # A plain dict with exactly the schema's keys, a form of three ints
+        # and an int multiplicity is read inline; anything else goes through
+        # _object, _integer_triple and _require, which word the diagnostics
+        # and fix their order.
+        if (
+            type(entry) is dict
+            and type(raw := entry.get("form")) is list
+            and len(raw) == 3
+            and type(raw[0]) is int
+            and type(raw[1]) is int
+            and type(raw[2]) is int
+            and type(mult := entry.get("multiplicity", 1)) is int
+            and len(entry) == 1 + ("multiplicity" in entry)
+        ):
+            out.append((tuple(raw), mult))
+            continue
         raw, mult = _object(entry, _ENTRY, "entry {}", i, error=LineFileError)
         if not isinstance(raw, list) or len(raw) != 3:
             raise LineFileError(f"entry {i}: 'form' must be a 3-element array")

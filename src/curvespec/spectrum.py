@@ -274,10 +274,14 @@ def format_spectrum(s: Spectrum, style: str = "plain") -> str:
 # coefficient, t, and an optional exponent "^k" or "^(p/q)", where k and p
 # may carry a minus sign; whitespace may separate any two tokens.  The
 # conditional group asks for "/q)" exactly when the exponent opens with "(".
+# ASCII only: a Unicode \d or \s would also take digits such as "\u0663"
+# and spaces such as "\u00a0".
 _TERM_RE = re.compile(
     r"(?P<sign>[-+]?)\s*(?:(?P<coef>\d+)\s*\*\s*)?t\s*"
-    r"(?:\^\s*(?P<paren>\()?\s*(?P<neg>-?)\s*(?P<num>\d+)(?(paren)\s*/\s*(?P<den>\d+)\s*\)))?\s*"
+    r"(?:\^\s*(?P<paren>\()?\s*(?P<neg>-?)\s*(?P<num>\d+)(?(paren)\s*/\s*(?P<den>\d+)\s*\)))?\s*",
+    re.ASCII,
 )
+_SPACE = " \t\n\r\f\v"  # what \s matches under re.ASCII
 
 
 def _digits(m: re.Match, group: str, sign: str = "") -> int:
@@ -298,9 +302,9 @@ def parse_spectrum(text: str) -> Spectrum:
     Anything else raises :class:`SpectrumParseError` at the first text that
     does not continue a term, and so does a digit run too long for ``int()``.
     """
-    if text.strip() == "0":
+    if text.strip(_SPACE) == "0":
         return Spectrum.zero()
-    pos = len(text) - len(text.lstrip())
+    pos = len(text) - len(text.lstrip(_SPACE))
     if pos == len(text):
         raise SpectrumParseError("empty input", pos, "<end>")
     terms = []

@@ -150,6 +150,34 @@ class TestValidate:
     def test_ordinary_point_no_warning(self):
         assert not validate(nodal_cubic()).warnings
 
+    def test_warnings_are_worded_when_read(self, monkeypatch):
+        # Two simple nodes, a smooth point, an ordinary triple point and a
+        # point with an error, which gets no warning.
+        g = graph(
+            [(1, 1), (1, 1), (2, 1), (1, 1)],
+            [[(0, 1), (1, 1)], [(0, 1), (2, 1)], [(2, 1)], [(0, 1), (1, 1), (3, 1)], [(1, 1), (1, 1)]],
+        )
+        point_at = curvespec.arrangement._point_at
+        worded = []
+
+        def counted(point, branch=None):
+            worded.append(point.id)
+            return point_at(point, branch)
+
+        monkeypatch.setattr(curvespec.arrangement, "_point_at", counted)
+        report = validate(g)
+        assert worded == ["v5"]  # the duplicate-branch error alone
+        assert [(code, point.id) for code, point in report.flagged] == [
+            ("snc-node", "v1"), ("snc-node", "v2"), ("smooth-point", "v3")
+        ]
+        assert report.warnings == (
+            ("snc-node", "transverse crossing of two components (simple node)", "point 'v1'"),
+            ("snc-node", "transverse crossing of two components (simple node)", "point 'v2'"),
+            ("smooth-point", "total branch multiplicity 1: point is a smooth point of the union", "point 'v3'"),
+        )
+        assert report.warnings is report.warnings
+        assert worded == ["v5", "v1", "v2", "v3"]
+
     @given(arrangement_graphs())
     def test_generated_graphs_valid(self, g):
         assert validate(g).ok

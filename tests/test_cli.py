@@ -441,7 +441,7 @@ class TestLines:
         assert not emitted.exists()
         assert elapsed < 10.0
 
-    @pytest.mark.parametrize("text", ["1_000", "1.5", "1e2000000"])
+    @pytest.mark.parametrize("text", ["1_000", "1.5", "1e2000000", "\u0661/\u0662", "\uff13"])
     def test_coefficient_string_beyond_the_documented_forms(self, tmp_path, capsys, text):
         doc = [{"form": [text, 0, 1]}, {"form": [0, 1, 0]}]
         start = time.perf_counter()

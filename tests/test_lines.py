@@ -8,19 +8,26 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import curvespec.lines
 from curvespec.arrangement import (
+    MAX_TOTAL_DEGREE,
     ArrangementGraph,
     Branch,
     Component,
     InvalidArrangementError,
     SingularPoint,
+    _object,
+    _require,
+    require_valid,
     validate,
 )
 from curvespec.formulas import spectrum_hyperplane
 from curvespec.lines import (
+    _ENTRY,
     LineFileError,
     ZeroFormError,
     _Incidence,
+    _integer_triple,
     incidence_graph,
     line_incidence,
     load_lines,
@@ -74,14 +81,18 @@ class TestNormalizeForm:
 
     @pytest.mark.parametrize(
         "text, value",
-        [("3", 3), ("+3", 3), (" -6/4 ", Fraction(-3, 2)), ("\t06/4\n", Fraction(3, 2)), ("\u0663/\u0662", Fraction(3, 2))],
+        [("3", 3), ("+3", 3), (" -6/4 ", Fraction(-3, 2)), ("\t06/4\n", Fraction(3, 2))],
     )
     def test_coefficient_strings(self, text, value):
         assert normalize_form((text, 1, 0)) == normalize_form((value, 1, 0))
 
     @pytest.mark.parametrize(
         "text",
-        ["", "1.5", ".5", "1e3", "1E3", "1e2000000", "1_000", "1/0", "1 /2", "1/-2", "- 1", "nan", "0x10"],
+        [
+            "", "1.5", ".5", "1e3", "1E3", "1e2000000", "1_000", "1/0", "1 /2", "1/-2", "- 1", "nan", "0x10",
+            # Digits and spaces outside ASCII, which int() and a Unicode \d or \s take.
+            "\u0663/\u0662", "\u0661/\u0662", "\uff13", "3/\uff12", "\u00a03",
+        ],
     )
     def test_only_sign_digits_and_denominator_accepted(self, text):
         with pytest.raises(LineFileError, match="is not a valid rational"):
@@ -151,6 +162,18 @@ class TestIncidenceGraph:
             incidence_graph([(X, 1.0)])
         with pytest.raises(LineFileError):
             incidence_graph([(X, True)])
+
+    @pytest.mark.parametrize("raw", [(True, 0, 0), (1, False, 0), (0, 1, True), (1, 0, 1.0), [True, 0, 0]])
+    def test_coefficients_type_checked(self, raw):
+        with pytest.raises(LineFileError, match="must be an integer or 'p/q' string"):
+            incidence_graph([(raw, 1)])
+
+    @given(st.tuples(*[st.integers(-10**6, 10**6)] * 3).filter(any))
+    def test_integer_triples_merge_as_normalize_form_does(self, t):
+        # An int tuple skips normalize_form; a list of the same ints takes it.
+        forms = [(t, 1), (list(t), 2), (tuple(-x for x in t), 3)]
+        assert _Incidence(forms).lines == [normalize_form(t)]
+        assert _Incidence(forms).mults == [6]
 
     def test_nonpositive_multiplicity_fails_validation_not_parsing(self):
         g = incidence_graph([(X, 0), (Y, 1)])
@@ -409,6 +432,63 @@ class TestLineValidation:
         with pytest.raises(InvalidArrangementError):
             line_incidence([((1, 0, 0), 2), ((2, 0, 0), -2), ((0, 1, 0), 1)])
 
+    @pytest.mark.parametrize(
+        "forms, codes",
+        [
+            ([(X, 1), (Y, 2), (Z, 3)], []),
+            ([(X, 0), (Y, 1)], ["nonpositive-multiplicity"]),
+            ([(X, -3), (Y, 1), (Z, 0)], ["nonpositive-multiplicity"] * 2),
+            ([(X, 2), ((2, 0, 0), -2), (Y, 1)], ["nonpositive-multiplicity"]),
+            ([(X, 2), (("-1/2", 0, 0), -3), (Y, 1)], ["nonpositive-multiplicity"]),
+            ([(X, 1), ((3, 0, 0), -1), (Y, 0), ((0, -1, 0), 1)], ["nonpositive-multiplicity"]),
+            ([(X, MAX_TOTAL_DEGREE - 1), (Y, 1)], []),
+            ([(X, MAX_TOTAL_DEGREE), (Y, 1)], ["total-degree-too-large"]),
+            ([(X, MAX_TOTAL_DEGREE - 2), ((3, 0, 0), 1), (Y, 1)], []),
+            ([(X, MAX_TOTAL_DEGREE - 1), ((3, 0, 0), 1), (Y, 1)], ["total-degree-too-large"]),
+            ([(X, MAX_TOTAL_DEGREE + 5), (Y, -5)], ["nonpositive-multiplicity"]),
+            ([(X, MAX_TOTAL_DEGREE + 6), (Y, -5)], ["nonpositive-multiplicity", "total-degree-too-large"]),
+            ([(X, 0), (Y, MAX_TOTAL_DEGREE + 1)], ["nonpositive-multiplicity", "total-degree-too-large"]),
+        ],
+    )
+    def test_merged_checks_match_the_component_records(self, monkeypatch, forms, codes):
+        records = ArrangementGraph(_Incidence(forms).components(), ())
+        assert [code for code, _, _ in validate(records).errors] == codes
+        if codes:
+            with pytest.raises(InvalidArrangementError) as caught:
+                line_incidence(forms)
+            with pytest.raises(InvalidArrangementError) as expected:
+                require_valid(records)
+            assert caught.value.report.errors == expected.value.report.errors
+            assert str(caught.value) == str(expected.value)
+        else:
+            def refuse(*args):
+                raise AssertionError("a Component was built")
+
+            monkeypatch.setattr(curvespec.lines, "Component", refuse)
+            line_incidence(forms)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([X, Y, Z, (1, 1, 0), (2, 0, 0), (-1, -1, 0), (0, "1/2", 0)]),
+                st.sampled_from([-2, -1, 0, 1, 2, MAX_TOTAL_DEGREE // 2, MAX_TOTAL_DEGREE]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_merged_checks_raise_what_require_valid_raises(self, forms):
+        records = ArrangementGraph(_Incidence(forms).components(), ())
+        try:
+            require_valid(records)
+        except InvalidArrangementError as exc:
+            with pytest.raises(InvalidArrangementError) as caught:
+                line_incidence(forms)
+            assert caught.value.report.errors == exc.report.errors
+            assert str(caught.value) == str(exc)
+        else:
+            assert line_incidence(forms).mults == [c.multiplicity for c in records.components]
+
 
 def test_summary_memory_does_not_grow_with_the_points():
     # 300 general-position lines meet in 44 850 points, each on two lines;
@@ -421,6 +501,55 @@ def test_summary_memory_does_not_grow_with_the_points():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def schema_reading(data):
+    """``load_lines`` on decoded JSON with every entry read by the schema
+    checks alone: the reference its inline reading must match."""
+    out = []
+    for i, entry in enumerate(data):
+        raw, mult = _object(entry, _ENTRY, "entry {}", i, error=LineFileError)
+        if not isinstance(raw, list) or len(raw) != 3:
+            raise LineFileError(f"entry {i}: 'form' must be a 3-element array")
+        form = _integer_triple(raw, "entry {}, coefficient {}", i)
+        out.append((form, _require(mult, int, "entry {}: multiplicity", i, error=LineFileError)))
+    return out
+
+
+@st.composite
+def line_entries_around_the_inline_shape(draw):
+    """A line file entry, mostly of the inline shape ({"form": three ints}
+    and maybe an int "multiplicity"), else one step off it."""
+    value = st.one_of(
+        st.integers(-5, 5),
+        st.integers(-5, 5),
+        st.booleans(),
+        st.floats(-3, 3, allow_nan=False),
+        st.builds("{}/{}".format, st.integers(-5, 5), st.integers(0, 4)),
+        st.none(),
+    )
+    ints = st.integers(-5, 5)
+    kind = draw(st.sampled_from(["ints"] * 12 + ["mixed", "short", "long", "not a list"]))
+    if kind == "ints":
+        form = draw(st.lists(ints, min_size=3, max_size=3))
+    elif kind == "mixed":
+        form = draw(st.lists(st.one_of(ints, value), min_size=3, max_size=3))
+    elif kind == "short":
+        form = draw(st.lists(ints, min_size=0, max_size=2))
+    elif kind == "long":
+        form = draw(st.lists(ints, min_size=4, max_size=5))
+    else:
+        form = draw(st.one_of(value, st.dictionaries(st.just("a"), ints)))
+    rare = st.sampled_from([False] * 19 + [True])
+    entry = {} if draw(rare) else {"form": form}
+    if draw(st.booleans()):
+        entry["multiplicity"] = draw(st.one_of(ints, ints, ints, ints, value))
+    if draw(rare):
+        entry[draw(st.sampled_from(["weight", "Form", ""]))] = draw(ints)
+    if draw(rare):
+        return draw(st.one_of(st.just(form), value))  # not an object at all
+    return entry
+
 
 
 class TestLoadLines:
@@ -480,3 +609,19 @@ class TestLoadLines:
     def test_schema_violations(self, tmp_path, payload):
         with pytest.raises(LineFileError):
             load_lines(self.write(tmp_path, payload))
+
+    @given(entries=st.lists(line_entries_around_the_inline_shape(), max_size=4))
+    def test_inline_reading_matches_the_schema_checks(self, tmp_path_factory, entries):
+        path = tmp_path_factory.mktemp("entries") / "lines.json"
+        path.write_text(json.dumps(entries), encoding="utf-8")
+        try:
+            expected = schema_reading(json.loads(path.read_text(encoding="utf-8")))
+        except LineFileError as exc:
+            with pytest.raises(LineFileError) as caught:
+                load_lines(str(path))
+            assert str(caught.value) == str(exc)
+        else:
+            forms = load_lines(str(path))
+            assert forms == expected
+            assert all(type(form) is tuple and type(mult) is int for form, mult in forms)
+
