@@ -11,15 +11,15 @@ Everything downstream consumes only this graph; no defining equations are
 needed.  Validation is total: :func:`validate` returns a report instead of
 raising, so the CLI can distinguish malformed files (format errors) from
 well-formed files describing impossible data (validation errors).  A graph
-is immutable and keeps its report, so :func:`require_valid` validates it once,
-and its :class:`PointTypeSummary`, the one sorting of its points into types.
+is immutable and keeps its report, so :func:`require_valid` validates it once.
+The same pass sorts the points into types: a valid graph's report carries
+its :class:`PointTypeSummary`, which every spectrum route reads.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from typing import Mapping, Tuple
 
@@ -139,13 +139,9 @@ class ArrangementGraph:
 
     @cached_property
     def point_types(self) -> "PointTypeSummary":
-        """The :class:`PointTypeSummary` of this valid graph, made on first use and kept."""
-        histogram = Counter(self.point_type_keys())
-        degree_by_mult: dict[int, int] = {}
-        for c in self.components:
-            degree_by_mult[c.multiplicity] = degree_by_mult.get(c.multiplicity, 0) + c.degree
-        comp_pairs = sum(c.degree * (c.degree - 1) // 2 for c in self.components)
-        return PointTypeSummary(degree_by_mult, comp_pairs, histogram)
+        """The :class:`PointTypeSummary` that :func:`validate` built for this
+        graph; :class:`InvalidArrangementError` if the graph is invalid."""
+        return require_valid(self)._report.point_types
 
 
 @dataclass(frozen=True)
@@ -173,11 +169,13 @@ _WARNINGS = {
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of :func:`validate`: errors as (code, message, location)
-    triples, and ``flagged``, the (code, point) of each warning, which
-    ``warnings`` words as such triples when first read."""
+    triples, ``flagged``, the (code, point) of each warning, which
+    ``warnings`` words as such triples when first read, and the graph's
+    :class:`PointTypeSummary` if there are no errors, else None."""
 
     errors: Tuple[Tuple[str, str, str], ...] = ()
     flagged: Tuple[Tuple[str, SingularPoint], ...] = ()
+    point_types: PointTypeSummary | None = field(default=None, hash=False)  # its dicts do not hash
 
     @property
     def ok(self) -> bool:
@@ -202,9 +200,15 @@ def validate(graph: ArrangementGraph) -> ValidationReport:
 
     Messages and locations echo values and ids through :func:`_echo`; an
     error is worded when it is recorded, a warning when the report's
-    ``warnings`` are read."""
+    ``warnings`` are read.  The same pass over the points sorts them into
+    types: the report of a valid graph carries its
+    :class:`PointTypeSummary`, the one counting that every graph route
+    reads."""
     errors: list[Tuple[str, str, str]] = []
     flagged: list[Tuple[str, SingularPoint]] = []
+    degree_by_mult: dict[int, int] = {}
+    comp_pairs = 0
+    histogram: dict[tuple, int] = {}
 
     if not graph.components:
         errors.append(("empty-components", "arrangement needs at least one component", "components"))
@@ -224,6 +228,8 @@ def validate(graph: ArrangementGraph) -> ValidationReport:
         if comp.multiplicity < 1:
             message = f"multiplicity must be >= 1, got {_echo(comp.multiplicity)}"
             errors.append(("nonpositive-multiplicity", message, _component_at(comp)))
+        degree_by_mult[comp.multiplicity] = degree_by_mult.get(comp.multiplicity, 0) + comp.degree
+        comp_pairs += comp.degree * (comp.degree - 1) // 2
     total_degree = sum(comp.multiplicity * comp.degree for comp in graph.components)
     if total_degree > MAX_TOTAL_DEGREE:
         message = f"total degree {_echo(total_degree)} exceeds the limit {MAX_TOTAL_DEGREE}"
@@ -240,11 +246,16 @@ def validate(graph: ArrangementGraph) -> ValidationReport:
         if not point.branches:
             errors.append(("empty-branches", "point must lie on at least one component", _point_at(point)))
         branch_comps: set[str] = set()
+        pairs = []
+        m_red = 0
         for br in point.branches:
             comp = seen_comp.get(br.component)
+            m_red += br.mult
             if comp is None:
                 message = f"branch names unknown component {_echo(br.component)}"
                 errors.append(("unknown-component", message, _point_at(point, br)))
+            else:
+                pairs.append((comp.multiplicity, br.mult))
             if br.component in branch_comps:
                 message = f"component {_echo(br.component)} listed twice"
                 errors.append(("duplicate-branch", message, _point_at(point, br)))
@@ -258,17 +269,18 @@ def validate(graph: ArrangementGraph) -> ValidationReport:
                 )
                 errors.append(("branch-mult-exceeds-degree", message, _point_at(point, br)))
         if len(errors) == point_errors:
-            m_red = sum(br.mult for br in point.branches)
+            # No error: the branches name distinct components, each with
+            # branch multiplicity >= 1, so two summing to 2 meet as a node.
             if m_red == 1:
                 flagged.append(("smooth-point", point))
-            elif (
-                len(point.branches) == 2
-                and all(br.mult == 1 for br in point.branches)
-                and len(branch_comps) == 2
-            ):
+            elif m_red == 2 and len(pairs) == 2:
                 flagged.append(("snc-node", point))
+            pairs.sort()
+            key = tuple(pairs)
+            histogram[key] = histogram.get(key, 0) + 1
 
-    return ValidationReport(tuple(errors), tuple(flagged))
+    summary = None if errors else PointTypeSummary(degree_by_mult, comp_pairs, histogram)
+    return ValidationReport(tuple(errors), tuple(flagged), summary)
 
 
 def require_valid(graph: ArrangementGraph) -> ArrangementGraph:

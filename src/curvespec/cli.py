@@ -33,6 +33,7 @@ from .formulas import (
     spectrum_general,
     spectrum_hyperplane,
     spectrum_irreducible_power,
+    spectrum_of_point_types,
     spectrum_reduced,
     spectrum_smooth_components,
 )
@@ -44,6 +45,7 @@ from .randomgraphs import (
     insert_smooth_point,
     insert_snc_node,
 )
+from .riemann_roch import _spectrum_of_point_types as riemann_roch_of_point_types
 from .riemann_roch import spectrum_via_riemann_roch
 from .spectrum import Spectrum, format_spectrum
 
@@ -77,16 +79,20 @@ _FORMULAS = {
 }
 
 
+def _verify(result: Spectrum, oracle: Spectrum) -> None:
+    """Raise :class:`VerificationMismatch` unless the characteristic-class
+    spectrum ``oracle`` equals ``result``."""
+    if oracle != result:
+        raise VerificationMismatch(
+            f"characteristic-class pipeline disagrees: {format_spectrum(result)} vs {format_spectrum(oracle)}"
+        )
+
+
 def cmd_compute(args) -> int:
     graph = load_arrangement(args.file)
     result = _FORMULAS[args.formula](graph)
     if args.verify:
-        oracle = spectrum_via_riemann_roch(graph)
-        if oracle != result:
-            raise VerificationMismatch(
-                "characteristic-class pipeline disagrees: "
-                f"{format_spectrum(result)} vs {format_spectrum(oracle)}"
-            )
+        _verify(result, spectrum_via_riemann_roch(graph))
     print(format_spectrum(result, args.style))
     return 0
 
@@ -175,7 +181,11 @@ def cmd_lines(args) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.emit_graph}: {exc.strerror or exc}", file=sys.stderr)
             return 1
-    print(format_spectrum(incidence.spectrum(), args.style))
+    summary = incidence.point_types()
+    result = spectrum_of_point_types(summary)
+    if args.verify:
+        _verify(result, riemann_roch_of_point_types(summary))
+    print(format_spectrum(result, args.style))
     return 0
 
 
@@ -256,6 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_lines.add_argument("file", help="line-arrangement JSON file")
     p_lines.add_argument("--style", choices=("plain", "latex", "json"), default="plain")
     p_lines.add_argument("--emit-graph", metavar="PATH", help="write the derived arrangement file")
+    p_lines.add_argument(
+        "--verify",
+        action="store_true",
+        help="also run the characteristic-class pipeline on the point types and fail on mismatch",
+    )
     p_lines.set_defaults(func=cmd_lines)
 
     p_examples = sub.add_parser("examples", help="print built-in worked fixtures")

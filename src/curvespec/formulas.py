@@ -2,9 +2,10 @@
 
 One kernel evaluates the general display (:func:`spectrum_general`).  It
 sees a singular point only through its type, so it runs once per type, not
-once per point: :func:`spectrum_of_point_types` reads a graph's cached
-``point_types`` summary, which the characteristic-class route reads too
-(the routes share that counting, no formula code), and walks the
+once per point: :func:`spectrum_of_point_types` reads a graph's
+``point_types`` summary, which ``validate`` builds in its pass over the
+points and which the reduced display and the characteristic-class route
+read too (the routes share that counting, no formula code), and walks the
 breakpoints of the twist coefficients: each ceil(j*m/d) is a step function
 of j, so every type is visited only where its uv steps, its changes go
 into difference arrays, and one prefix pass over j emits the rows.
@@ -17,8 +18,9 @@ second implementation, and the graph is still validated once.  The
 reduced, irreducible-power, binary and isolated displays are separate code
 that shares no formula code with the kernel, so each of them is an
 independent check of the general formula on its own domain, and the test
-suite checks that.  They evaluate every j directly;
-the reduced display groups its points by (m_v, branch pair count).
+suite checks that.  They evaluate every j directly; the reduced display
+groups the summary's point types by m_v and folds their branch pair counts,
+which do not depend on j, into one constant.
 
 Shared shape of all the plane-curve formulas: for each j in [1, d] (d the
 total degree) three integer coefficients are produced at the exponents
@@ -202,32 +204,36 @@ def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
     via the simplified display where u0 = d - j.
 
     Each j is evaluated directly, with no breakpoints or difference arrays,
-    so this is a second algorithm beside the general kernel.  Points enter
-    only through m_v = sum(m_{v,l}) and their branch pair count, so points
-    sharing both are grouped and each group's step is taken once, times its
-    size.  d = sum(d_l) and m_v are summed from the graph."""
-    require_valid(graph)
+    so this is a second algorithm beside the general kernel.  It reads the
+    graph's ``point_types`` summary and groups its types by m_v alone: a
+    point's branch pair count does not depend on j, so every type's count
+    times it folds into the j-constant of n1 together with ``comp_pairs``,
+    and each m_v group's step is taken once per j, times its size."""
+    summary = require_valid(graph).point_types
     if not graph.is_reduced():
         bad = [c.id for c in graph.components if c.multiplicity != 1]
         raise ValueError(f"reduced formula needs all multiplicities 1; components {bad} violate that")
-    d = sum(c.degree for c in graph.components)
-    comp_pairs = sum(c.degree * (c.degree - 1) // 2 for c in graph.components)
-    groups = Counter(
-        (sum(br.mult for br in p.branches), sum(br.mult * (br.mult - 1) // 2 for br in p.branches))
-        for p in graph.points
-    ).items()
+    d = sum(summary.degree_by_mult.values())
+    pair_term = summary.comp_pairs
+    by_point_mult: dict[int, int] = {}
+    for branches, count in summary.histogram.items():
+        m_v = 0
+        for _, mult in branches:
+            m_v += mult
+            pair_term -= count * (mult * (mult - 1) // 2)
+        by_point_mult[m_v] = by_point_mult.get(m_v, 0) + count
 
     # binom(x, 2) is written x*(x - 1)//2, ceil(j*m_v/d) as (j*m_v + d - 1)//d.
     rows = []
     top = d - 1
     for j in range(1, d + 1):
         n0 = (j - 1) * (j - 2) // 2
-        n1 = (j - 1) * (d - j - 1) + comp_pairs
+        n1 = (j - 1) * (d - j - 1) + pair_term
         n2 = (d - j - 1) * (d - j - 2) // 2
-        for (m_v, branch_pairs), count in groups:
+        for m_v, count in by_point_mult.items():
             ceil_v = (j * m_v + top) // d
             n0 -= count * ((ceil_v - 1) * (ceil_v - 2) // 2)
-            n1 -= count * ((ceil_v - 1) * (m_v - ceil_v) + branch_pairs)
+            n1 -= count * ((ceil_v - 1) * (m_v - ceil_v))
             n2 -= count * ((m_v - ceil_v) * (m_v - ceil_v - 1) // 2)
         if j == d:
             n2 -= 1

@@ -362,8 +362,13 @@ def spectrum_via_riemann_roch(graph: ArrangementGraph) -> Spectrum:
     """Assemble the spectrum from Euler characteristics: the coefficient at
     exponent k + j/d is (-1)^k * (chi_{2-k}(twist_j) - delta), where delta
     is 1 exactly at the top exponent 3 (reduced cohomology correction)."""
-    require_valid(graph)
-    summary = graph.point_types
+    return _spectrum_of_point_types(require_valid(graph).point_types)
+
+
+def _spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
+    """:func:`spectrum_via_riemann_roch` of a valid arrangement, from its
+    point-type summary alone, such as the one ``curvespec.lines`` counts
+    without building a graph."""
     d = sum(m * deg for m, deg in summary.degree_by_mult.items())
     terms = {}
     for j, (chi0, chi1, chi2) in _euler_characteristics(summary):

@@ -227,6 +227,7 @@ GRAPH_ENTRIES = {
     "twist_class": lambda g: twist_class(g, 1),
     "euler_characteristic": lambda g: euler_characteristic(g, 0, CohClass()),
     "spectrum_via_riemann_roch": spectrum_via_riemann_roch,
+    "point_types": lambda g: g.point_types,
 }
 
 
@@ -262,6 +263,32 @@ class TestValidatedOnce:
                 entry(g)
             assert [code for code, _, _ in err.value.report.errors] == ["duplicate-branch"]
         assert validate_calls == [g]
+
+
+class TestInvalidPointTypes:
+    """A graph's point_types is validate's summary, so an invalid graph has
+    none: reading it raises, as every graph route does."""
+
+    @pytest.mark.parametrize(
+        "g, code",
+        [
+            (ArrangementGraph((Component("a", 1),), (SingularPoint("v", (Branch("b"),)),)), "unknown-component"),
+            (ArrangementGraph((Component("a", 1, 0), Component("c", 1))), "nonpositive-multiplicity"),
+            (
+                ArrangementGraph(
+                    (Component("a", 1, 0), Component("c", 1)),
+                    (SingularPoint("v", (Branch("a"), Branch("c"))),),
+                ),
+                "nonpositive-multiplicity",
+            ),
+        ],
+        ids=["unknown-component", "zero-multiplicity", "zero-multiplicity-at-a-point"],
+    )
+    def test_invalid_graph_has_no_summary(self, g, code):
+        assert validate(g).point_types is None
+        with pytest.raises(InvalidArrangementError) as err:
+            g.point_types
+        assert [c for c, _, _ in err.value.report.errors] == [code]
 
 
 class TestDerived:
@@ -560,6 +587,7 @@ class TestRecords:
         g = nodal_cubic()
         assert require_valid(g) is g
         assert g.__dict__["_report"] == validate(g)
+        assert hash(g.__dict__["_report"]) == hash(validate(g))
         with pytest.raises(dataclasses.FrozenInstanceError):
             g.points = ()
 

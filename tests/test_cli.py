@@ -510,6 +510,39 @@ class TestLinesSummaryPath:
         assert main(["lines", path]) == 0
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("seed", range(2, 60, 6))
+    def test_verify_runs_both_routes_on_one_summary(self, tmp_path, capsys, monkeypatch, seed):
+        forms = random_line_forms(seed)
+        path = lines_file(tmp_path, line_entries(forms))
+        expected = format_spectrum(spectrum_hyperplane(incidence_graph(forms))) + "\n"
+        summaries = []
+        count = curvespec.lines._Incidence.point_types
+
+        def counted(incidence):
+            summaries.append(count(incidence))
+            return summaries[-1]
+
+        def refuse(*args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(curvespec.lines._Incidence, "point_types", counted)
+        monkeypatch.setattr(curvespec.lines._Incidence, "graph", refuse)
+        monkeypatch.setattr(ArrangementGraph, "point_types", property(refuse))
+        assert main(["lines", path, "--verify"]) == 0
+        assert capsys.readouterr() == (expected, "")
+        assert len(summaries) == 1
+
+    def test_verify_catches_corrupted_formula(self, tmp_path, capsys, monkeypatch):
+        path = lines_file(tmp_path, line_entries(random_line_forms(4)))
+        corrupt_rows(monkeypatch)
+        assert main(["lines", path]) == 0
+        capsys.readouterr()
+        assert main(["lines", path, "--verify"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mismatch: characteristic-class pipeline disagrees: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestUnreadableJson:
     @pytest.mark.parametrize("command", ["compute", "lines"])

@@ -283,7 +283,38 @@ def repeated_reduced_points(seed):
     return graph(comps, pts)
 
 
+def grouped_by_point_pairs(g):
+    """The reduced display with the points grouped by (m_v, branch pair
+    count), counted from the points themselves: the reference for the
+    m_v groups and folded pair counts of spectrum_reduced."""
+    d = sum(c.degree for c in g.components)
+    comp_pairs = sum(binom(c.degree, 2) for c in g.components)
+    groups = Counter(
+        (sum(br.mult for br in p.branches), sum(binom(br.mult, 2) for br in p.branches)) for p in g.points
+    )
+    terms = []
+    for j in range(1, d + 1):
+        n0 = binom(j - 1, 2)
+        n1 = (j - 1) * (d - j - 1) + comp_pairs
+        n2 = binom(d - j - 1, 2) - (1 if j == d else 0)
+        for (m_v, branch_pairs), count in groups.items():
+            ceil_v = ceil_div(j * m_v, d)
+            n0 -= count * binom(ceil_v - 1, 2)
+            n1 -= count * ((ceil_v - 1) * (m_v - ceil_v) + branch_pairs)
+            n2 -= count * binom(m_v - ceil_v, 2)
+        terms += [(j, n0), (d + j, n1), (2 * d + j, n2)]
+    return Spectrum(terms, den=d)
+
+
 class TestReducedGrouping:
+    def test_matches_point_grouping_on_reduced_graphs(self):
+        bounds = GraphBounds(max_components=8, max_points=60, max_degree=6, max_mult=1)
+        rng = SplitMix64(19)
+        graphs = [generate_graph(rng, bounds) for _ in range(60)]
+        graphs += [repeated_reduced_points(seed) for seed in range(10, 20)]
+        for g in graphs:
+            assert spectrum_reduced(g) == grouped_by_point_pairs(g)
+
     def test_matches_per_point_loop_on_reduced_generator_graphs(self):
         bounds = GraphBounds(max_components=8, max_points=24, max_degree=6, max_mult=1)
         for seed in range(200):

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -33,11 +34,13 @@ from curvespec.lines import (
     load_lines,
     normalize_form,
 )
-from curvespec.riemann_roch import spectrum_via_riemann_roch
+from curvespec.riemann_roch import _spectrum_of_point_types, spectrum_via_riemann_roch
+from curvespec.spectrum import format_spectrum
 
 from conftest import pencil_graph, random_line_forms, triangle_graph, two_line_powers
 
 X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+BENCH_DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
 
 coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 triples = st.tuples(coefficients, coefficients, coefficients).filter(
@@ -367,9 +370,19 @@ class TestPointTypeSummary:
         summary = _Incidence(forms).point_types()
         assert summary == incidence_graph(forms).point_types
         assert all(summary.histogram.values())
-        # RR, fed by the graph's summary, against the kernel, fed by the
-        # summary built from line incidence.
+        # RR, fed by the graph's summary, against the kernel and RR, both
+        # fed by the summary built from line incidence.
         assert spectrum_via_riemann_roch(incidence_graph(forms)) == _Incidence(forms).spectrum()
+        assert _spectrum_of_point_types(summary) == _Incidence(forms).spectrum()
+
+    def test_riemann_roch_on_the_summary_of_stored_line_files(self):
+        items = json.loads((BENCH_DATA / "lines.json").read_text(encoding="utf-8"))["items"]
+        assert len(items) >= 30
+        for item in items:
+            forms = [(entry["form"], entry.get("multiplicity", 1)) for entry in item["input"]]
+            rr = _spectrum_of_point_types(_Incidence(forms).point_types())
+            assert format_spectrum(rr) + "\n" == item["stdout"]
+            assert rr == spectrum_via_riemann_roch(incidence_graph(forms))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_concurrent_lines_match_graph_summary(self, seed):

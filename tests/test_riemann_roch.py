@@ -1,6 +1,7 @@
 import fractions
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curvespec.riemann_roch
-from curvespec.arrangement import ArrangementGraph, derived
+from curvespec.arrangement import ArrangementGraph, derived, validate
 from curvespec.binomial import binom
 from curvespec.cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e
 from curvespec.formulas import spectrum_general, twist_coefficients
@@ -403,7 +404,31 @@ class TestTypedBuild:
         assert_typed_build_matches_reference(g)
 
 
+def assert_validate_counts_every_point(g):
+    """validate's summary of a valid graph: its histogram is the per-point
+    count of point_type_keys, and its component data the sums over the
+    components."""
+    summary = validate(g).point_types
+    assert summary == g.point_types
+    assert summary.histogram == Counter(g.point_type_keys())
+    degree_by_mult = Counter()
+    for c in g.components:
+        degree_by_mult[c.multiplicity] += c.degree
+    assert summary.degree_by_mult == degree_by_mult
+    assert summary.comp_pairs == sum(binom(c.degree, 2) for c in g.components)
+
+
 class TestSharedSummary:
+    @pytest.mark.parametrize(
+        "g", seeded_graphs(40) + GROUPING_GRAPHS + HIGH_MULT_GRAPHS + repeated_type_graphs()
+    )
+    def test_validate_counts_every_point(self, g):
+        assert_validate_counts_every_point(g)
+
+    @given(arrangement_graphs(max_points=12))
+    def test_validate_counts_every_point_of_generated_graphs(self, g):
+        assert_validate_counts_every_point(g)
+
     def test_general_then_riemann_roch_build_one_summary(self, monkeypatch):
         build = ArrangementGraph.point_types.func
         calls = []
