@@ -14,20 +14,19 @@ All coefficients of a class sit on one integer grid: the class stores a
 positive denominator ``den`` and integer numerators for 1, e0, each e_v and
 e0^2.  After every operation they are divided by gcd(den, *numerators) and
 zero e_v terms are dropped, so equality of classes is plain structural
-equality.  The ring operations, log, exp and :func:`product` use integer
-arithmetic only; the attributes ``a``, ``b0``, ``bv``, ``c`` and
+equality.  The ring operations and :func:`product` use integer arithmetic
+only; the attributes ``a``, ``b0``, ``bv``, ``c`` and
 :meth:`CohClass.integrate` still speak :class:`fractions.Fraction`.
 
 Integration returns the e0^2 coefficient: the self-intersection of a
 general line is one point, which fixes the normalization integrate(e0^2) = 1.
 
-Every class with scalar part 1 is 1 + n with n^3 = 0, so the series for
-log and exp stop after two terms and stay exact:
-log(1 + n) = n - n^2/2 and exp(s) = 1 + s + s^2/2 (:meth:`CohClass.log`,
-:meth:`CohClass.exp`); for a class on the grid den both land on the grid
-2*den^2.  :func:`product` multiplies many such factors as exp(sum of logs),
-in time linear in their total support, where a chain of ring products would
-copy every point coefficient once per factor.
+The ring is the reference for the characteristic-class route: the
+spectrum path builds no class in it, and the tests check the closed
+expansions that path uses against the per-point builds made here.
+:func:`product` multiplies its factors pairwise in a balanced tree, so P
+factors of one point each cost O(P log P), where a chain of ring products
+would copy every point coefficient once per factor.
 """
 
 from __future__ import annotations
@@ -82,14 +81,13 @@ class CohClass:
         characteristic-class builds use it in place of the checking
         constructor."""
         bv = {v: x for v, x in bv.items() if x}
-        if den != 1:
-            g = gcd(den, a, b0, c, *bv.values())
-            if g != 1:
-                den //= g
-                a //= g
-                b0 //= g
-                c //= g
-                bv = {v: x // g for v, x in bv.items()}
+        g = gcd(den, a, b0, c, *bv.values())
+        if g != 1:
+            den //= g
+            a //= g
+            b0 //= g
+            c //= g
+            bv = {v: x // g for v, x in bv.items()}
         obj = object.__new__(cls)
         obj._den = den
         obj._a = a
@@ -143,9 +141,9 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         d, e = self._den, other._den
-        den = d if d == e else lcm(d, e)
+        den = lcm(d, e)
         s, t = den // d, den // e
-        bv = dict(self._bv) if s == 1 else {v: s * x for v, x in self._bv.items()}
+        bv = {v: s * x for v, x in self._bv.items()}
         for v, y in other._bv.items():
             bv[v] = bv.get(v, 0) + t * y
         return CohClass._of(
@@ -162,11 +160,10 @@ class CohClass:
 
     def __mul__(self, other: Union["CohClass", ScalarLike]) -> "CohClass":
         if not isinstance(other, CohClass):
-            if type(other) is not int and not isinstance(other, Fraction):
-                try:
-                    other = _frac(other)
-                except TypeError:
-                    return NotImplemented
+            try:
+                other = _frac(other)
+            except (TypeError, ValueError):
+                return NotImplemented
             p, q = other.numerator, other.denominator
             return CohClass._of(
                 self._den * q, self._a * p, self._b0 * p, {v: x * p for v, x in self._bv.items()}, self._c * p
@@ -239,31 +236,7 @@ class CohClass:
             s * a * a,
             t * self._b0,
             {v: t * x for v, x in self._bv.items()},
-            t * self._c + s * self._square(),
-        )
-
-    def _square(self) -> int:
-        """e0^2 numerator, over den^2, of the square of the degree-1 part."""
-        return self._b0 * self._b0 - sum(x * x for x in self._bv.values())
-
-    def log(self) -> "CohClass":
-        """log(1 + n) = n - n^2/2 of a class 1 + n with scalar part 1."""
-        den = self._den
-        if self._a != den:
-            raise ValueError(f"log needs scalar part 1, got {self.a}")
-        t = 2 * den
-        return CohClass._of(
-            t * den, 0, t * self._b0, {v: t * x for v, x in self._bv.items()}, t * self._c - self._square()
-        )
-
-    def exp(self) -> "CohClass":
-        """exp(s) = 1 + s + s^2/2 of a class s with scalar part 0."""
-        if self._a != 0:
-            raise ValueError(f"exp needs scalar part 0, got {self.a}")
-        den = self._den
-        t = 2 * den
-        return CohClass._of(
-            t * den, t * den, t * self._b0, {v: t * x for v, x in self._bv.items()}, t * self._c + self._square()
+            t * self._c + s * (self._b0 * self._b0 - sum(x * x for x in self._bv.values())),
         )
 
     def __repr__(self) -> str:
@@ -284,31 +257,17 @@ ONE = CohClass(a=1)
 
 
 def product(factors: Iterable[Tuple[CohClass, int]]) -> CohClass:
-    """prod f**k over the (f, k) pairs, each f with scalar part 1, formed as
-    exp(sum k*log f) over one common denominator; negative k divides."""
-    den = 1
-    b0 = c = 0
-    bv: dict[str, int] = {}
+    """prod f**k over the (f, k) pairs.  A negative k takes powers of
+    f.inverse(), so f needs a nonzero scalar part; k = 0 skips f.  The
+    factors are multiplied pairwise in a balanced tree, so P factors that
+    each carry one point cost O(P log P)."""
+    terms: list[CohClass] = []
     for factor, k in factors:
-        d = factor._den
-        if factor._a != d:
-            raise ValueError(f"log needs scalar part 1, got {factor.a}")
-        # log(factor) has numerators 2d*b0, 2d*bv and 2d*c - square over 2d^2.
-        log_den = 2 * d * d
-        if den % log_den:
-            grown = lcm(den, log_den)
-            m = grown // den
-            b0 *= m
-            c *= m
-            bv = {v: m * x for v, x in bv.items()}
-            den = grown
-        s = k * (den // log_den)
-        t = 2 * d * s
-        b0 += t * factor._b0
-        c += s * (2 * d * factor._c - factor._square())
-        for v, x in factor._bv.items():
-            bv[v] = bv.get(v, 0) + t * x
-    return CohClass._of(den, 0, b0, bv, c).exp()
+        terms += [factor.inverse() if k < 0 else factor] * abs(k)
+    while len(terms) > 1:
+        pairs = [x * y for x, y in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[2 * len(pairs) :]
+    return terms[0] if terms else ONE
 
 
 def hyperplane_e0(coeff: ScalarLike = 1) -> CohClass:

@@ -48,8 +48,6 @@ from .arrangement import (
     require_valid,
 )
 from .arrangement import _NEEDED, _echo, _load_json, _object, _require
-from .formulas import spectrum_of_point_types
-from .spectrum import Spectrum
 
 __all__ = [
     "LineFileError",
@@ -264,10 +262,6 @@ class _Incidence:
         histogram.update((tuple((m, 1) for m in type_mults), n) for type_mults, n in large.items())
         return PointTypeSummary(by_mult, 0, histogram)
 
-    def spectrum(self) -> Spectrum:
-        """The hyperplane-arrangement spectrum, from the point-type summary."""
-        return spectrum_of_point_types(self.point_types())
-
 
 def line_incidence(forms: Sequence[Tuple[Sequence[RationalLike], int]]) -> _Incidence:
     """Merge a weighted list of linear forms and validate the merged lines.
@@ -280,7 +274,7 @@ def line_incidence(forms: Sequence[Tuple[Sequence[RationalLike], int]]) -> _Inci
     two checks validate the whole arrangement, before the pair loop; only
     when one fails are the components built and validated, which words the
     :class:`~curvespec.arrangement.InvalidArrangementError` exactly as
-    ``require_valid`` does.  The result's ``spectrum()`` and ``graph()``
+    ``require_valid`` does.  The result's ``point_types()`` and ``graph()``
     each run the pair loop when called.
     """
     incidence = _Incidence(forms)

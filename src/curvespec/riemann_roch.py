@@ -17,9 +17,9 @@ views of those expansions, so tests compare the two builds.  Agreement of
 :func:`spectrum_via_riemann_roch` with the combinatorial formulas in
 :mod:`curvespec.formulas` is the package's central cross-validation.
 
-Cost.  The per-point builds form every product as exp(sum of logs)
-(:func:`curvespec.cohomology.product`), in time linear in the points and
-branches.  The spectrum route builds no
+Cost.  The per-point builds form every product formula with
+:func:`curvespec.cohomology.product`, ring products in a balanced tree, in
+time O(P log P) for P points.  The spectrum route builds no
 :class:`curvespec.cohomology.CohClass`.  It reads only the graph's
 :class:`~curvespec.arrangement.PointTypeSummary`, the point-type counting
 it shares with the closed formulas.  The closed e_v coefficients of a
@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .arrangement import ArrangementGraph, PointTypeSummary, derived, require_valid
-from .cohomology import ONE, CohClass, product
+from .cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e, product
 from .spectrum import Spectrum
 
 __all__ = [
@@ -73,14 +73,12 @@ def chern_tangent(graph: ArrangementGraph) -> CohClass:
     """Total Chern class of the tangent bundle of the blow-up, by the
     product formula c = (1 - e0)^3 * prod_v (1 + e_v)((1 - e0 - e_v)/(1 - e0))^2."""
     require_valid(graph)
-    # The factors have integer coefficients, so they sit on the grid 1:
-    # CohClass._of(1, a, b0, bv, c) is a + b0*e0 + sum_v bv[v]*e_v + c*e0^2.
     # The per-point denominators (1 - e0)^2 join the (1 - e0)^3 of the plane.
-    factors = [(CohClass._of(1, 1, -1, {}, 0), 3 - 2 * len(graph.points))]
+    line = ONE - hyperplane_e0()
+    factors = [(line, 3 - 2 * len(graph.points))]
     for point in graph.points:
-        v = point.id
-        factors.append((CohClass._of(1, 1, 0, {v: 1}, 0), 1))  # 1 + e_v
-        factors.append((CohClass._of(1, 1, -1, {v: -1}, 0), 2))  # 1 - e0 - e_v
+        e_v = point_e(point.id)
+        factors += [(ONE + e_v, 1), (line - e_v, 2)]
     return product(factors)
 
 
@@ -90,12 +88,10 @@ def _dual(c):
 
 def _chern_cotangent_log(graph: ArrangementGraph, tangent: CohClass) -> CohClass:
     factors = [(_dual(tangent), 1)]
-    # 1 - e_v for each point and 1 - [E_l] = 1 + d_l*e0 + sum_v m_{v,l}*e_v
-    # for each component, on the grid 1 as in chern_tangent.
-    factors.extend((CohClass._of(1, 1, 0, {point.id: -1}, 0), -1) for point in graph.points)
-    factors.extend(
-        (CohClass._of(1, 1, c.degree, mults, 0), -1) for c, mults in zip(graph.components, _branch_mults(graph))
-    )
+    factors += [(ONE - point_e(point.id), -1) for point in graph.points]
+    factors += [
+        (ONE - exceptional_class(c.degree, mults), -1) for c, mults in zip(graph.components, _branch_mults(graph))
+    ]
     return product(factors)
 
 

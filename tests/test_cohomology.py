@@ -131,21 +131,33 @@ def unit_part(x):
 
 
 class TestLogExp:
-    @given(classes())
-    def test_exp_inverts_log(self, x):
-        assert unit_part(x).log().exp() == unit_part(x)
-
     @given(classes(), classes())
     def test_product_matches_ring_products(self, x, y):
         x, y = unit_part(x), unit_part(y)
         assert product([(x, 2), (y, -1)]) == x * x * y.inverse()
         assert product([]) == ONE
 
-    def test_scalar_part_is_checked(self):
-        with pytest.raises(ValueError):
-            (ONE + ONE).log()
-        with pytest.raises(ValueError):
-            ONE.exp()
+
+class TestProduct:
+    @given(classes(), classes())
+    def test_zero_power_skips_the_factor(self, x, y):
+        # Not even a class without an inverse is inverted at k = 0.
+        zero_scalar = x - x.degree_part(0)
+        assert product([(y, 1), (zero_scalar, 0)]) == y
+        assert product([(zero_scalar, 0)]) == ONE
+
+    @given(classes(), st.integers(-3, -1))
+    def test_negative_power_needs_a_unit(self, x, k):
+        with pytest.raises(ZeroDivisionError):
+            product([(ONE + E0, 1), (x - x.degree_part(0), k)])
+
+    @given(st.lists(st.tuples(classes(), st.integers(0, 3)), max_size=6))
+    def test_any_scalar_part_for_non_negative_powers(self, drawn):
+        chain = ONE
+        for x, k in drawn:
+            for _ in range(k):
+                chain = chain * x
+        assert product(drawn) == chain
 
 
 class TestStructure:
@@ -171,6 +183,15 @@ class TestStructure:
             + x.degree_part(2) * y.degree_part(0)
         )
         assert top == expected
+
+
+class TestScalarMultiplication:
+    def test_non_numeric_string_is_a_type_error(self):
+        for bad in ("abc", "", "1/0x"):
+            with pytest.raises(TypeError):
+                ONE * bad
+            with pytest.raises(TypeError):
+                bad * ONE
 
 
 class TestDivision:
@@ -241,26 +262,18 @@ class FractionClass:
         n = FractionClass(0, self.b0, self.bv, self.c) * Fraction(1, self.a)
         return (REF_ONE - n + n * n) * Fraction(1, self.a)
 
-    def _square(self):
-        return self.b0 * self.b0 - sum(x * x for x in self.bv.values())
-
-    def log(self):
-        assert self.a == 1
-        return FractionClass(0, self.b0, self.bv, self.c - self._square() / 2)
-
-    def exp(self):
-        assert self.a == 0
-        return FractionClass(1, self.b0, self.bv, self.c + self._square() / 2)
-
 
 REF_ONE = FractionClass(a=1)
 
 
 def reference_product(factors):
-    total = FractionClass()
+    """prod f**k as a left-to-right chain of ring products."""
+    total = REF_ONE
     for factor, k in factors:
-        total = total + factor.log() * k
-    return total.exp()
+        step = factor.inverse() if k < 0 else factor
+        for _ in range(abs(k)):
+            total = total * step
+    return total
 
 
 @st.composite
@@ -310,13 +323,6 @@ class TestGridAgainstFractions:
         assert x.integrate() == rx.integrate()
         if rx.a:
             assert_same(x.inverse(), rx.inverse())
-
-    @given(class_pairs())
-    def test_log_exp(self, pair):
-        x, rx = unit_pair(pair)
-        assert_same(x.log(), rx.log())
-        s, rs = x - ONE, rx - REF_ONE
-        assert_same(s.exp(), rs.exp())
 
     @given(st.lists(st.tuples(class_pairs(), st.integers(-3, 3)), max_size=4))
     def test_product_with_negative_powers(self, drawn):

