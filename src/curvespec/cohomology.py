@@ -21,9 +21,11 @@ only; the attributes ``a``, ``b0``, ``bv``, ``c`` and
 Integration returns the e0^2 coefficient: the self-intersection of a
 general line is one point, which fixes the normalization integrate(e0^2) = 1.
 
-The ring is the reference for the characteristic-class route: the
-spectrum path builds no class in it, and the tests check the closed
-expansions that path uses against the per-point builds made here.
+The ring is the reference for the characteristic-class route.  The
+spectrum path builds no class in it: it pairs closed expansions of the
+classes per point type, in plain integers, and the tests check both those
+expansions and the Euler characteristics the pairing gives against the
+per-point builds made here.
 :func:`product` multiplies its factors pairwise in a balanced tree, so P
 factors of one point each cost O(P log P), where a chain of ring products
 would copy every point coefficient once per factor.

@@ -10,37 +10,36 @@ resulting Euler characteristics assemble into spectrum coefficients.
 The public per-point builds (:func:`chern_tangent`,
 :func:`chern_cotangent_log`, :func:`todd`, :func:`wedge_ch`,
 :func:`euler_characteristic`) work from first principles in the truncated
-cohomology ring; they are the reference.  The spectrum route takes the two
-classes from their closed expansions instead, written once in
-:meth:`_Typed._closed_classes`; the ``*_closed`` functions are per-point
-views of those expansions, so tests compare the two builds.  Agreement of
-:func:`spectrum_via_riemann_roch` with the combinatorial formulas in
-:mod:`curvespec.formulas` is the package's central cross-validation.
+cohomology ring; they are the reference.  The spectrum route takes the log
+cotangent class from its closed expansion instead, written once in
+:func:`_log_chern`, and the Todd class from its closed form; the
+``*_closed`` functions are per-point views of those expansions, so tests
+compare the two builds.  Agreement of :func:`spectrum_via_riemann_roch`
+with the combinatorial formulas in :mod:`curvespec.formulas` is the
+package's central cross-validation.
 
 Cost.  The per-point builds form every product formula with
 :func:`curvespec.cohomology.product`, ring products in a balanced tree, in
-time O(P log P) for P points.  The spectrum route builds no
-:class:`curvespec.cohomology.CohClass`.  It reads only the graph's
-:class:`~curvespec.arrangement.PointTypeSummary`, the point-type counting
-it shares with the closed formulas.  The closed e_v coefficients of a
-point depend only on its type (its sorted (m_l, m_{v,l}) pairs), and
-e_v*e_w = 0 for v != w and e_v*e0 = 0, so the route builds
-c(Omega^1(log)), td and the weighted classes W_p = ch(wedge^p of log
-1-forms) * td once per type, in a private ring of plain ints with one
-coefficient e_T per type and e_T*e_T = -count_T*e0^2, O(T) per ring
-operation.  For an integral twist u = u0*e0 + sum_v u_v*e_v the integral of
-W*ch(u) is W.c + W.b0*u0 - sum_v W.bv[v]*u_v + W.a*(u0^2 - sum_v u_v^2)/2,
-so after scaling the three W_p to one denominator D, times 2, each j takes
-integer sums with one step per type, times its count, O(T*d) in all, and a
-remainder modulo 2D still fails the integrality assertion.  No
-:class:`fractions.Fraction` is made between the class build and the
+time O(P log P) for P points.  The spectrum route builds no class at all.
+It reads only the graph's :class:`~curvespec.arrangement.PointTypeSummary`,
+the point-type counting it shares with the closed formulas: the closed
+coefficients of a point depend only on its type (its sorted (m_l, m_{v,l})
+pairs), and so does its twist coefficient u_v.  With
+td = 1 - (3*e0 + sum_v e_v)/2 + e0^2 the twisted structure sheaf has
+2*chi_0 = 2 + u0^2 - sum_v u_v^2 - 3*u0 + sum_v u_v.  For the rank-2 log
+cotangent bundle ch(wedge^2) = ch(c1), so chi_2(u) = chi_0(u + c1), and
+ch(wedge^1) = ch(wedge^0) + ch(wedge^2) - c2, so chi_1 = chi_0 + chi_2 - c2.
+Each j therefore takes three integer sums over the point types, sum u_v,
+sum m_{v,red}*u_v and sum u_v^2, each type once, times its count: O(T*d)
+in all for T types and total degree d.  Every chi is formed as an integer
+over 2, and an odd numerator (from a non-integral c2, say) fails the
+integrality assertion.  No :class:`fractions.Fraction` is made in the
 pairing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .arrangement import ArrangementGraph, PointTypeSummary, derived, require_valid
 from .cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e, product
@@ -103,21 +102,15 @@ def chern_cotangent_log(graph: ArrangementGraph) -> CohClass:
     return _chern_cotangent_log(graph, chern_tangent(graph))
 
 
-def _closed(graph: ArrangementGraph, k: int) -> CohClass:
-    """Class k of :meth:`_Typed._closed_classes` of a valid graph, with
-    each point's e_v coefficient that of its type."""
-    summary = require_valid(graph).point_types
-    typed = _Typed._closed_classes(summary)[k]
-    by_type = dict(zip(summary.histogram, typed.x))
-    bv = {point.id: by_type[key] for point, key in zip(graph.points, graph.point_type_keys())}
-    return CohClass._of(typed.den, typed.a, typed.b0, bv, typed.c)
-
-
 def chern_cotangent_log_closed(graph: ArrangementGraph) -> CohClass:
     """Closed-form expansion of :func:`chern_cotangent_log` (see
-    :meth:`_Typed._closed_classes`), a regression target for the product
-    route."""
-    return _closed(graph, 0)
+    :func:`_log_chern`), each point's e_v coefficient that of its type, a
+    regression target for the product route."""
+    summary = require_valid(graph).point_types
+    d_red, m_reds, c2_twice = _log_chern(summary)
+    by_type = {key: 4 - 2 * m_red for key, m_red in zip(summary.histogram, m_reds)}
+    bv = {point.id: by_type[key] for point, key in zip(graph.points, graph.point_type_keys())}
+    return CohClass._of(2, 2, 6 - 2 * d_red, bv, c2_twice)
 
 
 def _todd(tangent):
@@ -134,9 +127,10 @@ def todd(graph: ArrangementGraph) -> CohClass:
 
 
 def todd_closed(graph: ArrangementGraph) -> CohClass:
-    """Closed form 1 - (sum_v e_v + 3 e0)/2 + e0^2 of :func:`todd`,
-    regression target."""
-    return _closed(graph, 1)
+    """Closed form 1 - (sum_v e_v + 3 e0)/2 + e0^2 of :func:`todd`, the one
+    :func:`_euler_characteristics` pairs with, regression target."""
+    require_valid(graph)
+    return CohClass._of(2, 2, -3, {point.id: -1 for point in graph.points}, 2)
 
 
 def wedge_ch(c_total: CohClass, p: int) -> CohClass:
@@ -146,17 +140,11 @@ def wedge_ch(c_total: CohClass, p: int) -> CohClass:
         raise ValueError("total Chern class must have scalar part 1")
     if p not in (0, 1, 2):
         raise ValueError(f"wedge power must be 0, 1 or 2, got {p}")
-    return _wedges(c_total)[p]
-
-
-def _wedges(c_total):
-    """[ch(wedge^p) for p = 0, 1, 2] for a total Chern class with scalar
-    part 1, in either ring."""
-    one = c_total.degree_part(0)
+    if p == 0:
+        return ONE
     c1 = c_total.degree_part(1)
-    c2 = c_total.degree_part(2)
-    c1_sq = c1 * c1
-    return [one, 2 * one + c1 + (c1_sq - 2 * c2) / 2, one + c1 + c1_sq / 2]
+    determinant = ONE + c1 + c1 * c1 / 2
+    return determinant if p == 2 else ONE + determinant - c_total.degree_part(2)
 
 
 def line_bundle_ch(divisor: CohClass) -> CohClass:
@@ -190,10 +178,11 @@ def twist_class(graph: ArrangementGraph, j: int) -> CohClass:
     return CohClass._of(1, 0, b0, bv, 0)
 
 
-def _integer(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"{what} must be an integer, got {value}")
-    return value.numerator
+def _integer(numerator: int, den: int, what: str) -> int:
+    value, rest = divmod(numerator, den)
+    if rest:
+        raise ArithmeticError(f"{what} must be an integer, got {Fraction(numerator, den)}")
+    return value
 
 
 def euler_characteristic(graph: ArrangementGraph, p: int, divisor: CohClass) -> int:
@@ -206,121 +195,50 @@ def euler_characteristic(graph: ArrangementGraph, p: int, divisor: CohClass) -> 
     tangent = chern_tangent(graph)
     log_chern = _chern_cotangent_log(graph, tangent)
     integrand = wedge_ch(log_chern, p) * line_bundle_ch(divisor) * _todd(tangent)
-    return _integer(integrand.integrate(), f"chi_{p}")
+    value = integrand.integrate()
+    return _integer(value.numerator, value.denominator, f"chi_{p}")
 
 
-class _Typed:
-    """Class a + b0*e0 + sum_T x[T]*e_T + c*e0^2 over the positive denominator
-    den, on the point types of one graph.  e_T is the sum of e_v over the
-    counts[T] points of type T, so x[T] is the e_v coefficient of each of
-    them: the closed expansions give the points of one type the same
-    coefficients, and e_v*e_w = 0 for v != w and e_v*e0 = 0 keep them equal
-    in every product.  Distinct types and e0 stay orthogonal and
-    e_T*e_T = -counts[T]*e0^2.  The classes of one build share ``counts``; x
-    is a list in its order."""
+def _log_chern(summary: PointTypeSummary) -> tuple[int, list[int], int]:
+    """(d_red, [m_{v,red} per type], 2*c2) of a valid arrangement's summary,
+    in the order of its histogram, from the closed expansion
 
-    __slots__ = ("counts", "den", "a", "b0", "x", "c")
+        c(Omega^1(log)) = 1 + c1 + c2*e0^2,
+        c1 = (3 - d_red)*e0 + sum_v (2 - m_{v,red})*e_v,
+        c2 = (d_red^2 + sum_l d_l^2)/2 + 3*(1 - d_red)
+             - sum_v ((m_{v,red}^2 + sum_l m_{v,l}^2)/2 - 2*m_{v,red} + 1),
 
-    def __init__(self, counts: list[int], den: int, a: int, b0: int, x: list[int], c: int):
-        self.counts = counts
-        self.den, self.a, self.b0, self.x, self.c = den, a, b0, x, c
-
-    def reduced(self) -> "_Typed":
-        """The same class in lowest terms."""
-        g = gcd(self.den, self.a, self.b0, self.c, *self.x)
-        return _Typed(self.counts, self.den // g, self.a // g, self.b0 // g, [u // g for u in self.x], self.c // g)
-
-    def degree_part(self, k: int) -> "_Typed":
-        zero = [0] * len(self.x)
-        if k == 0:
-            return _Typed(self.counts, self.den, self.a, 0, zero, 0)
-        if k == 1:
-            return _Typed(self.counts, self.den, 0, self.b0, self.x, 0)
-        return _Typed(self.counts, self.den, 0, 0, zero, self.c)
-
-    def __add__(self, other: "_Typed") -> "_Typed":
-        d, e = self.den, other.den
-        den = d if d == e else lcm(d, e)
-        s, t = den // d, den // e
-        x = [s * u + t * v for u, v in zip(self.x, other.x)]
-        a, b0, c = s * self.a + t * other.a, s * self.b0 + t * other.b0, s * self.c + t * other.c
-        return _Typed(self.counts, den, a, b0, x, c)
-
-    def __sub__(self, other: "_Typed") -> "_Typed":
-        return self + other * -1
-
-    def __mul__(self, other) -> "_Typed":
-        if type(other) is int:
-            x = [other * u for u in self.x]
-            return _Typed(self.counts, self.den, other * self.a, other * self.b0, x, other * self.c)
-        a, a2 = self.a, other.a
-        cross = self.b0 * other.b0 - sum(n * u * v for n, u, v in zip(self.counts, self.x, other.x))
-        x = [a * v + a2 * u for u, v in zip(self.x, other.x)]
-        b0, c = a * other.b0 + a2 * self.b0, a * other.c + a2 * self.c + cross
-        return _Typed(self.counts, self.den * other.den, a * a2, b0, x, c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, k: int) -> "_Typed":
-        """Division by a positive integer."""
-        return _Typed(self.counts, self.den * k, self.a, self.b0, self.x, self.c)
-
-    @classmethod
-    def _closed_classes(cls, summary: PointTypeSummary) -> tuple["_Typed", "_Typed"]:
-        """(c(Omega^1(log)), td) over the denominator 2 on the point types of
-        a valid arrangement's summary, in the order of its histogram, from
-        the closed expansions
-
-            c(Omega^1(log)) = 1 - (d_red - 3)*e0 - sum_v (m_{v,red} - 2)*e_v
-                + ((d_red^2 + sum_l d_l^2)/2 + 3*(1 - d_red)
-                   - sum_v ((m_{v,red}^2 + sum_l m_{v,l}^2)/2 - 2*m_{v,red} + 1))*e0^2,
-            td = 1 - (3*e0 + sum_v e_v)/2 + e0^2,
-
-        with e_v^2 rewritten as -e0^2.  The reduced degree d_red = sum_l d_l
-        enters (not the total degree), and m_{v,red} = sum_l m_{v,l}: log
-        poles see each component once, whatever its multiplicity.
-        sum_l d_l^2 = 2*comp_pairs + d_red, and a type's count multiplies
-        its e0^2 term."""
-        counts = list(summary.histogram.values())
-        d_red = sum(summary.degree_by_mult.values())
-        top = d_red * d_red + 2 * summary.comp_pairs + d_red + 6 * (1 - d_red)
-        x = []
-        for branches, count in summary.histogram.items():
-            m_red = sum(mu for _, mu in branches)
-            x.append(4 - 2 * m_red)
-            top -= count * (m_red * m_red + sum(mu * mu for _, mu in branches) - 4 * m_red + 2)
-        log_chern = cls(counts, 2, 2, 6 - 2 * d_red, x, top)
-        return log_chern, cls(counts, 2, 2, -3, [-1] * len(counts), 2)
-
-
-def _weighted_classes(summary: PointTypeSummary) -> list[_Typed]:
-    """W_p = ch(wedge^p of log 1-forms) * td for p = 0, 1, 2 on the typed
-    ring of the point types of a valid arrangement's summary, in the order
-    of its histogram."""
-    log_chern, td = _Typed._closed_classes(summary)
-    return [(w * td).reduced() for w in _wedges(log_chern)]
+    with e_v^2 rewritten as -e0^2.  The reduced degree d_red = sum_l d_l
+    enters (not the total degree), and m_{v,red} = sum_l m_{v,l}: log
+    poles see each component once, whatever its multiplicity.
+    sum_l d_l^2 = 2*comp_pairs + d_red, and a type's count multiplies its
+    e0^2 term."""
+    d_red = sum(summary.degree_by_mult.values())
+    top = d_red * d_red + 2 * summary.comp_pairs + d_red + 6 * (1 - d_red)
+    m_reds = []
+    for branches, count in summary.histogram.items():
+        m_red = sum(mu for _, mu in branches)
+        m_reds.append(m_red)
+        top -= count * (m_red * m_red + sum(mu * mu for _, mu in branches) - 4 * m_red + 2)
+    return d_red, m_reds, top
 
 
 def _euler_characteristics(summary: PointTypeSummary):
     """Yield (j, [chi_0, chi_1, chi_2]) for the twists j = 1..d of a valid
     arrangement with point-type summary ``summary``: the integer form of
     euler_characteristic(graph, p, twist_class(graph, j))."""
-    weighted = _weighted_classes(summary)
-
-    # With D the lcm of the three grids, 2*D*W_p has integer coefficients
-    # and D*W_p.a is an integer.
-    half = lcm(*(w.den for w in weighted))
-    scale = 2 * half
-    grids = [half // w.den for w in weighted]
-    const = [2 * k * w.c for k, w in zip(grids, weighted)]
-    lin_e0 = [2 * k * w.b0 for k, w in zip(grids, weighted)]
-    quad = [k * w.a for k, w in zip(grids, weighted)]
-    # Points of one type share m_v = sum m_l*m_{v,l}, u and their W_p.bv
-    # numerators, so each type steps once per j, times its count.
-    histogram = summary.histogram
-    point_mults = (sum(m * mu for m, mu in branches) for branches in histogram)
-    scaled = ([2 * k * u for u in w.x] for k, w in zip(grids, weighted))
-    types = list(zip(point_mults, histogram, histogram.values(), *scaled))
+    d_red, m_reds, c2_twice = _log_chern(summary)
+    # c1 = c1_e0*e0 + sum_v (2 - m_{v,red})*e_v.  ch(wedge^2) = ch(c1), so
+    # chi_2(u) = chi_0(u + c1) = chi_0(u) + K/2 + c1.u with K = 2*chi_0(c1) - 2,
+    # and ch(wedge^1) = ch(wedge^0) + ch(wedge^2) - c2.
+    c1_e0 = 3 - d_red
+    k = -c1_e0 * d_red
+    # Points of one type share m_v = sum m_l*m_{v,l}, m_{v,red} and u, so
+    # each type steps once per j, times its count.
+    types = []
+    for (branches, count), m_red in zip(summary.histogram.items(), m_reds):
+        k -= count * (2 - m_red) * (1 - m_red)
+        types.append((sum(m * mu for m, mu in branches), branches, count, count * m_red))
 
     degree_by_mult = summary.degree_by_mult
     d = sum(m * deg for m, deg in degree_by_mult.items())
@@ -332,26 +250,20 @@ def _euler_characteristics(summary: PointTypeSummary):
         for m, deg in degree_by_mult.items():
             floors[m] = floor = (i * m) // d
             u0 -= floor * deg
-        lin0 = lin1 = lin2 = square = 0
-        for point_mult, branches, count, w0, w1, w2 in types:
+        s = s_m = q = 0
+        for point_mult, branches, count, count_m in types:
             u = (i * point_mult) // d
             for m, mu in branches:
                 u -= floors[m] * mu
             cu = count * u
-            lin0 += w0 * cu
-            lin1 += w1 * cu
-            lin2 += w2 * cu
-            square += cu * u
-        lin = (lin_e0[0] * u0 - lin0, lin_e0[1] * u0 - lin1, lin_e0[2] * u0 - lin2)
-        square = u0 * u0 - square
-        chis = []
-        for p in range(3):
-            total = const[p] + lin[p] + quad[p] * square
-            chi, rest = divmod(total, scale)
-            if rest:
-                raise ArithmeticError(f"chi_{p} must be an integer, got {Fraction(total, scale)}")
-            chis.append(chi)
-        yield j, chis
+            s += cu
+            s_m += count_m * u
+            q += cu * u
+        # 2*chi_0 = 2 * integral of td*ch(u), td = 1 - (3*e0 + sum_v e_v)/2 + e0^2.
+        twice0 = 2 + u0 * u0 - q - 3 * u0 + s
+        twice2 = twice0 + k + 2 * (c1_e0 * u0 - 2 * s + s_m)
+        chi0, chi2 = _integer(twice0, 2, "chi_0"), _integer(twice2, 2, "chi_2")
+        yield j, [chi0, _integer(twice0 + twice2 - c2_twice, 2, "chi_1"), chi2]
 
 
 def spectrum_via_riemann_roch(graph: ArrangementGraph) -> Spectrum:

@@ -161,9 +161,10 @@ def test_criterion_6_two_route_characteristic_classes(capsys):
             g = generate_graph(rng)
             assert chern_cotangent_log(g) == chern_cotangent_log_closed(g)
             assert todd(g) == todd_closed(g)
-            # Integrality of every Euler characteristic is asserted inside
-            # euler_characteristic itself, so criteria 2-5 already enforce
-            # it on thousands of evaluations; sweep a subsample directly.
+            # Criteria 2-5 run the spectrum route, whose per-type pairing
+            # asserts the integrality of every Euler characteristic it forms;
+            # the per-point euler_characteristic asserts its own, so sweep it
+            # directly on a subsample.
             if index < 10:
                 d = derived(g).total_degree
                 for j in range(1, d + 1):

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -647,6 +651,41 @@ class TestExamples:
             if line.startswith("  arrangement: "):
                 doc = json.loads(line.removeprefix("  arrangement: "))
                 assert "components" in doc
+
+
+def cli_process(*args):
+    """``python -m curvespec.cli <args>`` in a child process, stdout and
+    stderr piped."""
+    src = str(Path(curvespec.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen(
+        [sys.executable, "-m", "curvespec.cli", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early gets one error line and exit 1,
+    not a traceback."""
+
+    def assert_quiet_failure(self, process):
+        err = process.stderr.read().decode()
+        process.stderr.close()
+        assert process.wait(timeout=60) == 1
+        assert err == "error: cannot write standard output: Broken pipe\n"
+
+    def test_closed_before_reading(self):
+        process = cli_process("examples")
+        process.stdout.close()
+        self.assert_quiet_failure(process)
+
+    def test_closed_after_the_first_bytes(self, tmp_path):
+        # About 100 kB of spectrum, more than a pipe holds, so the writer
+        # is still writing when the reader stops.
+        path = lines_file(tmp_path, [{"form": [1, t, t * t], "multiplicity": t + 1} for t in range(60)])
+        process = cli_process("lines", path)
+        assert len(process.stdout.read(100)) == 100
+        process.stdout.close()
+        self.assert_quiet_failure(process)
 
 
 class TestParser:

@@ -19,8 +19,6 @@ from curvespec.lines import incidence_graph
 from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
 from curvespec.riemann_roch import (
     _euler_characteristics,
-    _Typed,
-    _weighted_classes,
     chern_cotangent_log,
     chern_cotangent_log_closed,
     chern_tangent,
@@ -122,6 +120,19 @@ GROUPING_GRAPHS = [general_position_lines(12), fermat_graph(), equal_mult_split_
 # Non-reduced graphs with component multiplicities up to 5: larger total
 # degrees, so the twists' floor divisions take more distinct values.
 HIGH_MULT_GRAPHS = seeded_graphs(4, GraphBounds(max_degree=3, max_mult=5))
+
+
+def reference_characteristics(g):
+    """[(j, [chi_0, chi_1, chi_2]) for j = 1..d] from the per-point classes:
+    W_p = wedge_ch(chern_cotangent_log(g), p) * todd(g), built once per
+    graph, paired with line_bundle_ch(twist_class(g, j)) for each j."""
+    log_chern, td = chern_cotangent_log(g), todd(g)
+    weighted = [wedge_ch(log_chern, p) * td for p in range(3)]
+    table = []
+    for j in range(1, derived(g).total_degree + 1):
+        ch = line_bundle_ch(twist_class(g, j))
+        table.append((j, [(w * ch).integrate() for w in weighted]))
+    return table
 
 
 def on_repeated_types(test):
@@ -353,12 +364,7 @@ class TestIntegerPairing:
         + GROUPING_GRAPHS,
     )
     def test_matches_euler_characteristic(self, g):
-        d = derived(g).total_degree
-        table = list(_euler_characteristics(g.point_types))
-        assert [j for j, _ in table] == list(range(1, d + 1))
-        for j, chis in table:
-            u = twist_class(g, j)
-            assert chis == [euler_characteristic(g, p, u) for p in range(3)]
+        assert list(_euler_characteristics(g.point_types)) == reference_characteristics(g)
 
     @pytest.mark.parametrize("g", HIGH_MULT_GRAPHS + repeated_type_graphs() + GROUPING_GRAPHS)
     def test_no_fraction_between_factor_builds_and_pairing(self, g):
@@ -378,49 +384,37 @@ class TestIntegerPairing:
         assert len(table) == derived(g).total_degree
         assert calls == []
 
-    def test_non_integral_weighted_class_is_caught(self, monkeypatch):
-        honest = curvespec.riemann_roch._weighted_classes
-
-        def corrupted(summary):
-            weighted = honest(summary)
-            w1 = weighted[1]
-            third = _Typed(w1.counts, 3, 0, 0, [0] * len(w1.x), 1)  # e0^2 / 3
-            return [weighted[0], w1 + third, weighted[2]]
-
-        monkeypatch.setattr(curvespec.riemann_roch, "_weighted_classes", corrupted)
-        with pytest.raises(ArithmeticError, match="chi_1 must be an integer"):
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda d_red, m_reds, c2_twice: (d_red, m_reds, c2_twice + 1), "chi_1 must be an integer, got"),
+            (
+                lambda d_red, m_reds, c2_twice: (d_red, [m_reds[0] + Fraction(1, 2), *m_reds[1:]], c2_twice),
+                "chi_2 must be an integer, got",
+            ),
+        ],
+        ids=["odd_c2_numerator", "half_c1_coefficient"],
+    )
+    def test_non_integral_closed_expansion_is_caught(self, corrupt, match, monkeypatch):
+        honest = curvespec.riemann_roch._log_chern
+        monkeypatch.setattr(curvespec.riemann_roch, "_log_chern", lambda summary: corrupt(*honest(summary)))
+        with pytest.raises(ArithmeticError, match=match):
             spectrum_via_riemann_roch(line_and_nodal_cubic())
 
 
-def assert_typed_build_matches_reference(g):
-    """Each W_p of the typed build has the a, b0 and c of the per-point
-    wedge_ch(chern_cotangent_log(g), p) * todd(g), and each type's
-    coefficient is the e_v coefficient of every point of that type."""
-    summary = g.point_types
-    weighted = _weighted_classes(summary)
-    assert sum(summary.histogram.values()) == len(g.points)
-    comp_mult = {c.id: c.multiplicity for c in g.components}
-    index = {key: t for t, key in enumerate(summary.histogram)}
-    log_chern, td = chern_cotangent_log(g), todd(g)
-    for p, w in enumerate(weighted):
-        ref = wedge_ch(log_chern, p) * td
-        assert (Fraction(w.a, w.den), Fraction(w.b0, w.den), Fraction(w.c, w.den)) == (ref.a, ref.b0, ref.c)
-        bv = ref.bv
-        for point in g.points:
-            key = tuple(sorted((comp_mult[br.component], br.mult) for br in point.branches))
-            assert Fraction(w.x[index[key]], w.den) == bv.get(point.id, 0)
-
-
 class TestTypedBuild:
+    """The per-type pairing of the closed expansions gives the Euler
+    characteristics of the per-point classes."""
+
     @pytest.mark.parametrize(
         "g", seeded_graphs(40) + HIGH_MULT_GRAPHS + repeated_type_graphs() + GROUPING_GRAPHS
     )
     def test_matches_per_point_build(self, g):
-        assert_typed_build_matches_reference(g)
+        assert list(_euler_characteristics(g.point_types)) == reference_characteristics(g)
 
     @given(arrangement_graphs())
     def test_matches_per_point_build_on_generated_graphs(self, g):
-        assert_typed_build_matches_reference(g)
+        assert list(_euler_characteristics(g.point_types)) == reference_characteristics(g)
 
 
 def assert_validate_counts_every_point(g):
