@@ -38,7 +38,6 @@ arithmetic between the j-loop and the printed output.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -110,87 +109,88 @@ def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
     u0 is one prefix sum over a ``rise`` array fed by the m steps of each
     component multiplicity, and a point type's uv changes only at the steps
     of the multiplicities in its weight and of m_v.  Each type is walked
-    once over its own steps, adding count * (new - old) of its three
-    quadratics into difference arrays; its pair counts fold into one
-    constant.  One prefix pass over j then emits the rows, so the cost
-    grows with d plus the breakpoints of the types, however many points
-    share a type.  The summary must come from a valid arrangement.
+    once over its own steps, adding count * (new - old) of two of its three
+    quadratics into difference arrays; the three add up to a constant that
+    folds, with its pair counts, into one constant of n1.  One prefix pass
+    over j then emits the rows, so the cost grows with d plus the
+    breakpoints of the types, however many points share a type.  The
+    summary must come from a valid arrangement.
     """
     degree_by_mult = summary.degree_by_mult
     d = sum(m * deg for m, deg in degree_by_mult.items())
     d_red = sum(degree_by_mult.values())
-    # The part of n1 that is constant in j: the component pair count less
-    # the branch pair counts of every point.
+    # The part of n1 that is constant in j: the component pair count less,
+    # for every point, its branch pair counts and binom(m_red - 1, 2).
     pair_term = summary.comp_pairs
 
-    positions: dict[int, list] = {}
-
-    def steps(m: int):
-        # The 0-based positions j - 1 where ceil(j*m/d) rises by one.
-        if m not in positions:
-            positions[m] = [k * d // m for k in range(m)]
-        return positions[m]
-
+    # positions[m] lists the 0-based positions j - 1 where ceil(j*m/d)
+    # rises by one.
+    positions = {}
     rise = [0] * d
     for m, deg in degree_by_mult.items():
-        for p in steps(m):
+        positions[m] = steps = [k * d // m for k in range(m)]
+        for p in steps:
             rise[p] += deg
 
-    # Types with the same weight by component multiplicity share their uv;
-    # only their branch pair counts differ, and those went into pair_term.
-    by_weight: Counter = Counter()
+    # Types with the same weight by component multiplicity share their uv
+    # and m_red; only their branch pair counts differ, and those go into
+    # pair_term here.
+    by_weight: dict[tuple, int] = {}
     for branches, count in summary.histogram.items():
         weight: dict[int, int] = {}
         for m, mult in branches:
             weight[m] = weight.get(m, 0) + mult
             pair_term -= count * (mult * (mult - 1) // 2)
-        by_weight[tuple(sorted(weight.items()))] += count
+        key = tuple(sorted(weight.items()))
+        by_weight[key] = by_weight.get(key, 0) + count
 
     # diff_k[p] is the change at j = p + 1 of the sum over types of
     # count * (k-th quadratic of uv); binom(x, 2) is written x*(x - 1)//2.
+    # With low = m_red - uv - 1 the three quadratics binom(low, 2), uv*low
+    # and binom(uv, 2) add up to binom(m_red - 1, 2) at every j, so the
+    # middle one is carried by pair_term, diff0 and diff2.
     diff0 = [0] * d
-    diff1 = [0] * d
     diff2 = [0] * d
     for weight, count in by_weight.items():
         # uv(j) = sum_m ceil(j*m/d) * weight[m] - ceil(j*m_v/d), walked from
-        # uv = 0 and all three quadratics 0 before j = 1.  Position 0 is a
-        # step of every m, so the first event sets the values at j = 1.
-        events: dict[int, int] = {}
+        # uv = 0 and both quadratics 0 before j = 1.  Position 0 is a step
+        # of every m, so the first event sets the values at j = 1.
         m_v = m_red = 0
         for m, w in weight:
             m_v += m * w
             m_red += w
-            for p in steps(m):
+        pair_term -= count * ((m_red - 1) * (m_red - 2) // 2)
+        steps = positions.get(m_v)
+        if steps is None:
+            positions[m_v] = steps = [k * d // m_v for k in range(m_v)]
+        events = dict.fromkeys(steps, -1)
+        for m, w in weight:
+            for p in positions[m]:
                 events[p] = events.get(p, 0) + w
-        for p in steps(m_v):
-            events[p] = events.get(p, 0) - 1
-        uv = old0 = old1 = old2 = 0
+        uv = old0 = old2 = 0
         for p in sorted(events):
             uv += events[p]
             low = m_red - uv - 1
             new0 = low * (low - 1) // 2
-            new1 = uv * low
             new2 = uv * (uv - 1) // 2
             diff0[p] += count * (new0 - old0)
-            diff1[p] += count * (new1 - old1)
             diff2[p] += count * (new2 - old2)
-            old0, old1, old2 = new0, new1, new2
-    # The -delta(j, d) at the top exponent.
-    diff2[d - 1] += 1
+            old0, old2 = new0, new2
 
     rows = []
-    ceil_sum = s0 = s1 = s2 = 0
-    for j, r, e0, e1, e2 in zip(range(1, d + 1), rise, diff0, diff1, diff2):
+    ceil_sum = s0 = s2 = 0
+    for j, r, e0, e2 in zip(range(1, d + 1), rise, diff0, diff2):
         ceil_sum += r
         s0 += e0
-        s1 += e1
         s2 += e2
         u0 = ceil_sum - j
         low = d_red - u0 - 1
         n0 = low * (low - 1) // 2 - s0
-        n1 = (u0 - 1) * low + pair_term - s1
+        n1 = (u0 - 1) * low + pair_term + s0 + s2
         n2 = (u0 - 1) * (u0 - 2) // 2 - s2
         rows.append((j, n0, n1, n2))
+    # The -delta(j, d) at the top exponent.
+    rows[-1] = (d, n0, n1, n2 - 1)
     return _three_level_spectrum(d, rows)
 
 

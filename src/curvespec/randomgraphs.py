@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import ArrangementGraph, Branch, Component, SingularPoint
+from .arrangement import MAX_TOTAL_DEGREE, ArrangementGraph, Branch, Component, SingularPoint
 
 __all__ = [
     "MAX_GRAPH_SIZE",
@@ -92,6 +92,12 @@ class GraphBounds:
         for name in ("max_components", "max_points"):
             if getattr(self, name) > MAX_GRAPH_SIZE:
                 raise ValueError(f"{name} exceeds the limit {MAX_GRAPH_SIZE}")
+        # The largest total degree a draw can reach; above the limit, whether
+        # a run fails would depend on the seed.
+        if self.max_components * self.max_degree * self.max_mult > MAX_TOTAL_DEGREE:
+            raise ValueError(
+                f"max_components * max_degree * max_mult exceeds the total degree limit {MAX_TOTAL_DEGREE}"
+            )
 
 
 def _generic_point(rng: SplitMix64, components: list[Component]) -> tuple[Branch, ...]:

@@ -29,12 +29,16 @@ td = 1 - (3*e0 + sum_v e_v)/2 + e0^2 the twisted structure sheaf has
 2*chi_0 = 2 + u0^2 - sum_v u_v^2 - 3*u0 + sum_v u_v.  For the rank-2 log
 cotangent bundle ch(wedge^2) = ch(c1), so chi_2(u) = chi_0(u + c1), and
 ch(wedge^1) = ch(wedge^0) + ch(wedge^2) - c2, so chi_1 = chi_0 + chi_2 - c2.
-Each j therefore takes three integer sums over the point types, sum u_v,
-sum m_{v,red}*u_v and sum u_v^2, each type once, times its count: O(T*d)
-in all for T types and total degree d.  Every chi is formed as an integer
-over 2, and an odd numerator (from a non-integral c2, say) fails the
-integrality assertion.  No :class:`fractions.Fraction` is made in the
-pairing.
+Each j therefore reads u0 and three integer sums over the point types,
+sum u_v, sum m_{v,red}*u_v and sum u_v^2, each type times its count.  With
+i = d - j every twist coefficient is built from floors floor(i*m/d), which
+rise by one at i = ceil(k*d/m); so the four go into difference arrays at
+those rises (the linear ones once per distinct multiplicity, sum u_v^2 by
+one walk per type) and one pass over i yields every j.  The cost is
+O(d + sum_T (m_v + sum_l m_l)) for the types T, not O(T*d).  Every chi is
+formed as an integer over 2, and an odd numerator (from a non-integral c2,
+say) fails the integrality assertion.  No :class:`fractions.Fraction` is
+made in the pairing.
 """
 
 from __future__ import annotations
@@ -223,47 +227,93 @@ def _log_chern(summary: PointTypeSummary) -> tuple[int, list[int], int]:
     return d_red, m_reds, top
 
 
+def _rises(m: int, d: int) -> list[int]:
+    """The i in [0, d) at which floor(i*m/d) rises by one, for 1 <= m <= d:
+    i = ceil(k*d/m) for k = 1..m-1, all distinct."""
+    return [(k * d + m - 1) // m for k in range(1, m)]
+
+
 def _euler_characteristics(summary: PointTypeSummary):
     """Yield (j, [chi_0, chi_1, chi_2]) for the twists j = 1..d of a valid
     arrangement with point-type summary ``summary``: the integer form of
-    euler_characteristic(graph, p, twist_class(graph, j))."""
+    euler_characteristic(graph, p, twist_class(graph, j)).
+
+    With i = d - j the twist is u = u0*e0 + sum_v u_v*e_v, where
+    u0 = i - sum_l floor(i*m_l/d)*d_l and
+    u_v = floor(i*m_v/d) - sum_l floor(i*m_l/d)*m_{v,l}.  The pairing reads
+    u0, S = sum_T count*u_T, S_m = sum_T count*m_{T,red}*u_T and
+    Q = sum_T count*u_T^2 (T the point types), all kept as difference arrays
+    over i at the rises of the floors (see :func:`_rises`)."""
     d_red, m_reds, c2_twice = _log_chern(summary)
     # c1 = c1_e0*e0 + sum_v (2 - m_{v,red})*e_v.  ch(wedge^2) = ch(c1), so
     # chi_2(u) = chi_0(u + c1) = chi_0(u) + K/2 + c1.u with K = 2*chi_0(c1) - 2,
-    # and ch(wedge^1) = ch(wedge^0) + ch(wedge^2) - c2.
+    # and ch(wedge^1) = ch(wedge^0) + ch(wedge^2) - c2.  With
+    # td = 1 - (3*e0 + sum_v e_v)/2 + e0^2 that gives
+    #   2*chi_0 = 2 + u0^2 - 3*u0 + X,              X = S - Q,
+    #   2*chi_2 = 2*chi_0 + K + 2*c1_e0*u0 + Y,     Y = 2*(S_m - 2*S).
     c1_e0 = 3 - d_red
     k = -c1_e0 * d_red
-    # Points of one type share m_v = sum m_l*m_{v,l}, m_{v,red} and u, so
-    # each type steps once per j, times its count.
-    types = []
-    for (branches, count), m_red in zip(summary.histogram.items(), m_reds):
-        k -= count * (2 - m_red) * (1 - m_red)
-        types.append((sum(m * mu for m, mu in branches), branches, count, count * m_red))
-
     degree_by_mult = summary.degree_by_mult
     d = sum(m * deg for m, deg in degree_by_mult.items())
-    for j in range(1, d + 1):
-        # Twist u = i*e0 + sum_v floor(i*m_v/d)*e_v + sum_l floor(i*m_l/d)*[E_l].
-        i = d - j
-        floors = {}
-        u0 = i
-        for m, deg in degree_by_mult.items():
-            floors[m] = floor = (i * m) // d
-            u0 -= floor * deg
-        s = s_m = q = 0
-        for point_mult, branches, count, count_m in types:
-            u = (i * point_mult) // d
-            for m, mu in branches:
-                u -= floors[m] * mu
-            cu = count * u
-            s += cu
-            s_m += count_m * u
-            q += cu * u
-        # 2*chi_0 = 2 * integral of td*ch(u), td = 1 - (3*e0 + sum_v e_v)/2 + e0^2.
-        twice0 = 2 + u0 * u0 - q - 3 * u0 + s
-        twice2 = twice0 + k + 2 * (c1_e0 * u0 - 2 * s + s_m)
-        chi0, chi2 = _integer(twice0, 2, "chi_0"), _integer(twice2, 2, "chi_2")
-        yield j, [chi0, _integer(twice0 + twice2 - c2_twice, 2, "chi_1"), chi2]
+    rises = {m: _rises(m, d) for m in degree_by_mult}
+    # What one rise of floor(i*m/d) adds to u0, X and Y, by m.
+    linear = {m: [-deg, 0, 0] for m, deg in degree_by_mult.items()}
+    diff_x = [0] * d
+    for (branches, count), m_red in zip(summary.histogram.items(), m_reds):
+        k -= count * (2 - m_red) * (1 - m_red)
+        count_y = 2 * count * (m_red - 2)
+        point_mult = 0
+        for m, mu in branches:
+            point_mult += m * mu
+            row = linear[m]
+            row[1] -= count * mu
+            row[2] -= count_y * mu
+        row = linear.get(point_mult)
+        if row is None:
+            linear[point_mult] = row = [0, 0, 0]
+            rises[point_mult] = _rises(point_mult, d)
+        row[1] += count
+        row[2] += count_y
+        # u_T is 0 at i = 0; it rises by 1 at each rise of m_v and falls by
+        # m_{v,l} at each rise of m_l.
+        events = dict.fromkeys(rises[point_mult], 1)
+        for m, mu in branches:
+            for i in rises[m]:
+                events[i] = events.get(i, 0) - mu
+        u = square = 0
+        for i in sorted(events):
+            u += events[i]
+            new = u * u
+            diff_x[i] -= count * (new - square)
+            square = new
+
+    diff_u0 = [0] * d
+    diff_y = [0] * d
+    for m, (a, b, c) in linear.items():
+        for i in rises[m]:
+            diff_u0[i] += a
+            diff_x[i] += b
+            diff_y[i] += c
+
+    # The pass runs down from i = d - 1 (j = 1): it starts from the sums of
+    # the differences and takes off the rise at i after yielding j.  The
+    # constants 2 and K ride in X and Y.
+    u0_less_i, x, y = sum(diff_u0), 2 + sum(diff_x), k + sum(diff_y)
+    c1_twice = 2 * c1_e0
+    c2_odd = c2_twice % 2
+    for j, rise_u0, rise_x, rise_y in zip(range(1, d + 1), diff_u0[::-1], diff_x[::-1], diff_y[::-1]):
+        u0 = d - j + u0_less_i
+        twice0 = u0 * (u0 - 3) + x
+        twice2 = twice0 + c1_twice * u0 + y
+        twice1 = twice0 + twice2 - c2_twice
+        if twice0 % 2 or twice2 % 2 or c2_odd:
+            _integer(twice0, 2, "chi_0")
+            _integer(twice2, 2, "chi_2")
+            _integer(twice1, 2, "chi_1")
+        yield j, [twice0 // 2, twice1 // 2, twice2 // 2]
+        u0_less_i -= rise_u0
+        x -= rise_x
+        y -= rise_y
 
 
 def spectrum_via_riemann_roch(graph: ArrangementGraph) -> Spectrum:

@@ -53,6 +53,8 @@ TRIANGLE_LINES = [
     {"form": [0, 0, 1]},
 ]
 
+DEGREE_BOUNDS_ERROR = "error: max_components * max_degree * max_mult exceeds the total degree limit 100000\n"
+
 
 def corrupt_rows(monkeypatch):
     """Shift every n0 coefficient of the closed formulas by j: the general,
@@ -254,12 +256,14 @@ class TestCheck:
         assert capsys.readouterr().out == "10/10 ok\n"
 
     def test_total_degree_limit(self, capsys):
+        # Bounds that could draw a graph above the total degree limit are
+        # refused before any graph is drawn, whatever the seed.
         huge = str(10**9)
         code = main(["check", "--count", "1", "--max-degree", huge, "--max-mult", huge])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error [total-degree-too-large] components:")
+        assert captured.err == DEGREE_BOUNDS_ERROR
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -267,6 +271,8 @@ class TestCheck:
             (["--max-points", str(10**12)], "error: max_points exceeds the limit 1000\n"),
             (["--max-components", str(10**12)], "error: max_components exceeds the limit 1000\n"),
             (["--count", "-3"], "error: count must not be negative\n"),
+            (["--max-degree", "1000000"], DEGREE_BOUNDS_ERROR),
+            (["--max-components", "5", "--max-degree", "5001", "--max-mult", "4"], DEGREE_BOUNDS_ERROR),
         ],
     )
     def test_unbounded_runs_are_rejected_before_drawing(self, capsys, flags, message):

@@ -103,6 +103,14 @@ class TestGenerateGraph:
         with pytest.raises(ValueError, match=f"{field} exceeds the limit"):
             GraphBounds(**{field: MAX_GRAPH_SIZE + 1})
 
+    def test_bounds_that_reach_past_the_total_degree_limit_are_rejected(self):
+        # The largest draw has max_components components of degree
+        # max_degree and multiplicity max_mult: 5 * 5000 * 4 is the limit.
+        GraphBounds(max_components=5, max_degree=5000, max_mult=4)
+        message = "max_components \\* max_degree \\* max_mult exceeds the total degree limit"
+        with pytest.raises(ValueError, match=message):
+            GraphBounds(max_components=5, max_degree=5001, max_mult=4)
+
     @pytest.mark.parametrize(
         "field, low", [("max_components", 1), ("max_points", 0), ("max_degree", 1), ("max_mult", 1)]
     )

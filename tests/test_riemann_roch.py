@@ -15,10 +15,12 @@ from curvespec.arrangement import ArrangementGraph, derived, validate
 from curvespec.binomial import binom
 from curvespec.cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e
 from curvespec.formulas import spectrum_general, twist_coefficients
-from curvespec.lines import incidence_graph
+from curvespec.lines import incidence_graph, line_incidence
 from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
 from curvespec.riemann_roch import (
     _euler_characteristics,
+    _integer,
+    _log_chern,
     chern_cotangent_log,
     chern_cotangent_log_closed,
     chern_tangent,
@@ -400,6 +402,117 @@ class TestIntegerPairing:
         monkeypatch.setattr(curvespec.riemann_roch, "_log_chern", lambda summary: corrupt(*honest(summary)))
         with pytest.raises(ArithmeticError, match=match):
             spectrum_via_riemann_roch(line_and_nodal_cubic())
+
+
+def per_j_characteristics(summary):
+    """Reference: the pairing as it ran before the breakpoint walk, every
+    point type evaluated at every j, in time O(T*d)."""
+    d_red, m_reds, c2_twice = _log_chern(summary)
+    # c1 = c1_e0*e0 + sum_v (2 - m_{v,red})*e_v.  ch(wedge^2) = ch(c1), so
+    # chi_2(u) = chi_0(u + c1) = chi_0(u) + K/2 + c1.u with K = 2*chi_0(c1) - 2,
+    # and ch(wedge^1) = ch(wedge^0) + ch(wedge^2) - c2.
+    c1_e0 = 3 - d_red
+    k = -c1_e0 * d_red
+    # Points of one type share m_v = sum m_l*m_{v,l}, m_{v,red} and u, so
+    # each type steps once per j, times its count.
+    types = []
+    for (branches, count), m_red in zip(summary.histogram.items(), m_reds):
+        k -= count * (2 - m_red) * (1 - m_red)
+        types.append((sum(m * mu for m, mu in branches), branches, count, count * m_red))
+
+    degree_by_mult = summary.degree_by_mult
+    d = sum(m * deg for m, deg in degree_by_mult.items())
+    for j in range(1, d + 1):
+        # Twist u = i*e0 + sum_v floor(i*m_v/d)*e_v + sum_l floor(i*m_l/d)*[E_l].
+        i = d - j
+        floors = {}
+        u0 = i
+        for m, deg in degree_by_mult.items():
+            floors[m] = floor = (i * m) // d
+            u0 -= floor * deg
+        s = s_m = q = 0
+        for point_mult, branches, count, count_m in types:
+            u = (i * point_mult) // d
+            for m, mu in branches:
+                u -= floors[m] * mu
+            cu = count * u
+            s += cu
+            s_m += count_m * u
+            q += cu * u
+        # 2*chi_0 = 2 * integral of td*ch(u), td = 1 - (3*e0 + sum_v e_v)/2 + e0^2.
+        twice0 = 2 + u0 * u0 - q - 3 * u0 + s
+        twice2 = twice0 + k + 2 * (c1_e0 * u0 - 2 * s + s_m)
+        chi0, chi2 = _integer(twice0, 2, "chi_0"), _integer(twice2, 2, "chi_2")
+        yield j, [chi0, _integer(twice0 + twice2 - c2_twice, 2, "chi_1"), chi2]
+
+
+def weighted_line_summary(count):
+    """Lines (1, t, t^2) of multiplicity t + 1, t < count: every point lies
+    on two lines of distinct multiplicities, so nearly every point is a
+    type of its own, count*(count - 1)/2 types at total degree
+    count*(count + 1)/2."""
+    return line_incidence([((1, t, t * t), t + 1) for t in range(count)]).point_types()
+
+
+# The seeded generator corpora of the CLI's `check` runs: default bounds,
+# wide, many-point and reduced.
+WALK_CORPORA = {
+    "default": (GraphBounds(), 400),
+    "wide": (GraphBounds(max_components=8, max_points=24, max_degree=6, max_mult=5), 200),
+    "many_point": (GraphBounds(max_components=8, max_points=200, max_degree=6, max_mult=5), 40),
+    "reduced": (GraphBounds(max_mult=1, max_points=60), 200),
+}
+
+
+class TestBreakpointWalk:
+    """The breakpoint walk of _euler_characteristics gives the table of the
+    per-j pairing it replaced, and its work follows the breakpoints."""
+
+    @pytest.mark.parametrize("name", WALK_CORPORA)
+    def test_matches_per_j_pairing_on_seeded_corpora(self, name):
+        bounds, count = WALK_CORPORA[name]
+        rng = SplitMix64(11)
+        for _ in range(count):
+            summary = generate_graph(rng, bounds).point_types
+            assert list(_euler_characteristics(summary)) == list(per_j_characteristics(summary))
+
+    @pytest.mark.parametrize("count", [20, 40, 60])
+    def test_matches_per_j_pairing_on_weighted_lines(self, count):
+        summary = weighted_line_summary(count)
+        assert list(_euler_characteristics(summary)) == list(per_j_characteristics(summary))
+
+    @on_repeated_types
+    @given(arrangement_graphs())
+    def test_matches_per_j_pairing_on_generated_graphs(self, g):
+        summary = g.point_types
+        assert list(_euler_characteristics(summary)) == list(per_j_characteristics(summary))
+
+    def test_line_events_follow_breakpoints(self):
+        # Counted, not timed: 780 types at d = 820, where a per-j loop over
+        # the types runs T*d = 639 600 times.  The walk visits each rise of
+        # every type's m_v and m_l once and each i once, about 5 line events
+        # per unit of d + sum_T (m_v + sum_l m_l) = 64 780.
+        summary = weighted_line_summary(40)
+        d = sum(m * deg for m, deg in summary.degree_by_mult.items())
+        breakpoints = d + sum(sum(m * mu + m for m, mu in branches) for branches in summary.histogram)
+        assert (len(summary.histogram), d) == (780, 820)
+        code = _euler_characteristics.__code__
+        lines = 0
+
+        def local(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return local
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+        try:
+            table = list(_euler_characteristics(summary))
+        finally:
+            sys.settrace(previous)
+        assert len(table) == d
+        assert lines <= 8 * breakpoints
 
 
 class TestTypedBuild:
