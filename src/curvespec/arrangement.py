@@ -131,12 +131,6 @@ class ArrangementGraph:
         """:func:`validate` of this graph, made on first use and kept."""
         return validate(self)
 
-    def point_type_keys(self):
-        """Each point's type, in point order: the sorted tuple of
-        (m_l, m_{v,l}) over its branches."""
-        comp_mult = {c.id: c.multiplicity for c in self.components}
-        return (tuple(sorted((comp_mult[br.component], br.mult) for br in p.branches)) for p in self.points)
-
     @cached_property
     def point_types(self) -> "PointTypeSummary":
         """The :class:`PointTypeSummary` that :func:`validate` built for this

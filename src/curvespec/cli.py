@@ -57,6 +57,13 @@ class VerificationMismatch(Exception):
     """Two pipelines that must agree produced different spectra."""
 
 
+def _first_difference(a: Spectrum, b: Spectrum) -> str:
+    """Where two unequal spectra part: the smallest exponent at which their
+    coefficients differ, with both coefficients."""
+    alpha = (a - b).support()[0]
+    return f"first difference at t^({alpha}): {a.coefficient(alpha)} vs {b.coefficient(alpha)}"
+
+
 def _auto_dispatch(graph: ArrangementGraph):
     """The general formula; a reduced graph is cross-checked against the
     separately coded reduced display at runtime."""
@@ -66,7 +73,7 @@ def _auto_dispatch(graph: ArrangementGraph):
         if result != reduced:
             raise VerificationMismatch(
                 "auto-dispatched general formula disagrees with the reduced formula: "
-                f"{format_spectrum(result)} vs {format_spectrum(reduced)}"
+                + _first_difference(result, reduced)
             )
     return result
 
@@ -84,9 +91,7 @@ def _verify(result: Spectrum, oracle: Spectrum) -> None:
     """Raise :class:`VerificationMismatch` unless the characteristic-class
     spectrum ``oracle`` equals ``result``."""
     if oracle != result:
-        raise VerificationMismatch(
-            f"characteristic-class pipeline disagrees: {format_spectrum(result)} vs {format_spectrum(oracle)}"
-        )
+        raise VerificationMismatch("characteristic-class pipeline disagrees: " + _first_difference(result, oracle))
 
 
 def cmd_compute(args) -> int:
@@ -102,13 +107,6 @@ def _single_component_power_spectrum(graph: ArrangementGraph):
     comp = graph.components[0]
     mults = [p.branches[0].mult for p in graph.points if p.branches[0].mult >= 2]
     return spectrum_irreducible_power(comp.degree, comp.multiplicity, mults)
-
-
-def _first_difference(a: Spectrum, b: Spectrum) -> str:
-    """Where two unequal spectra part: the smallest exponent at which their
-    coefficients differ, with both coefficients."""
-    alpha = (a - b).support()[0]
-    return f"first difference at t^({alpha}): {a.coefficient(alpha)} vs {b.coefficient(alpha)}"
 
 
 def _check_one(graph: ArrangementGraph, rng: SplitMix64) -> list[str]:

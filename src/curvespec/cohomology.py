@@ -10,13 +10,8 @@ already rewritten into the e0^2 slot, so a :class:`CohClass` holds one
 coefficient per basis element and multiplication stays linear in the
 number of points.
 
-All coefficients of a class sit on one integer grid: the class stores a
-positive denominator ``den`` and integer numerators for 1, e0, each e_v and
-e0^2.  After every operation they are divided by gcd(den, *numerators) and
-zero e_v terms are dropped, so equality of classes is plain structural
-equality.  The ring operations and :func:`product` use integer arithmetic
-only; the attributes ``a``, ``b0``, ``bv``, ``c`` and
-:meth:`CohClass.integrate` still speak :class:`fractions.Fraction`.
+Each coefficient is one :class:`fractions.Fraction`, and zero e_v terms are
+dropped, so equality of classes is plain structural equality.
 
 Integration returns the e0^2 coefficient: the self-intersection of a
 general line is one point, which fixes the normalization integrate(e0^2) = 1.
@@ -34,7 +29,6 @@ would copy every point coefficient once per factor.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -44,6 +38,8 @@ ScalarLike = Union[Fraction, int, str]
 
 
 def _frac(x: ScalarLike) -> Fraction:
+    if type(x) is Fraction:  # ring results need no check
+        return x
     if isinstance(x, bool) or not isinstance(x, (Rational, str)):
         raise TypeError(f"expected an exact rational, got {x!r}")
     return Fraction(x)
@@ -53,11 +49,10 @@ class CohClass:
     """Element a + b0*e0 + sum_v bv[v]*e_v + c*e0^2 of the truncated ring.
 
     ``CohClass(a, b0, bv, c)`` takes exact rationals (Fraction, int or
-    ``"p/q"`` strings).  Classes are immutable; ``den`` and
-    :meth:`numerators` give the integer grid the class is stored on.
+    ``"p/q"`` strings).  Classes are immutable.
     """
 
-    __slots__ = ("_den", "_a", "_b0", "_bv", "_c")
+    __slots__ = ("_a", "_b0", "_bv", "_c")
 
     def __init__(
         self,
@@ -66,91 +61,44 @@ class CohClass:
         bv: Mapping[str, ScalarLike] | None = None,
         c: ScalarLike = 0,
     ):
-        a, b0, c = _frac(a), _frac(b0), _frac(c)
+        self._a = _frac(a)
+        self._b0 = _frac(b0)
         point = {v: _frac(x) for v, x in (bv or {}).items()}
-        # The lcm of the reduced denominators is already in lowest terms.
-        den = lcm(a.denominator, b0.denominator, c.denominator, *(x.denominator for x in point.values()))
-        self._den = den
-        self._a = a.numerator * (den // a.denominator)
-        self._b0 = b0.numerator * (den // b0.denominator)
-        self._bv = {v: x.numerator * (den // x.denominator) for v, x in point.items() if x}
-        self._c = c.numerator * (den // c.denominator)
-
-    @classmethod
-    def _of(cls, den: int, a: int, b0: int, bv: Mapping[str, int], c: int) -> "CohClass":
-        """Class from integer numerators over the positive denominator den,
-        brought to lowest terms: the ring operations and the
-        characteristic-class builds use it in place of the checking
-        constructor."""
-        bv = {v: x for v, x in bv.items() if x}
-        g = gcd(den, a, b0, c, *bv.values())
-        if g != 1:
-            den //= g
-            a //= g
-            b0 //= g
-            c //= g
-            bv = {v: x // g for v, x in bv.items()}
-        obj = object.__new__(cls)
-        obj._den = den
-        obj._a = a
-        obj._b0 = b0
-        obj._bv = bv
-        obj._c = c
-        return obj
+        self._bv = {v: x for v, x in point.items() if x}
+        self._c = _frac(c)
 
     # -- coefficients ---------------------------------------------------
 
     @property
-    def den(self) -> int:
-        """Positive common denominator of all coefficients, in lowest terms."""
-        return self._den
-
-    def numerators(self) -> Tuple[int, int, dict[str, int], int]:
-        """Integer numerators (a, b0, bv, c) over :attr:`den`."""
-        return self._a, self._b0, dict(self._bv), self._c
-
-    @property
     def a(self) -> Fraction:
-        return Fraction(self._a, self._den)
+        return self._a
 
     @property
     def b0(self) -> Fraction:
-        return Fraction(self._b0, self._den)
+        return self._b0
 
     @property
     def bv(self) -> dict[str, Fraction]:
-        den = self._den
-        return {v: Fraction(x, den) for v, x in self._bv.items()}
+        return dict(self._bv)
 
     @property
     def c(self) -> Fraction:
-        return Fraction(self._c, self._den)
+        return self._c
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohClass):
             return NotImplemented
-        return (
-            self._den == other._den
-            and self._a == other._a
-            and self._b0 == other._b0
-            and self._c == other._c
-            and self._bv == other._bv
-        )
+        return (self._a, self._b0, self._c, self._bv) == (other._a, other._b0, other._c, other._bv)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "CohClass") -> "CohClass":
         if not isinstance(other, CohClass):
             return NotImplemented
-        d, e = self._den, other._den
-        den = lcm(d, e)
-        s, t = den // d, den // e
-        bv = {v: s * x for v, x in self._bv.items()}
+        bv = dict(self._bv)
         for v, y in other._bv.items():
-            bv[v] = bv.get(v, 0) + t * y
-        return CohClass._of(
-            den, s * self._a + t * other._a, s * self._b0 + t * other._b0, bv, s * self._c + t * other._c
-        )
+            bv[v] = bv.get(v, 0) + y
+        return CohClass(self._a + other._a, self._b0 + other._b0, bv, self._c + other._c)
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         if not isinstance(other, CohClass):
@@ -158,18 +106,15 @@ class CohClass:
         return self + (-other)
 
     def __neg__(self) -> "CohClass":
-        return CohClass._of(self._den, -self._a, -self._b0, {v: -x for v, x in self._bv.items()}, -self._c)
+        return CohClass(-self._a, -self._b0, {v: -x for v, x in self._bv.items()}, -self._c)
 
     def __mul__(self, other: Union["CohClass", ScalarLike]) -> "CohClass":
         if not isinstance(other, CohClass):
             try:
-                other = _frac(other)
+                s = _frac(other)
             except (TypeError, ValueError):
                 return NotImplemented
-            p, q = other.numerator, other.denominator
-            return CohClass._of(
-                self._den * q, self._a * p, self._b0 * p, {v: x * p for v, x in self._bv.items()}, self._c * p
-            )
+            return CohClass(self._a * s, self._b0 * s, {v: x * s for v, x in self._bv.items()}, self._c * s)
         a, b0, bv = self._a, self._b0, self._bv
         a2, b02, bv2 = other._a, other._b0, other._bv
         # Degree-2 part of the product of the degree-1 parts:
@@ -182,9 +127,7 @@ class CohClass:
         prod = {v: a * y for v, y in bv2.items()}
         for v, x in bv.items():
             prod[v] = prod.get(v, 0) + a2 * x
-        return CohClass._of(
-            self._den * other._den, a * a2, a * b02 + a2 * b0, prod, a * other._c + a2 * self._c + cross
-        )
+        return CohClass(a * a2, a * b02 + a2 * b0, prod, a * other._c + a2 * self._c + cross)
 
     def __rmul__(self, other: ScalarLike) -> "CohClass":
         return self * other
@@ -195,63 +138,51 @@ class CohClass:
             return NotImplemented
         if other == 0:
             raise ZeroDivisionError("division of a class by zero")
-        s = 1 if other > 0 else -1
-        return CohClass._of(
-            self._den * other * s, self._a * s, self._b0 * s, {v: x * s for v, x in self._bv.items()}, self._c * s
-        )
+        return self * Fraction(1, other)
 
     # -- queries --------------------------------------------------------
 
     def integrate(self) -> Fraction:
         """Pairing with the fundamental class: the e0^2 coefficient."""
-        return Fraction(self._c, self._den)
+        return self._c
 
     def degree_part(self, k: int) -> "CohClass":
         """Homogeneous piece of cohomological degree 2k (k = 0, 1, 2)."""
         if k == 0:
-            return CohClass._of(self._den, self._a, 0, {}, 0)
+            return CohClass(self._a)
         if k == 1:
-            return CohClass._of(self._den, 0, self._b0, self._bv, 0)
+            return CohClass(0, self._b0, self._bv)
         if k == 2:
-            return CohClass._of(self._den, 0, 0, {}, self._c)
+            return CohClass(c=self._c)
         raise ValueError(f"degree index must be 0, 1 or 2, got {k}")
 
     def is_divisor(self) -> bool:
         """True when the class is purely degree 1."""
-        return self._a == 0 and self._c == 0
+        return not self._a and not self._c
 
     def inverse(self) -> "CohClass":
         """Multiplicative inverse in the truncated ring; needs a unit (a != 0).
 
-        With x = (a + n)/den, n nilpotent of order 3, the inverse is
-        den*(a^2 - a*n + n^2)/a^3.
+        With x = a + n, n nilpotent of order 3, the inverse is
+        (1 - n/a + n^2/a^2)/a, where n^2 = (b0^2 - sum_v bv^2)*e0^2.
         """
-        a = self._a
-        if a == 0:
+        if not self._a:
             raise ZeroDivisionError("class with zero scalar part is not invertible")
-        # Numerators and denominator a^3 times the sign of a, so that the
-        # denominator stays positive.
-        s = self._den if a > 0 else -self._den
-        t = -s * a
-        return CohClass._of(
-            abs(a) ** 3,
-            s * a * a,
-            t * self._b0,
-            {v: t * x for v, x in self._bv.items()},
-            t * self._c + s * (self._b0 * self._b0 - sum(x * x for x in self._bv.values())),
-        )
+        inv = 1 / self._a
+        s = -inv * inv
+        square = self._b0 * self._b0 - sum(x * x for x in self._bv.values())
+        return CohClass(inv, s * self._b0, {v: s * x for v, x in self._bv.items()}, s * self._c + square * inv**3)
 
     def __repr__(self) -> str:
         parts = []
         if self._a:
-            parts.append(str(self.a))
+            parts.append(str(self._a))
         if self._b0:
-            parts.append(f"{self.b0}*e0")
-        bv = self.bv
-        for v in sorted(bv):
-            parts.append(f"{bv[v]}*e[{v}]")
+            parts.append(f"{self._b0}*e0")
+        for v in sorted(self._bv):
+            parts.append(f"{self._bv[v]}*e[{v}]")
         if self._c:
-            parts.append(f"{self.c}*e0^2")
+            parts.append(f"{self._c}*e0^2")
         return "CohClass(" + (" + ".join(parts) if parts else "0") + ")"
 
 

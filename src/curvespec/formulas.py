@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .arrangement import ArrangementGraph, PointTypeSummary, derived, require_valid
+from .arrangement import ArrangementGraph, PointTypeSummary, _echo, derived, require_valid
 from .binomial import binom, ceil_div
 from .spectrum import Spectrum
 
@@ -212,7 +212,7 @@ def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
     summary = require_valid(graph).point_types
     if not graph.is_reduced():
         bad = [c.id for c in graph.components if c.multiplicity != 1]
-        raise ValueError(f"reduced formula needs all multiplicities 1; components {bad} violate that")
+        raise ValueError(f"reduced formula needs all multiplicities 1; components {_echo(bad)} violate that")
     d = sum(summary.degree_by_mult.values())
     pair_term = summary.comp_pairs
     by_point_mult: dict[int, int] = {}
@@ -254,7 +254,7 @@ def spectrum_smooth_components(graph: ArrangementGraph) -> Spectrum:
         if br.mult != 1
     ]
     if bad:
-        raise ValueError(f"smooth-components formula needs every branch multiplicity 1; got {bad}")
+        raise ValueError(f"smooth-components formula needs every branch multiplicity 1; got {_echo(bad)}")
     return spectrum_general(graph)
 
 
@@ -266,7 +266,7 @@ def spectrum_hyperplane(graph: ArrangementGraph) -> Spectrum:
     require_valid(graph)
     bad = [c.id for c in graph.components if c.degree != 1]
     if bad:
-        raise ValueError(f"hyperplane formula needs all component degrees 1; components {bad} violate that")
+        raise ValueError(f"hyperplane formula needs all component degrees 1; components {_echo(bad)} violate that")
     return spectrum_general(graph)
 
 

@@ -108,13 +108,11 @@ def chern_cotangent_log(graph: ArrangementGraph) -> CohClass:
 
 def chern_cotangent_log_closed(graph: ArrangementGraph) -> CohClass:
     """Closed-form expansion of :func:`chern_cotangent_log` (see
-    :func:`_log_chern`), each point's e_v coefficient that of its type, a
-    regression target for the product route."""
-    summary = require_valid(graph).point_types
-    d_red, m_reds, c2_twice = _log_chern(summary)
-    by_type = {key: 4 - 2 * m_red for key, m_red in zip(summary.histogram, m_reds)}
-    bv = {point.id: by_type[key] for point, key in zip(graph.points, graph.point_type_keys())}
-    return CohClass._of(2, 2, 6 - 2 * d_red, bv, c2_twice)
+    :func:`_log_chern`), each point's e_v coefficient 2 - m_{v,red} read off
+    its branches, a regression target for the product route."""
+    d_red, _, c2_twice = _log_chern(require_valid(graph).point_types)
+    bv = {point.id: 2 - sum(br.mult for br in point.branches) for point in graph.points}
+    return CohClass(1, 3 - d_red, bv, Fraction(c2_twice, 2))
 
 
 def _todd(tangent):
@@ -134,7 +132,7 @@ def todd_closed(graph: ArrangementGraph) -> CohClass:
     """Closed form 1 - (sum_v e_v + 3 e0)/2 + e0^2 of :func:`todd`, the one
     :func:`_euler_characteristics` pairs with, regression target."""
     require_valid(graph)
-    return CohClass._of(2, 2, -3, {point.id: -1 for point in graph.points}, 2)
+    return CohClass(1, Fraction(-3, 2), {point.id: Fraction(-1, 2) for point in graph.points}, 1)
 
 
 def wedge_ch(c_total: CohClass, p: int) -> CohClass:
@@ -179,7 +177,7 @@ def twist_class(graph: ArrangementGraph, j: int) -> CohClass:
         point.id: (i * data.point_mult[point.id]) // d - sum(floors[br.component] * br.mult for br in point.branches)
         for point in graph.points
     }
-    return CohClass._of(1, 0, b0, bv, 0)
+    return CohClass(b0=b0, bv=bv)
 
 
 def _integer(numerator: int, den: int, what: str) -> int:

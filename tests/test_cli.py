@@ -14,6 +14,7 @@ import curvespec.lines
 import curvespec.riemann_roch
 from curvespec.arrangement import ArrangementGraph, derived, graph_to_dict, load_arrangement
 from curvespec.cli import build_parser, main
+from curvespec.cohomology import ONE, CohClass
 from curvespec.formulas import spectrum_general, spectrum_hyperplane
 from curvespec.lines import incidence_graph
 from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
@@ -150,6 +151,28 @@ class TestCompute:
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith("mismatch: auto-dispatched general formula")
+
+    def test_verify_mismatch_names_the_first_difference(self, tmp_path, capsys, monkeypatch):
+        corrupt_rows(monkeypatch)
+        assert main(["compute", arrangement_file(tmp_path, NODAL_CUBIC), "--verify"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "mismatch: characteristic-class pipeline disagrees: first difference at t^(1/3): 1 vs 0\n",
+        )
+
+    def test_auto_mismatch_names_the_first_difference(self, tmp_path, capsys, monkeypatch):
+        general = curvespec.formulas.spectrum_of_point_types
+        monkeypatch.setattr(
+            curvespec.formulas,
+            "spectrum_of_point_types",
+            lambda summary: general(summary) + curvespec.formulas.Spectrum.term(1),
+        )
+        assert main(["compute", arrangement_file(tmp_path, NODAL_CUBIC)]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "mismatch: auto-dispatched general formula disagrees with the reduced formula: "
+            "first difference at t^(1): 2 vs 1\n",
+        )
 
     def test_inapplicable_formula_is_a_data_error(self, tmp_path, capsys):
         path = arrangement_file(tmp_path, DOUBLE_LINES)
@@ -553,6 +576,15 @@ class TestLinesSummaryPath:
         assert captured.err.startswith("mismatch: characteristic-class pipeline disagrees: ")
         assert captured.err.count("\n") == 1
 
+    def test_verify_mismatch_names_the_first_difference(self, tmp_path, capsys, monkeypatch):
+        path = lines_file(tmp_path, line_entries(random_line_forms(4)))
+        corrupt_rows(monkeypatch)
+        assert main(["lines", path, "--verify"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "mismatch: characteristic-class pipeline disagrees: first difference at t^(1/32): 1 vs 0\n",
+        )
+
 
 class TestUnreadableJson:
     @pytest.mark.parametrize("command", ["compute", "lines"])
@@ -640,6 +672,41 @@ class TestLongValueEcho:
             assert len(line) < 160 + 80 * line.count("...")
 
 
+    @pytest.mark.parametrize(
+        "formula, doc, message",
+        [
+            (
+                "hyperplane",
+                {"components": [{"id": f"q{k}", "degree": 2} for k in range(40_000)]},
+                "hyperplane formula needs all component degrees 1; components "
+                "['q0', 'q1', 'q2', 'q3', 'q4', 'q5', 'q6', 'q7', 'q8', 'q9', 'q10', 'q11', 'q... violate that",
+            ),
+            (
+                "smooth",
+                {
+                    "components": [{"id": f"c{k}", "degree": 3} for k in range(20_000)],
+                    "points": [{"id": f"v{k}", "branches": [{"component": f"c{k}", "mult": 2}]} for k in range(20_000)],
+                },
+                "smooth-components formula needs every branch multiplicity 1; got "
+                "[('v0', 'c0'), ('v1', 'c1'), ('v2', 'c2'), ('v3', 'c3'), ('v4', 'c4'), ('v5',...",
+            ),
+            (
+                "reduced",
+                {"components": [{"id": f"l{k}", "degree": 1, "multiplicity": 2} for k in range(20_000)]},
+                "reduced formula needs all multiplicities 1; components "
+                "['l0', 'l1', 'l2', 'l3', 'l4', 'l5', 'l6', 'l7', 'l8', 'l9', 'l10', 'l11', 'l... violate that",
+            ),
+        ],
+        ids=["40000-conics", "20000-nodal-cubics", "20000-double-lines"],
+    )
+    def test_inapplicable_formula_is_one_short_line(self, tmp_path, capsys, formula, doc, message):
+        # The offender list is echoed like any other value, cut to 80 characters.
+        assert main(["compute", arrangement_file(tmp_path, doc), "--formula", formula]) == 2
+        captured = capsys.readouterr()
+        assert captured == ("", f"error: {message}\n")
+        assert len(captured.err) < 200
+
+
 class TestExamples:
     def test_lists_all_fixtures(self, capsys):
         assert main(["examples"]) == 0
@@ -657,6 +724,58 @@ class TestExamples:
             if line.startswith("  arrangement: "):
                 doc = json.loads(line.removeprefix("  arrangement: "))
                 assert "components" in doc
+
+
+class TestNoCommandBuildsAClass:
+    """The cohomology ring is the per-point reference of the tests: no
+    command builds a class in it (the module constant ONE is built at
+    import)."""
+
+    MANY_POINTS = ["--max-components", "8", "--max-points", "200", "--max-degree", "6", "--max-mult", "5"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "--count", "50", "--seed", "1"],
+            ["check", "--count", "20", "--seed", "3", *MANY_POINTS],
+            ["examples"],
+        ],
+        ids=["check", "check-many-points", "examples"],
+    )
+    def test_command(self, monkeypatch, args):
+        self.assert_builds_no_class(monkeypatch, [args])
+
+    @pytest.mark.parametrize(
+        "doc",
+        [NODAL_CUBIC, DOUBLE_LINES, CONCURRENT_LINES, CONIC_AND_SECANT]
+        + [graph_to_dict(g) for g in (line_and_nodal_cubic(), two_line_powers(2, 3))],
+        ids=["nodal-cubic", "double-lines", "concurrent-lines", "conic-and-secant", "line-and-nodal-cubic", "powers"],
+    )
+    def test_compute(self, tmp_path, monkeypatch, doc):
+        path = arrangement_file(tmp_path, doc)
+        self.assert_builds_no_class(monkeypatch, [["compute", path], ["compute", path, "--verify"]])
+
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_lines_verify(self, tmp_path, monkeypatch, seed):
+        path = lines_file(tmp_path, line_entries(random_line_forms(seed)))
+        self.assert_builds_no_class(monkeypatch, [["lines", path, "--verify"]])
+
+    @staticmethod
+    def assert_builds_no_class(monkeypatch, runs):
+        made = []
+        honest_init = CohClass.__init__
+
+        def counted_init(self, *args, **kwargs):
+            made.append(args)
+            honest_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CohClass, "__init__", counted_init)
+        for args in runs:
+            assert main(args) == 0, args
+        assert made == []
+        # The count sees a class when one is built.
+        assert ONE + ONE == CohClass(2)
+        assert made
 
 
 def cli_process(*args):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import curvespec.cli
 import curvespec.cohomology
 import curvespec.formulas
 import curvespec.lines
@@ -58,6 +59,11 @@ class TestIndependence:
         # Line incidence hands a point-type summary to the routes; it reads
         # and validates through arrangement alone.
         assert curvespec_imports(curvespec.lines) == {"arrangement"}
+
+    def test_commands_import_no_cohomology(self):
+        # The ring is the per-point reference the tests check the spectrum
+        # route against; no command reads it.
+        assert "cohomology" not in curvespec_imports(curvespec.cli)
 
 
 @pytest.fixture

@@ -340,19 +340,20 @@ class TestLogExpBuild:
 
     @pytest.mark.parametrize("count", [40, 100])
     def test_per_point_build_stays_near_linear(self, count, monkeypatch):
-        # Point coefficients handed to CohClass._of, counted, not timed: the
-        # balanced tree of products copies each point's coefficient O(log P)
-        # times, where a left-to-right chain copies it once per factor.
+        # Point coefficients handed to the CohClass constructor, counted, not
+        # timed: the balanced tree of products copies each point's
+        # coefficient O(log P) times, where a left-to-right chain copies it
+        # once per factor.
         g = general_position_lines(count)
         points = len(g.points)
         copied = []
-        honest_of = CohClass._of.__func__
+        honest_init = CohClass.__init__
 
-        def counted_of(cls, den, a, b0, bv, c):
-            copied.append(len(bv))
-            return honest_of(cls, den, a, b0, bv, c)
+        def counted_init(self, a=0, b0=0, bv=None, c=0):
+            copied.append(len(bv or {}))
+            honest_init(self, a, b0, bv, c)
 
-        monkeypatch.setattr(CohClass, "_of", classmethod(counted_of))
+        monkeypatch.setattr(CohClass, "__init__", counted_init)
         chern_cotangent_log(g)
         assert sum(copied) <= 10 * points * log2(points)
 
@@ -530,13 +531,20 @@ class TestTypedBuild:
         assert list(_euler_characteristics(g.point_types)) == reference_characteristics(g)
 
 
+def point_type_keys(g):
+    """Each point's type, in point order: the sorted tuple of (m_l, m_{v,l})
+    over its branches."""
+    comp_mult = {c.id: c.multiplicity for c in g.components}
+    return [tuple(sorted((comp_mult[br.component], br.mult) for br in p.branches)) for p in g.points]
+
+
 def assert_validate_counts_every_point(g):
     """validate's summary of a valid graph: its histogram is the per-point
     count of point_type_keys, and its component data the sums over the
     components."""
     summary = validate(g).point_types
     assert summary == g.point_types
-    assert summary.histogram == Counter(g.point_type_keys())
+    assert summary.histogram == Counter(point_type_keys(g))
     degree_by_mult = Counter()
     for c in g.components:
         degree_by_mult[c.multiplicity] += c.degree
@@ -633,18 +641,12 @@ class TestSpectrumViaRiemannRoch:
     def test_builds_no_cohomology_class(self, count, monkeypatch):
         g = general_position_lines(count)
         made = []
-        honest_of = CohClass._of.__func__
         honest_init = CohClass.__init__
-
-        def counted_of(cls, *args):
-            made.append(args)
-            return honest_of(cls, *args)
 
         def counted_init(self, *args, **kwargs):
             made.append(args)
             honest_init(self, *args, **kwargs)
 
-        monkeypatch.setattr(CohClass, "_of", classmethod(counted_of))
         monkeypatch.setattr(CohClass, "__init__", counted_init)
         spectrum_via_riemann_roch(g)
         assert made == []
