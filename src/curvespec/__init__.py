@@ -29,7 +29,6 @@ from .arrangement import (
 from .binomial import binom, ceil_div
 from .cohomology import CohClass
 from .formulas import (
-    TwistCoefficients,
     spectrum_binary_linear,
     spectrum_general,
     spectrum_hyperplane,
@@ -37,7 +36,6 @@ from .formulas import (
     spectrum_isolated,
     spectrum_reduced,
     spectrum_smooth_components,
-    twist_coefficients,
 )
 from .lines import incidence_graph, load_lines, normalize_form
 from .randomgraphs import GraphBounds, SplitMix64, generate_graph
@@ -72,7 +70,6 @@ __all__ = [
     "Spectrum",
     "SpectrumParseError",
     "SplitMix64",
-    "TwistCoefficients",
     "ValidationReport",
     "binom",
     "ceil_div",
@@ -101,6 +98,5 @@ __all__ = [
     "spectrum_via_riemann_roch",
     "todd",
     "twist_class",
-    "twist_coefficients",
     "validate",
 ]

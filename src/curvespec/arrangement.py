@@ -288,10 +288,11 @@ def require_valid(graph: ArrangementGraph) -> ArrangementGraph:
 
 @dataclass(frozen=True)
 class DerivedData:
-    """Aggregates of f that the formulas read, computed once from the graph:
-    ``total_degree`` is deg f = sum(m_l * d_l) and ``point_mult[v]`` the
-    multiplicity sum(m_l * m_{v,l}) of f at v.  The reduced union's degree
-    and point multiplicities are summed from the graph where they are read.
+    """Aggregates of f, computed from the graph: ``total_degree`` is
+    deg f = sum(m_l * d_l) and ``point_mult[v]`` the multiplicity
+    sum(m_l * m_{v,l}) of f at v.  The per-point twist
+    :func:`curvespec.riemann_roch.twist_class` and the tests read them; the
+    formulas read the graph's point-type summary instead.
     """
 
     total_degree: int

@@ -284,9 +284,11 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError as exc:
-        # The reader closed the pipe: send what is still buffered to devnull
-        # so the interpreter's flush at exit stays quiet.
+    except OSError as exc:
+        # Standard output cannot be written (the reader closed the pipe, or
+        # the device is full): send what is still buffered to devnull so the
+        # interpreter's flush at exit stays quiet.  Every other OSError is
+        # turned into its own message before it gets here.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
         return 1

@@ -38,15 +38,13 @@ arithmetic between the j-loop and the printed output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .arrangement import ArrangementGraph, PointTypeSummary, _echo, derived, require_valid
+from .arrangement import ArrangementGraph, PointTypeSummary, _echo, require_valid
 from .binomial import binom, ceil_div
 from .spectrum import Spectrum
 
 __all__ = [
-    "TwistCoefficients",
     "spectrum_binary_linear",
     "spectrum_general",
     "spectrum_hyperplane",
@@ -54,39 +52,7 @@ __all__ = [
     "spectrum_isolated",
     "spectrum_reduced",
     "spectrum_smooth_components",
-    "twist_coefficients",
 ]
-
-
-@dataclass(frozen=True)
-class TwistCoefficients:
-    """Integer coefficients of the j-th twisting divisor class.
-
-    ``e0`` is the coefficient on the pulled-back hyperplane direction,
-    ``ev`` maps each singular point id to the coefficient on its
-    exceptional direction.  For reduced arrangements e0 = d - j and
-    ev[v] = m_v - ceil(j*m_v/d).
-    """
-
-    j: int
-    e0: int
-    ev: Mapping[str, int]
-
-
-def twist_coefficients(graph: ArrangementGraph, j: int) -> TwistCoefficients:
-    """Evaluate u0(j) and uv(j) for a valid graph and 1 <= j <= d."""
-    require_valid(graph)
-    data = derived(graph)
-    d = data.total_degree
-    if not 1 <= j <= d:
-        raise ValueError(f"j must lie in [1, {d}], got {j}")
-    ceil_by_comp = {c.id: ceil_div(j * c.multiplicity, d) for c in graph.components}
-    e0 = sum(ceil_by_comp[c.id] * c.degree for c in graph.components) - j
-    ev = {}
-    for point in graph.points:
-        total = sum(ceil_by_comp[br.component] * br.mult for br in point.branches)
-        ev[point.id] = total - ceil_div(j * data.point_mult[point.id], d)
-    return TwistCoefficients(j, e0, ev)
 
 
 def _three_level_spectrum(d: int, rows) -> Spectrum:

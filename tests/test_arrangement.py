@@ -42,7 +42,6 @@ from curvespec.formulas import (
     spectrum_hyperplane,
     spectrum_reduced,
     spectrum_smooth_components,
-    twist_coefficients,
 )
 from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
 from curvespec.riemann_roch import (
@@ -218,7 +217,6 @@ GRAPH_ENTRIES = {
     "spectrum_reduced": spectrum_reduced,
     "spectrum_smooth_components": spectrum_smooth_components,
     "spectrum_hyperplane": spectrum_hyperplane,
-    "twist_coefficients": lambda g: twist_coefficients(g, 1),
     "chern_tangent": chern_tangent,
     "chern_cotangent_log": chern_cotangent_log,
     "chern_cotangent_log_closed": chern_cotangent_log_closed,

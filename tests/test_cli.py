@@ -778,25 +778,25 @@ class TestNoCommandBuildsAClass:
         assert made
 
 
-def cli_process(*args):
-    """``python -m curvespec.cli <args>`` in a child process, stdout and
-    stderr piped."""
+def cli_process(*args, stdout=subprocess.PIPE):
+    """``python -m curvespec.cli <args>`` in a child process, stderr (and
+    by default stdout) piped."""
     src = str(Path(curvespec.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.Popen(
-        [sys.executable, "-m", "curvespec.cli", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        [sys.executable, "-m", "curvespec.cli", *args], stdout=stdout, stderr=subprocess.PIPE, env=env
     )
 
 
 class TestClosedStdout:
-    """A reader that closes stdout early gets one error line and exit 1,
-    not a traceback."""
+    """A stdout that cannot be written (a reader that closes it early, a
+    full device) gives one error line and exit 1, not a traceback."""
 
-    def assert_quiet_failure(self, process):
+    def assert_quiet_failure(self, process, reason="Broken pipe"):
         err = process.stderr.read().decode()
         process.stderr.close()
         assert process.wait(timeout=60) == 1
-        assert err == "error: cannot write standard output: Broken pipe\n"
+        assert err == f"error: cannot write standard output: {reason}\n"
 
     def test_closed_before_reading(self):
         process = cli_process("examples")
@@ -811,6 +811,12 @@ class TestClosedStdout:
         assert len(process.stdout.read(100)) == 100
         process.stdout.close()
         self.assert_quiet_failure(process)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_device_full(self):
+        with open("/dev/full", "wb") as full:
+            process = cli_process("examples", stdout=full)
+        self.assert_quiet_failure(process, "No space left on device")
 
 
 class TestParser:

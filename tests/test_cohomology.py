@@ -1,6 +1,4 @@
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
 
 import pytest
 from hypothesis import given
@@ -129,6 +127,17 @@ def unit_part(x):
     return ONE + x - x.degree_part(0)
 
 
+def chain_product(factors):
+    """prod f**k as a left-to-right chain of ring products; a negative k
+    takes powers of f.inverse()."""
+    total = ONE
+    for factor, k in factors:
+        step = factor.inverse() if k < 0 else factor
+        for _ in range(abs(k)):
+            total = total * step
+    return total
+
+
 class TestLogExp:
     @given(classes(), classes())
     def test_product_matches_ring_products(self, x, y):
@@ -152,11 +161,12 @@ class TestProduct:
 
     @given(st.lists(st.tuples(classes(), st.integers(0, 3)), max_size=6))
     def test_any_scalar_part_for_non_negative_powers(self, drawn):
-        chain = ONE
-        for x, k in drawn:
-            for _ in range(k):
-                chain = chain * x
-        assert product(drawn) == chain
+        assert product(drawn) == chain_product(drawn)
+
+    @given(st.lists(st.tuples(classes(), st.integers(-3, 3)), max_size=4))
+    def test_negative_powers_of_units(self, drawn):
+        units = [(unit_part(x), k) for x, k in drawn]
+        assert product(units) == chain_product(units)
 
 
 class TestStructure:
@@ -205,124 +215,3 @@ class TestDivision:
         for bad in (Fraction(1, 2), 2.0, True, ONE):
             with pytest.raises(TypeError):
                 ONE / bad
-
-
-@dataclass(frozen=True)
-class FractionClass:
-    """Reference: the ring with one Fraction per coefficient, coded
-    separately from CohClass, with the inverse taken as a geometric series
-    of ring products."""
-
-    a: Fraction = Fraction(0)
-    b0: Fraction = Fraction(0)
-    bv: Mapping[str, Fraction] = field(default_factory=dict)
-    c: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        for name in ("a", "b0", "c"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        object.__setattr__(self, "bv", {v: Fraction(x) for v, x in self.bv.items() if x != 0})
-
-    def __add__(self, other):
-        bv = dict(self.bv)
-        for v, x in other.bv.items():
-            bv[v] = bv.get(v, 0) + x
-        return FractionClass(self.a + other.a, self.b0 + other.b0, bv, self.c + other.c)
-
-    def __neg__(self):
-        return FractionClass(-self.a, -self.b0, {v: -x for v, x in self.bv.items()}, -self.c)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, FractionClass):
-            s = Fraction(other)
-            return FractionClass(self.a * s, self.b0 * s, {v: x * s for v, x in self.bv.items()}, self.c * s)
-        cross = self.b0 * other.b0
-        for v, x in self.bv.items():
-            cross -= x * other.bv.get(v, 0)
-        bv = {v: self.a * x for v, x in other.bv.items()}
-        for v, x in self.bv.items():
-            bv[v] = bv.get(v, 0) + other.a * x
-        return FractionClass(
-            self.a * other.a,
-            self.a * other.b0 + other.a * self.b0,
-            bv,
-            self.a * other.c + other.a * self.c + cross,
-        )
-
-    def integrate(self):
-        return self.c
-
-    def degree_part(self, k):
-        return [FractionClass(a=self.a), FractionClass(b0=self.b0, bv=self.bv), FractionClass(c=self.c)][k]
-
-    def inverse(self):
-        n = FractionClass(0, self.b0, self.bv, self.c) * Fraction(1, self.a)
-        return (REF_ONE - n + n * n) * Fraction(1, self.a)
-
-
-REF_ONE = FractionClass(a=1)
-
-
-def reference_product(factors):
-    """prod f**k as a left-to-right chain of ring products."""
-    total = REF_ONE
-    for factor, k in factors:
-        step = factor.inverse() if k < 0 else factor
-        for _ in range(abs(k)):
-            total = total * step
-    return total
-
-
-@st.composite
-def class_pairs(draw):
-    """(CohClass, FractionClass) with the same coefficients."""
-    bv = {
-        name: draw(rationals)
-        for name in draw(st.sets(st.sampled_from(["p", "q", "r"]), max_size=3))
-    }
-    coeffs = (draw(rationals), draw(rationals), bv, draw(rationals))
-    return CohClass(*coeffs), FractionClass(*coeffs)
-
-
-def unit_pair(pair):
-    """Both classes of a pair with their scalar parts replaced by 1."""
-    x, ref = pair
-    return unit_part(x), REF_ONE + ref - ref.degree_part(0)
-
-
-def assert_same(x, ref):
-    """x equals the reference and keeps no zero e_v term."""
-    assert (x.a, x.b0, x.bv, x.c) == (ref.a, ref.b0, ref.bv, ref.c)
-    assert 0 not in x.bv.values()
-
-
-class TestGridAgainstFractions:
-    @given(class_pairs(), class_pairs(), st.sampled_from([3, -2, Fraction(-5, 6), "7/4"]))
-    def test_ring_operations(self, left, right, scalar):
-        (x, rx), (y, ry) = left, right
-        assert_same(x, rx)
-        assert_same(x + y, rx + ry)
-        assert_same(x - y, rx - ry)
-        assert_same(-x, -rx)
-        assert_same(x * y, rx * ry)
-        assert_same(x * scalar, rx * scalar)
-        assert_same(scalar * x, rx * scalar)
-        assert_same(x / 6, rx * Fraction(1, 6))
-
-    @given(class_pairs())
-    def test_queries(self, pair):
-        x, rx = pair
-        for k in range(3):
-            assert_same(x.degree_part(k), rx.degree_part(k))
-        assert x.integrate() == rx.integrate()
-        if rx.a:
-            assert_same(x.inverse(), rx.inverse())
-
-    @given(st.lists(st.tuples(class_pairs(), st.integers(-3, 3)), max_size=4))
-    def test_product_with_negative_powers(self, drawn):
-        pairs = [(unit_pair(pair), k) for pair, k in drawn]
-        grid = product([(x, k) for (x, _), k in pairs])
-        assert_same(grid, reference_product([(rx, k) for (_, rx), k in pairs]))

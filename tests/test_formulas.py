@@ -36,46 +36,11 @@ from curvespec.formulas import (
     spectrum_of_point_types,
     spectrum_reduced,
     spectrum_smooth_components,
-    twist_coefficients,
 )
 from curvespec.lines import incidence_graph, line_incidence
 from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
+from curvespec.riemann_roch import twist_class
 from curvespec.spectrum import Spectrum, dummy_shift
-
-
-class TestTwistCoefficients:
-    def test_nodal_cubic(self):
-        tw = twist_coefficients(nodal_cubic(), 1)
-        assert tw.e0 == 2
-        assert tw.ev == {"v1": 1}
-
-    def test_two_double_lines_midpoint(self):
-        tw = twist_coefficients(two_line_powers(2, 2), 2)
-        assert tw.e0 == 0
-        assert tw.ev == {"v1": 0}
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            twist_coefficients(nodal_cubic(), 0)
-        with pytest.raises(ValueError):
-            twist_coefficients(nodal_cubic(), 4)
-
-    @given(arrangement_graphs(reduced=True), st.data())
-    def test_reduced_specialization(self, g, data):
-        d = derived(g).total_degree
-        j = data.draw(st.integers(1, d))
-        tw = twist_coefficients(g, j)
-        assert tw.e0 == d - j
-        for p in g.points:
-            m_v = derived(g).point_mult[p.id]
-            assert tw.ev[p.id] == m_v - ceil_div(j * m_v, d)
-
-    @given(arrangement_graphs())
-    def test_top_index_vanishes(self, g):
-        d = derived(g).total_degree
-        tw = twist_coefficients(g, d)
-        assert tw.e0 == 0
-        assert all(x == 0 for x in tw.ev.values())
 
 
 class TestGeneral:
@@ -119,19 +84,20 @@ class TestGeneral:
 
 
 def per_point_display(g):
-    """The general display summed point by point from the public twist
-    coefficients: the reference for the type-grouped kernel."""
+    """The general display summed point by point from the twist classes:
+    the reference for the type-grouped kernel."""
     d = derived(g).total_degree
     d_red = sum(c.degree for c in g.components)
     comp_pairs = sum(binom(c.degree, 2) for c in g.components)
     terms = []
     for j in range(1, d + 1):
-        tw = twist_coefficients(g, j)
-        n0 = binom(d_red - tw.e0 - 1, 2)
-        n1 = (tw.e0 - 1) * (d_red - tw.e0 - 1) + comp_pairs
-        n2 = binom(tw.e0 - 1, 2) - (1 if j == d else 0)
+        u = twist_class(g, j)
+        u0 = int(u.b0)
+        n0 = binom(d_red - u0 - 1, 2)
+        n1 = (u0 - 1) * (d_red - u0 - 1) + comp_pairs
+        n2 = binom(u0 - 1, 2) - (1 if j == d else 0)
         for p in g.points:
-            uv, m_red = tw.ev[p.id], sum(br.mult for br in p.branches)
+            uv, m_red = int(u.bv.get(p.id, 0)), sum(br.mult for br in p.branches)
             n0 -= binom(m_red - uv - 1, 2)
             n1 -= uv * (m_red - uv - 1) + sum(binom(br.mult, 2) for br in p.branches)
             n2 -= binom(uv, 2)

@@ -1,8 +1,9 @@
 """Guards on the package's layout: the independence of the two spectrum
-routes, and the names the benchmark's tracer wraps."""
+routes, the public names, and the names the benchmark's tracer wraps."""
 
 import ast
 import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -64,6 +65,21 @@ class TestIndependence:
         # The ring is the per-point reference the tests check the spectrum
         # route against; no command reads it.
         assert "cohomology" not in curvespec_imports(curvespec.cli)
+
+
+class TestPublicSurface:
+    def test_every_exported_name_resolves(self):
+        # A name left in an __all__ after its removal fails here.
+        package = importlib.import_module("curvespec")
+        exported = set()
+        for info in pkgutil.iter_modules(package.__path__):
+            module = importlib.import_module(f"curvespec.{info.name}")
+            for name in module.__all__:
+                assert hasattr(module, name), (module.__name__, name)
+            exported.update(module.__all__)
+        for name in package.__all__:
+            assert hasattr(package, name), name
+        assert set(package.__all__) <= exported
 
 
 @pytest.fixture

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import curvespec.riemann_roch
 from curvespec.arrangement import ArrangementGraph, derived, validate
-from curvespec.binomial import binom
+from curvespec.binomial import binom, ceil_div
 from curvespec.cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e
-from curvespec.formulas import spectrum_general, twist_coefficients
+from curvespec.formulas import spectrum_general
 from curvespec.lines import incidence_graph, line_incidence
 from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
 from curvespec.riemann_roch import (
@@ -263,6 +263,25 @@ class TestTwistClass:
         assert twist_class(nodal_cubic(), 3) == CohClass()
         assert twist_class(two_line_powers(2, 2), 4) == CohClass()
 
+    def test_two_double_lines_midpoint(self):
+        assert twist_class(two_line_powers(2, 2), 2) == CohClass()
+
+    @given(arrangement_graphs())
+    def test_top_index_vanishes(self, g):
+        assert twist_class(g, derived(g).total_degree) == CohClass()
+
+    @given(arrangement_graphs(reduced=True), st.data())
+    def test_reduced_specialization(self, g, data):
+        # With every m_l = 1: u0 = d - j and u_v = m_v - ceil(j*m_v/d).
+        aggregates = derived(g)
+        d = aggregates.total_degree
+        j = data.draw(st.integers(1, d))
+        u = twist_class(g, j)
+        assert u.b0 == d - j
+        for p in g.points:
+            m_v = aggregates.point_mult[p.id]
+            assert u.bv.get(p.id, 0) == m_v - ceil_div(j * m_v, d)
+
     @pytest.mark.parametrize("j", [0, 4, -1])
     def test_rejects_out_of_range(self, j):
         with pytest.raises(ValueError):
@@ -282,13 +301,19 @@ class TestTwistClass:
     def test_expansion_matches_ceiling_coefficients(self, g, data):
         # floor((d-j)m/d) = m - ceil(jm/d) turns the floor-built divisor
         # into the ceiling-built coefficients used by the closed formulas.
-        d = derived(g).total_degree
-        j = data.draw(st.integers(1, d))
-        tc = twist_coefficients(g, j)
-        expected = CohClass(
-            b0=Fraction(tc.e0), bv={v: Fraction(u) for v, u in tc.ev.items()}
-        )
-        assert twist_class(g, j) == expected
+        # The ceiling form is u0 = sum_l ceil(j*m_l/d)*d_l - j and
+        # u_v = sum_l ceil(j*m_l/d)*m_{v,l} - ceil(j*m_v/d).
+        aggregates = derived(g)
+        d = aggregates.total_degree
+        for j in (data.draw(st.integers(1, d)), d):
+            ceil_l = {c.id: ceil_div(j * c.multiplicity, d) for c in g.components}
+            u0 = sum(ceil_l[c.id] * c.degree for c in g.components) - j
+            uv = {
+                p.id: sum(ceil_l[br.component] * br.mult for br in p.branches)
+                - ceil_div(j * aggregates.point_mult[p.id], d)
+                for p in g.points
+            }
+            assert twist_class(g, j) == CohClass(b0=u0, bv=uv)
 
 
 class TestEulerCharacteristic:
@@ -311,8 +336,8 @@ class TestEulerCharacteristic:
         d = derived(g).total_degree
         d_red = sum(c.degree for c in g.components)
         j = data.draw(st.integers(1, d))
-        tc = twist_coefficients(g, j)
-        u0 = tc.e0
+        u = twist_class(g, j)
+        u0 = int(u.b0)
 
         chi0 = binom(u0 - 1, 2)
         chi1 = -(u0 - 1) * (d_red - u0 - 1) - sum(
@@ -320,13 +345,12 @@ class TestEulerCharacteristic:
         )
         chi2 = binom(d_red - u0 - 1, 2)
         for p in g.points:
-            uv = tc.ev[p.id]
+            uv = int(u.bv.get(p.id, 0))
             m_red = sum(br.mult for br in p.branches)
             chi0 -= binom(uv, 2)
             chi1 += uv * (m_red - uv - 1) + sum(binom(br.mult, 2) for br in p.branches)
             chi2 -= binom(m_red - uv - 1, 2)
 
-        u = twist_class(g, j)
         assert euler_characteristic(g, 0, u) == chi0
         assert euler_characteristic(g, 1, u) == chi1
         assert euler_characteristic(g, 2, u) == chi2

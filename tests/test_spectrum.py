@@ -1,7 +1,6 @@
 import json
 import sys
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 import pytest
@@ -315,6 +314,16 @@ grid_terms = st.tuples(
 )
 PROBES = [Fraction(p, q) for q in range(1, 10) for p in range(-13, 14)]
 
+# Grids that often reduce, exponents below 0, at 0 and at 1, coefficients
+# +-1, small and large, and the empty list (the zero spectrum).
+format_grids = st.tuples(
+    st.integers(1, 12),
+    st.lists(
+        st.tuples(st.integers(-40, 40), st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))),
+        max_size=12,
+    ),
+)
+
 
 def assert_matches(s, ref):
     assert s.items() == ref.items()
@@ -367,66 +376,24 @@ class TestAgainstReference:
         assert coarse == s
         assert hash(coarse) == hash(s)
 
-
-def string_test_format(s, style):
-    """The formatter that the one-pass ``format_spectrum`` replaced, kept as
-    its byte-for-byte reference: every exponent is first rendered in lowest
-    terms as "p" or "p/q", and the layout is chosen by tests on that string."""
-    den = s._den
-    exponents = []
-    for k, n in sorted(s._terms.items()):
-        g = gcd(k, den)
-        exponents.append((str(k // den) if g == den else f"{k // g}/{den // g}", n))
-    if style == "json":
-        return json.dumps([{"alpha": alpha, "n": n} for alpha, n in exponents])
-    if not s:
-        return "0"
-    parts = []
-    plain = style == "plain"
-    for alpha, n in exponents:
-        if alpha == "1":
-            power = "t"
-        elif plain:
-            power = f"t^({alpha})" if "/" in alpha else f"t^{alpha}"
-        else:
-            power = f"t^{{{alpha}}}"
-        mag = abs(n)
-        if mag != 1:
-            power = f"{mag}*{power}" if plain else f"{mag}{power}"
-        if n < 0:
-            parts.append(f" - {power}" if plain and parts else f"-{power}")
-        else:
-            parts.append((" + " if plain else "+") + power if parts else power)
-    return "".join(parts)
-
-
-# Grids that often reduce, exponents below 0, at 0 and at 1, coefficients
-# +-1, small and large, and the empty list (the zero spectrum).
-format_grids = st.tuples(
-    st.integers(1, 12),
-    st.lists(
-        st.tuples(st.integers(-40, 40), st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))),
-        max_size=12,
-    ),
-)
-
-
-class TestFormatAgainstStringReference:
     @given(format_grids)
     @example((1, []))
     @example((6, [(6, 1), (0, -1), (-6, 1), (3, -1), (-3, 2)]))
     @example((12, [(12, -1), (4, 2), (-18, 1)]))
     @example((4, [(-2, -1), (8, 1)]))
-    def test_grid_spectra(self, grid):
+    def test_format_grids(self, grid):
         den, pairs = grid
-        for s in (Spectrum(pairs, den=den), Spectrum._of(den * 3, {3 * k: n for k, n in pairs})):
-            for style in ("plain", "latex", "json"):
-                assert format_spectrum(s, style) == string_test_format(s, style)
+        assert_matches(Spectrum(pairs, den=den), ReferenceSpectrum((Fraction(k, den), n) for k, n in pairs))
+        # The trusted constructor on the 3x grid, one coefficient per numerator.
+        last = dict(pairs)
+        assert_matches(
+            Spectrum._of(den * 3, {3 * k: n for k, n in last.items()}),
+            ReferenceSpectrum((Fraction(k, den), n) for k, n in last.items()),
+        )
 
     @given(spectra(max_terms=10))
     def test_fraction_spectra(self, s):
-        for style in ("plain", "latex", "json"):
-            assert format_spectrum(s, style) == string_test_format(s, style)
+        assert_matches(s, ReferenceSpectrum(s.items()))
 
 
 class TestGrid:
