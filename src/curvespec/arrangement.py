@@ -11,7 +11,9 @@ Everything downstream consumes only this graph; no defining equations are
 needed.  Validation is total: :func:`validate` returns a report instead of
 raising, so the CLI can distinguish malformed files (format errors) from
 well-formed files describing impossible data (validation errors).  A graph
-is immutable and keeps its report, so :func:`require_valid` validates it once.
+is immutable and keeps its report, so :func:`require_valid` validates it once,
+and :meth:`ArrangementGraph.with_point` hands a kept report on to the graph
+with one more point, extended by the checks on that point alone.
 The same pass sorts the points into types: a valid graph's report carries
 its :class:`PointTypeSummary`, which every spectrum route reads.
 """
@@ -131,6 +133,25 @@ class ArrangementGraph:
         """:func:`validate` of this graph, made on first use and kept."""
         return validate(self)
 
+    def with_point(self, point: SingularPoint) -> "ArrangementGraph":
+        """This graph with ``point`` appended.  If this graph already keeps a
+        report without errors, the new graph's report is that report
+        extended by :func:`validate`'s checks on ``point`` alone, which
+        equals :func:`validate` of the new graph; otherwise the new graph is
+        validated in full on first use."""
+        child = ArrangementGraph(self.components, self.points + (point,))
+        report = self.__dict__.get("_report")
+        if report is not None and report.ok:
+            errors: list = []
+            flagged = list(report.flagged)
+            summary = report.point_types
+            histogram = dict(summary.histogram)
+            seen_comp = {comp.id: comp for comp in self.components}
+            _check_point(point, seen_comp, {p.id for p in self.points}, errors, flagged, histogram)
+            types = None if errors else PointTypeSummary(summary.degree_by_mult, summary.comp_pairs, histogram)
+            child.__dict__["_report"] = ValidationReport(tuple(errors), tuple(flagged), types)
+        return child
+
     @cached_property
     def point_types(self) -> "PointTypeSummary":
         """The :class:`PointTypeSummary` that :func:`validate` built for this
@@ -189,6 +210,60 @@ def _point_at(point: SingularPoint, branch: Branch | None = None) -> str:
     return at if branch is None else f"{at}, branch {_echo(branch.component)}"
 
 
+def _check_point(
+    point: SingularPoint,
+    seen_comp: dict[str, Component],
+    seen_pt: set[str],
+    errors: list,
+    flagged: list,
+    histogram: dict[tuple, int],
+) -> None:
+    """:func:`validate`'s checks on one point, the only code that checks a
+    point: ``seen_comp`` maps each component id to its first component,
+    ``seen_pt`` holds the ids of the points before this one and gains its
+    id.  Errors and warnings are appended to ``errors`` and ``flagged``,
+    and an error-free point's type is counted in ``histogram``."""
+    point_errors = len(errors)
+    if not point.id:
+        errors.append(("empty-id", "point id must be a nonempty string", _point_at(point)))
+    if point.id in seen_pt:
+        errors.append(("duplicate-point-id", f"point id {_echo(point.id)} repeats", _point_at(point)))
+    seen_pt.add(point.id)
+    if not point.branches:
+        errors.append(("empty-branches", "point must lie on at least one component", _point_at(point)))
+    branch_comps: set[str] = set()
+    pairs = []
+    m_red = 0
+    for br in point.branches:
+        comp = seen_comp.get(br.component)
+        m_red += br.mult
+        if comp is None:
+            message = f"branch names unknown component {_echo(br.component)}"
+            errors.append(("unknown-component", message, _point_at(point, br)))
+        else:
+            pairs.append((comp.multiplicity, br.mult))
+        if br.component in branch_comps:
+            message = f"component {_echo(br.component)} listed twice"
+            errors.append(("duplicate-branch", message, _point_at(point, br)))
+        branch_comps.add(br.component)
+        if br.mult < 1:
+            message = f"branch multiplicity must be >= 1, got {_echo(br.mult)}"
+            errors.append(("nonpositive-branch-mult", message, _point_at(point, br)))
+        elif comp is not None and br.mult > comp.degree:
+            message = f"branch multiplicity {_echo(br.mult)} exceeds component degree {_echo(comp.degree)}"
+            errors.append(("branch-mult-exceeds-degree", message, _point_at(point, br)))
+    if len(errors) == point_errors:
+        # No error: the branches name distinct components, each with
+        # branch multiplicity >= 1, so two summing to 2 meet as a node.
+        if m_red == 1:
+            flagged.append(("smooth-point", point))
+        elif m_red == 2 and len(pairs) == 2:
+            flagged.append(("snc-node", point))
+        pairs.sort()
+        key = tuple(pairs)
+        histogram[key] = histogram.get(key, 0) + 1
+
+
 def validate(graph: ArrangementGraph) -> ValidationReport:
     """Check every arrangement invariant, accumulating all violations.
 
@@ -231,47 +306,7 @@ def validate(graph: ArrangementGraph) -> ValidationReport:
 
     seen_pt: set[str] = set()
     for point in graph.points:
-        point_errors = len(errors)
-        if not point.id:
-            errors.append(("empty-id", "point id must be a nonempty string", _point_at(point)))
-        if point.id in seen_pt:
-            errors.append(("duplicate-point-id", f"point id {_echo(point.id)} repeats", _point_at(point)))
-        seen_pt.add(point.id)
-        if not point.branches:
-            errors.append(("empty-branches", "point must lie on at least one component", _point_at(point)))
-        branch_comps: set[str] = set()
-        pairs = []
-        m_red = 0
-        for br in point.branches:
-            comp = seen_comp.get(br.component)
-            m_red += br.mult
-            if comp is None:
-                message = f"branch names unknown component {_echo(br.component)}"
-                errors.append(("unknown-component", message, _point_at(point, br)))
-            else:
-                pairs.append((comp.multiplicity, br.mult))
-            if br.component in branch_comps:
-                message = f"component {_echo(br.component)} listed twice"
-                errors.append(("duplicate-branch", message, _point_at(point, br)))
-            branch_comps.add(br.component)
-            if br.mult < 1:
-                message = f"branch multiplicity must be >= 1, got {_echo(br.mult)}"
-                errors.append(("nonpositive-branch-mult", message, _point_at(point, br)))
-            elif comp is not None and br.mult > comp.degree:
-                message = (
-                    f"branch multiplicity {_echo(br.mult)} exceeds component degree {_echo(comp.degree)}"
-                )
-                errors.append(("branch-mult-exceeds-degree", message, _point_at(point, br)))
-        if len(errors) == point_errors:
-            # No error: the branches name distinct components, each with
-            # branch multiplicity >= 1, so two summing to 2 meet as a node.
-            if m_red == 1:
-                flagged.append(("smooth-point", point))
-            elif m_red == 2 and len(pairs) == 2:
-                flagged.append(("snc-node", point))
-            pairs.sort()
-            key = tuple(pairs)
-            histogram[key] = histogram.get(key, 0) + 1
+        _check_point(point, seen_comp, seen_pt, errors, flagged, histogram)
 
     summary = None if errors else PointTypeSummary(degree_by_mult, comp_pairs, histogram)
     return ValidationReport(tuple(errors), tuple(flagged), summary)

@@ -228,8 +228,9 @@ def cmd_examples(args) -> int:
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each subcommand's own parser by name, built
+    once per process."""
     parser = argparse.ArgumentParser(
         prog="curvespec",
         description="Exact Hodge spectra of plane curve arrangements from combinatorial data.",
@@ -275,11 +276,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_examples = sub.add_parser("examples", help="print built-in worked fixtures")
     p_examples.set_defaults(func=cmd_examples)
 
-    return parser
+    return parser, {"compute": p_compute, "check": p_check, "lines": p_lines, "examples": p_examples}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` gives, with the same output
+    and exit on an error.  Arguments after a subcommand name are parsed by
+    that subcommand's parser alone, which is all the full parser would do
+    with them; only when it leaves some unparsed does the full parser run,
+    so that the error names the top-level usage."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
         sys.stdout.flush()

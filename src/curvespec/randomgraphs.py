@@ -26,6 +26,11 @@ Draw order for one graph (each ``below(n)`` is one generator call):
    branch multiplicity = 1 + below(component degree).
 
 Components are named l1, l2, ...; points v1, v2, ....
+
+The two insertions add one point to a graph through
+:meth:`~curvespec.arrangement.ArrangementGraph.with_point`: when the graph
+has been validated, the new graph's report is its report extended by the
+checks on the new point, so it is not validated again.
 """
 
 from __future__ import annotations
@@ -151,7 +156,9 @@ def _fresh_point_id(graph: ArrangementGraph) -> str:
 def insert_snc_node(graph: ArrangementGraph, rng: SplitMix64) -> ArrangementGraph:
     """Return the graph with one extra simple node: a new point on two
     distinct components with branch multiplicity 1 each.  A branch of
-    multiplicity 1 always fits, so any pair of components qualifies."""
+    multiplicity 1 always fits, so any pair of components qualifies.  Built
+    by :meth:`ArrangementGraph.with_point`, so a validated graph hands its
+    report on, extended by the checks on the new point."""
     if len(graph.components) < 2:
         raise ValueError("a simple node needs at least two components")
     pool = list(range(len(graph.components)))
@@ -161,12 +168,13 @@ def insert_snc_node(graph: ArrangementGraph, rng: SplitMix64) -> ArrangementGrap
         Branch(component=graph.components[idx].id, mult=1) for idx in sorted((first, second))
     )
     point = SingularPoint(id=_fresh_point_id(graph), branches=branches)
-    return ArrangementGraph(graph.components, graph.points + (point,))
+    return graph.with_point(point)
 
 
 def insert_smooth_point(graph: ArrangementGraph, rng: SplitMix64) -> ArrangementGraph:
     """Return the graph with one extra smooth point: a single branch of
-    multiplicity 1 on a randomly chosen component."""
+    multiplicity 1 on a randomly chosen component, added like
+    :func:`insert_snc_node`'s node."""
     comp = graph.components[rng.below(len(graph.components))]
     point = SingularPoint(id=_fresh_point_id(graph), branches=(Branch(component=comp.id, mult=1),))
-    return ArrangementGraph(graph.components, graph.points + (point,))
+    return graph.with_point(point)

@@ -9,10 +9,20 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from curvespec.arrangement import ArrangementGraph, Branch, Component, SingularPoint
+from curvespec.randomgraphs import GraphBounds
 from curvespec.spectrum import Spectrum
 
 settings.register_profile("curvespec", deadline=None)
 settings.load_profile("curvespec")
+
+# The generator bounds of the CLI's seeded `check` runs: default bounds
+# (acceptance criterion 2) and the wide, many-point and reduced CI runs.
+CHECK_BOUNDS = {
+    "default": GraphBounds(),
+    "wide": GraphBounds(max_components=8, max_points=24, max_degree=6, max_mult=5),
+    "many_point": GraphBounds(max_components=8, max_points=200, max_degree=6, max_mult=5),
+    "reduced": GraphBounds(max_mult=1, max_points=60),
+}
 
 
 def graph(comps, pts=()):

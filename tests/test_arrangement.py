@@ -8,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import curvespec.arrangement
+import curvespec.cli
 
 from conftest import (
+    CHECK_BOUNDS,
     arrangement_graphs,
     graph,
     line_and_nodal_cubic,
@@ -43,7 +45,7 @@ from curvespec.formulas import (
     spectrum_reduced,
     spectrum_smooth_components,
 )
-from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
+from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph, insert_smooth_point, insert_snc_node
 from curvespec.riemann_roch import (
     chern_cotangent_log,
     chern_cotangent_log_closed,
@@ -246,12 +248,28 @@ class TestValidatedOnce:
         assert len(validate_calls) == 1
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_check_validates_each_graph_once(self, capsys, validate_calls, seed):
-        # check also inserts a smooth point and, given two components, a node.
-        components = len(generate_graph(SplitMix64(seed), GraphBounds()).components)
+    def test_check_validates_each_graph_once(self, capsys, monkeypatch, validate_calls, seed):
+        # check also inserts a smooth point and, given two components, a
+        # node; each inserted graph extends the drawn graph's report, which
+        # is the report validate gives it.
+        inserted = []
+
+        def recorded(insert):
+            def run(g, rng):
+                inserted.append(insert(g, rng))
+                return inserted[-1]
+
+            return run
+
+        for name in ("insert_snc_node", "insert_smooth_point"):
+            monkeypatch.setattr(curvespec.cli, name, recorded(getattr(curvespec.cli, name)))
+        drawn = generate_graph(SplitMix64(seed), GraphBounds())
         assert main(["check", "--count", "1", "--seed", str(seed)]) == 0
-        assert len(validate_calls) == 1 + (2 if components >= 2 else 1)
-        assert len(set(map(id, validate_calls))) == len(validate_calls)
+        assert validate_calls == [drawn]
+        assert len(inserted) == (2 if len(drawn.components) >= 2 else 1)
+        for g in inserted:
+            assert len(g.points) == len(drawn.points) + 1
+            assert g.__dict__["_report"] == validate(g)
 
     @pytest.mark.parametrize("entry", GRAPH_ENTRIES.values(), ids=GRAPH_ENTRIES.keys())
     def test_invalid_graph_raises_on_every_call(self, validate_calls, entry):
@@ -261,6 +279,104 @@ class TestValidatedOnce:
                 entry(g)
             assert [code for code, _, _ in err.value.report.errors] == ["duplicate-branch"]
         assert validate_calls == [g]
+
+
+def kept_report(g):
+    """The report a graph keeps, or None if it has not made one."""
+    return g.__dict__.get("_report")
+
+
+def assert_kept_report_is_validate(g):
+    kept, fresh = kept_report(g), validate(g)
+    assert kept.errors == fresh.errors
+    assert kept.flagged == fresh.flagged
+    assert kept.point_types == fresh.point_types
+    assert hash(kept) == hash(fresh)
+
+
+# The (seed, count) of each seeded `check` run: acceptance criterion 2 and CI.
+CHECK_RUNS = {"default": (1, 200), "wide": (2, 500), "many_point": (3, 200), "reduced": (4, 300)}
+
+# A validated parent with components l1 (degree 2) and l2 (degree 3) and
+# the point v1; each appended point below has one error.
+WITH_POINT_ERRORS = {
+    "duplicate-point-id": SingularPoint("v1", (Branch("l1"),)),
+    "empty-id": SingularPoint("", (Branch("l1"),)),
+    "unknown-component": SingularPoint("w", (Branch("l9"),)),
+    "duplicate-branch": SingularPoint("w", (Branch("l1"), Branch("l1"))),
+    "nonpositive-branch-mult": SingularPoint("w", (Branch("l1", 0),)),
+    "branch-mult-exceeds-degree": SingularPoint("w", (Branch("l1", 3),)),
+    "empty-branches": SingularPoint("w", ()),
+}
+
+
+@st.composite
+def appended_points(draw, g):
+    """A point to append to ``g``, valid or not: its id may repeat or be
+    empty, its branches may name unknown or repeated components, with
+    multiplicities from -1 to one above the largest degree."""
+    ids = [p.id for p in g.points] + ["", "w1", "w2"]
+    comps = [c.id for c in g.components] + ["zz"]
+    top = max(c.degree for c in g.components) + 1
+    branches = draw(st.lists(st.tuples(st.sampled_from(comps), st.integers(-1, top)), max_size=4))
+    return SingularPoint(draw(st.sampled_from(ids)), tuple(Branch(c, m) for c, m in branches))
+
+
+class TestWithPoint:
+    """with_point appends one point; a graph with a valid kept report hands
+    the new graph that report extended by the checks on the new point,
+    which is the report validate gives the new graph."""
+
+    @given(st.data())
+    def test_kept_report_is_validate(self, data):
+        parent = data.draw(arrangement_graphs())
+        point = data.draw(appended_points(parent))
+        assert parent.point_types is not None
+        child = parent.with_point(point)
+        assert child.points == parent.points + (point,)
+        assert child.components == parent.components
+        assert_kept_report_is_validate(child)
+
+    @pytest.mark.parametrize("name", CHECK_RUNS)
+    def test_kept_report_is_validate_on_check_corpora(self, name):
+        # The draws of `check`: the graph, then a node given two components,
+        # then a smooth point, both added to the drawn graph.
+        seed, count = CHECK_RUNS[name]
+        bounds = CHECK_BOUNDS[name]
+        rng = SplitMix64(seed)
+        for _ in range(count):
+            g = generate_graph(rng, bounds)
+            assert g.point_types is not None
+            children = [insert_snc_node(g, rng)] if len(g.components) >= 2 else []
+            children.append(insert_smooth_point(g, rng))
+            for child in children:
+                assert_kept_report_is_validate(child)
+
+    @pytest.mark.parametrize("code", WITH_POINT_ERRORS)
+    def test_each_error_of_the_new_point(self, code):
+        parent = graph([(2, 1), (3, 1)], [[(0, 2), (1, 2)]])
+        assert parent.point_types is not None
+        child = parent.with_point(WITH_POINT_ERRORS[code])
+        assert_kept_report_is_validate(child)
+        assert [c for c, _, _ in kept_report(child).errors] == [code]
+        assert kept_report(child).point_types is None
+        with pytest.raises(InvalidArrangementError):
+            require_valid(child)
+
+    def test_unvalidated_parent_hands_on_no_report(self, validate_calls):
+        parent = nodal_cubic()
+        child = parent.with_point(SingularPoint("w", (Branch("l1"),)))
+        assert kept_report(parent) is None and kept_report(child) is None
+        assert child.point_types is not None
+        assert validate_calls == [child]
+
+    def test_invalid_parent_hands_on_no_report(self, validate_calls):
+        parent = graph([(2, 1)], [[(0, 3)]])  # the branch exceeds the degree
+        assert not parent._report.ok
+        child = parent.with_point(SingularPoint("w", (Branch("l1"),)))
+        assert kept_report(child) is None
+        assert [c for c, _, _ in child._report.errors] == ["branch-mult-exceeds-degree"]
+        assert validate_calls == [parent, child]
 
 
 class TestInvalidPointTypes:

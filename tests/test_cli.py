@@ -857,3 +857,96 @@ class TestParser:
     def test_rejects_unknown_style(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["compute", "x.json", "--style", "html"])
+
+
+def parser_outcome(argv, capsys):
+    """Exit code, stdout and stderr of ``build_parser().parse_args(argv)``
+    run on its own; the code is None when it parses."""
+    try:
+        build_parser().parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def main_outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+TOP_USAGE = "usage: curvespec [-h] {compute,check,lines,examples} ...\n"
+
+# argv that argparse answers itself: (argv, exit code, the start of the
+# output, a part of the error message).  Help goes to stdout, errors to
+# stderr.
+ARGPARSE_ANSWERS = {
+    "no-command": ([], 2, TOP_USAGE, "curvespec: error: the following arguments are required: command\n"),
+    "-h": (["-h"], 0, TOP_USAGE, ""),
+    "--help": (["--help"], 0, TOP_USAGE, ""),
+    "compute-h": (["compute", "-h"], 0, "usage: curvespec compute [-h]", ""),
+    "check-h": (["check", "-h"], 0, "usage: curvespec check [-h]", ""),
+    "lines-h": (["lines", "-h"], 0, "usage: curvespec lines [-h]", ""),
+    "examples-h": (["examples", "-h"], 0, "usage: curvespec examples [-h]", ""),
+    "unknown-command": (["frobnicate"], 2, TOP_USAGE, "invalid choice: 'frobnicate' (choose from "),
+    "examples-extra": (["examples", "x"], 2, TOP_USAGE, "curvespec: error: unrecognized arguments: x\n"),
+    "check-bogus": (["check", "--bogus"], 2, TOP_USAGE, "curvespec: error: unrecognized arguments: --bogus\n"),
+    "count-not-int": (
+        ["check", "--count", "x"],
+        2,
+        "usage: curvespec check [-h]",
+        "curvespec check: error: argument --count: invalid int value: 'x'\n",
+    ),
+}
+
+# argv that parse, each with an argv spelled out in full that gives the same
+# namespace and output.  A "--" before the command is refused as an invalid
+# choice by some Python versions (3.11) and skipped by later ones; either
+# way main must answer as the full parser does.
+ARGPARSE_ACCEPTS = {
+    "abbreviation": (["check", "--se", "3"], ["check", "--seed", "3"]),
+    "equals": (["check", "--count=1"], ["check", "--count", "1"]),
+    "double-dash": (["--", "check", "--count", "1"], ["check", "--count", "1"]),
+}
+
+
+class TestArgparseOutcomes:
+    """main answers every argv as the full parser does: help, usage and
+    errors byte for byte, and the same arguments when it parses."""
+
+    @pytest.mark.parametrize("case", ARGPARSE_ANSWERS)
+    def test_answer_is_the_full_parsers(self, capsys, case):
+        argv, code, start, error = ARGPARSE_ANSWERS[case]
+        outcome = main_outcome(argv, capsys)
+        assert outcome == parser_outcome(argv, capsys)
+        shown, silent = outcome[1:] if code == 0 else outcome[:0:-1]
+        assert outcome[0] == code and silent == ""
+        assert shown.startswith(start) and error in shown
+
+    @pytest.mark.parametrize("case", ARGPARSE_ACCEPTS)
+    def test_accepted_argv_runs_as_spelled_out(self, capsys, case):
+        argv, full = ARGPARSE_ACCEPTS[case]
+        outcome = parser_outcome(argv, capsys)
+        if outcome[0] is not None:
+            assert main_outcome(argv, capsys) == outcome
+            return
+        assert outcome == (None, "", "")
+        assert vars(curvespec.cli._parse(argv)) == vars(build_parser().parse_args(argv))
+        assert vars(build_parser().parse_args(argv)) == vars(build_parser().parse_args(full))
+        assert main_outcome(argv, capsys) == main_outcome(full, capsys)
+
+    @pytest.mark.parametrize("case", [*ARGPARSE_ANSWERS, *ARGPARSE_ACCEPTS])
+    def test_through_sys_argv(self, capsys, case):
+        # python -m curvespec.cli reads sys.argv, not an argv argument.
+        argv = (ARGPARSE_ANSWERS.get(case) or ARGPARSE_ACCEPTS[case])[0]
+        expected = parser_outcome(argv, capsys)
+        if expected[0] is None:  # it parses, so main runs the command
+            expected = main_outcome(argv, capsys)
+        process = cli_process(*argv)
+        out, err = process.communicate(timeout=60)
+        assert (process.returncode, out.decode(), err.decode()) == expected

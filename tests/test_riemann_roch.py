@@ -35,6 +35,7 @@ from curvespec.riemann_roch import (
 from curvespec.spectrum import Spectrum
 
 from conftest import (
+    CHECK_BOUNDS,
     arrangement_graphs,
     graph,
     line_and_nodal_cubic,
@@ -479,14 +480,8 @@ def weighted_line_summary(count):
     return line_incidence([((1, t, t * t), t + 1) for t in range(count)]).point_types()
 
 
-# The seeded generator corpora of the CLI's `check` runs: default bounds,
-# wide, many-point and reduced.
-WALK_CORPORA = {
-    "default": (GraphBounds(), 400),
-    "wide": (GraphBounds(max_components=8, max_points=24, max_degree=6, max_mult=5), 200),
-    "many_point": (GraphBounds(max_components=8, max_points=200, max_degree=6, max_mult=5), 40),
-    "reduced": (GraphBounds(max_mult=1, max_points=60), 200),
-}
+# Graphs drawn (seed 11) under each of the CLI's `check` bounds.
+WALK_CORPORA = {"default": 400, "wide": 200, "many_point": 40, "reduced": 200}
 
 
 class TestBreakpointWalk:
@@ -495,7 +490,7 @@ class TestBreakpointWalk:
 
     @pytest.mark.parametrize("name", WALK_CORPORA)
     def test_matches_per_j_pairing_on_seeded_corpora(self, name):
-        bounds, count = WALK_CORPORA[name]
+        bounds, count = CHECK_BOUNDS[name], WALK_CORPORA[name]
         rng = SplitMix64(11)
         for _ in range(count):
             summary = generate_graph(rng, bounds).point_types
