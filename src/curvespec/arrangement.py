@@ -167,6 +167,8 @@ class PointTypeSummary:
     degrees of the components with that multiplicity, ``comp_pairs`` is
     sum_l binom(d_l, 2), and ``histogram`` counts the singular points of
     each type: the sorted tuple of (m_l, m_{v,l}) over a point's branches.
+    The summary of a line arrangement that ``curvespec.lines`` builds leaves
+    out the points on exactly two lines, which add nothing to the spectrum.
     """
 
     degree_by_mult: Mapping[int, int]

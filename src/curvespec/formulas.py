@@ -9,9 +9,11 @@ read too (the routes share that counting, no formula code), and walks the
 breakpoints of the twist coefficients: each ceil(j*m/d) is a step function
 of j, so every type is visited only where its uv steps, its changes go
 into difference arrays, and one prefix pass over j emits the rows.
-``curvespec.lines`` builds the same summary straight from line incidence,
+``curvespec.lines`` builds that summary straight from line incidence,
 where a point's type is the sorted tuple of (m_l, 1) over the lines
-through it.  :func:`spectrum_smooth_components` and
+through it, and leaves out the points on exactly two lines: such a type
+((m, 1), (m', 1)) has m_red = 2 and a twist uv(j) of 0 or 1 at every j, so
+it adds zero to every coefficient.  :func:`spectrum_smooth_components` and
 :func:`spectrum_hyperplane` check their domain and call
 :func:`spectrum_general`: their agreement with it tests the check, not a
 second implementation, and the graph is still validated once.  The

@@ -4,13 +4,13 @@ Turns an explicit list of rational linear forms a*x + b*y + c*z into the
 combinatorial arrangement graph: proportional forms are merged into one
 component with summed multiplicity, and each line, in one sweep, groups
 the later lines by where they meet it (the cross product of coefficient
-triples, reduced to a primitive pair in that line's own coordinates).  All
-arithmetic is exact, so collinearity and concurrency decisions are never
-subject to rounding.  Each coefficient is checked and converted once.
-:func:`load_lines` returns integer triples; an entry of the common shape (a
-plain object with a form of three ints and an int multiplicity) is read
-inline with one ``type(x) is int`` test per value, any other through the
-schema checks that word the diagnostics.  The incidence step divides an int
+triples, a ratio in that line's own coordinates keyed by one exact
+integer floor).  All arithmetic is exact, so collinearity and concurrency
+decisions are never subject to rounding.  Each coefficient is checked and
+converted once.  :func:`load_lines` returns integer triples; an entry of
+the common shape (a plain object with a form of three ints and an int
+multiplicity) is read inline with one ``type(x) is int`` test per value,
+any other through the schema checks that word the diagnostics.  The incidence step divides an int
 triple by its content directly, and passes any other form to
 :func:`normalize_form`, which checks and converts it into the line's
 primitive triple, a plain ``(a, b, c)`` tuple.
@@ -19,13 +19,13 @@ The spectrum needs less than the graph.  A line has degree 1 and meets
 each of its points simply, so a point's type is the sorted tuple of
 (m_l, 1) over the lines through it, and the point-type summary that both
 spectrum routes read of a graph comes straight from the incidence data, with
-no point objects built.  Every pair of lines meets once, so the points on
-exactly two lines are counted from the line multiplicities and the points
-on three or more lines, which are the only ones the sweep keeps.  Such
-data can fail validation only at the components (multiplicities and the
-total degree), so :func:`line_incidence` checks those alone, on the merged
-multiplicities and before the O(L^2) sweep; it builds component records only
-to word an error.
+no point objects built.  A point on exactly two lines adds zero to every
+spectrum coefficient, so the summary holds only the points on three or more
+lines, which are the only ones the sweep keeps; the points on two lines are
+neither kept nor counted.  Such data can fail validation only at the
+components (multiplicities and the total degree), so :func:`line_incidence`
+checks those alone, on the merged multiplicities and before the O(L^2)
+sweep; it builds component records only to word an error.
 """
 
 from __future__ import annotations
@@ -122,17 +122,6 @@ def normalize_form(raw: Sequence[RationalLike]) -> Tuple[int, int, int]:
     return _primitive(*_integer_triple(raw, "coefficient {}"))
 
 
-def _pairs_by_mult(by_mult: Counter) -> dict[Tuple[int, int], int]:
-    """The pairs among lines counted by multiplicity, by the pair's
-    multiplicities (m, m') with m <= m'."""
-    return {
-        (m, m2): k * (k - 1) // 2 if m == m2 else k * k2
-        for m, k in by_mult.items()
-        for m2, k2 in by_mult.items()
-        if m <= m2
-    }
-
-
 class _Incidence:
     """A weighted list of linear forms, merged, and where the lines meet.
 
@@ -180,31 +169,38 @@ class _Incidence:
         two lines are yielded only if ``two_line_points``.
 
         Line i groups the later lines by where they meet it.  With line i's
-        coordinates rotated cyclically so that its first nonzero one comes
-        first (a cyclic rotation commutes with the cross product), that
-        point is fixed by the last two coordinates of the cross product, a
-        primitive pair up to sign.  A point belongs to the smallest line
-        through it.  When line i yields a point on lines i < g1 < g2 < ...,
-        each g_s notes g_{s+1}: at line g_s that point is the group whose
-        first line is g_{s+1}, and two lines meet only once, so that group
-        is skipped.  Memory stays O(L) plus one entry per line through each
-        point on three or more lines.
+        coordinates (a, b, c) rotated cyclically so that a != 0 (a cyclic
+        rotation commutes with the cross product), line k = (p, q, r) meets
+        it at the point fixed by the last two coordinates of the cross
+        product, the ratio (x : y) = (c*p - a*r : a*q - b*p), never (0 : 0).
+        Its key is the integer floor(y * M / x) when x != 0 and ``None``
+        when x = 0, where M = (2*C^2)^2 and C is the largest absolute
+        coefficient of the lines; no gcd is taken.  The key names the point
+        exactly.  |x| <= |c*p| + |a*r| <= 2*C^2, so |x1*x2| <= M, and two
+        distinct ratios y1/x1 != y2/x2 differ by the nonzero integer
+        |y1*x2 - y2*x1| over |x1*x2|, at least 1/M: their multiples by M
+        differ by at least 1, and so do their floors.  Equal ratios,
+        whatever the signs of x and y, have equal floors.
+
+        A point belongs to the smallest line through it.  When line i
+        yields a point on lines i < g1 < g2 < ..., each g_s notes g_{s+1}:
+        at line g_s that point is the group whose first line is g_{s+1}, and
+        two lines meet only once, so that group is skipped.  Memory stays
+        O(L) plus one entry per line through each point on three or more
+        lines.
         """
         lines = self.lines
         frames = (lines, [(b, c, a) for a, b, c in lines], [(c, a, b) for a, b, c in lines])
+        scale = (2 * max(max(map(abs, line)) for line in lines) ** 2) ** 2
         seen: dict[int, set[int]] = {}
         for i, line in enumerate(lines):
             frame = frames[0 if line[0] else 1 if line[1] else 2]
             a, b, c = frame[i]
-            first: dict[Tuple[int, int], int] = {}
+            first: dict[int | None, int] = {}
             groups: dict[int, list[int]] = {}
             for k, (p, q, r) in enumerate(frame[i + 1 :], i + 1):
                 x = c * p - a * r
-                y = a * q - b * p
-                g = gcd(x, y)
-                if x < 0 or (not x and y < 0):
-                    g = -g
-                j = first.setdefault((x // g, y // g), k)
+                j = first.setdefault((a * q - b * p) * scale // x if x else None, k)
                 if j != k:
                     on = groups.get(j)
                     if on is None:
@@ -241,26 +237,22 @@ class _Incidence:
         )
 
     def point_types(self) -> PointTypeSummary:
-        """The arrangement graph's ``point_types``, without building the
-        graph: every line has degree 1 and meets a point simply, so a
-        point's type is the sorted tuple of (m_l, 1) over the lines through
-        it, and there are no component pairs.
+        """The arrangement graph's ``point_types`` less its simple nodes,
+        without building the graph: every line has degree 1 and meets a
+        point simply, so a point's type is the sorted tuple of (m_l, 1) over
+        the lines through it, and there are no component pairs.
 
-        Only the points on three or more lines come from the sweep.  Every
-        pair of lines meets once, so the points on exactly two lines of
-        multiplicities m <= m' number C(c_m, 2) or c_m * c_m' (c_m lines
-        of multiplicity m), less the pairs inside the larger points.
+        Only the points on three or more lines, which the sweep yields, are
+        counted.  A point on exactly two lines, of type ((m, 1), (m', 1)),
+        has m_red = 2 and a twist of 0 or 1 at every j, so it adds zero to
+        every coefficient of both spectrum routes (Budur and Saito read only
+        the points on three or more lines of a line arrangement).
         """
         mults = self.mults
-        by_mult = Counter(mults)
-        large = Counter(tuple(sorted([mults[i] for i in on])) for on in self._sweep(False))
-        pairs = _pairs_by_mult(by_mult)
-        for type_mults, n in large.items():
-            for key, inside in _pairs_by_mult(Counter(type_mults)).items():
-                pairs[key] -= n * inside
-        histogram = {((m, 1), (m2, 1)): n for (m, m2), n in pairs.items() if n}
-        histogram.update((tuple((m, 1) for m in type_mults), n) for type_mults, n in large.items())
-        return PointTypeSummary(by_mult, 0, histogram)
+        histogram = Counter(
+            tuple([(m, 1) for m in sorted([mults[i] for i in on])]) for on in self._sweep(False)
+        )
+        return PointTypeSummary(Counter(mults), 0, histogram)
 
 
 def line_incidence(forms: Sequence[Tuple[Sequence[RationalLike], int]]) -> _Incidence:

@@ -37,7 +37,7 @@ from curvespec.formulas import (
     spectrum_reduced,
     spectrum_smooth_components,
 )
-from curvespec.lines import incidence_graph, line_incidence
+from curvespec.lines import incidence_graph
 from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
 from curvespec.riemann_roch import twist_class
 from curvespec.spectrum import Spectrum, dummy_shift
@@ -204,7 +204,7 @@ class TestBreakpointKernel:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_per_j_kernel_on_weighted_lines(self, seed):
-        summary = line_incidence(random_line_forms(seed)).point_types()
+        summary = incidence_graph(random_line_forms(seed)).point_types
         assert spectrum_of_point_types(summary) == per_j_kernel(summary)
 
 

@@ -2,7 +2,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,7 @@ from curvespec.arrangement import (
     Branch,
     Component,
     InvalidArrangementError,
+    PointTypeSummary,
     SingularPoint,
     _object,
     _require,
@@ -258,13 +259,7 @@ def brute_force_graph(weighted_forms):
             lines.append(form)
             mults[form] = 0
         mults[form] += mult
-    points = set()
-    for i, (a1, b1, c1) in enumerate(lines):
-        for a2, b2, c2 in lines[i + 1 :]:
-            cross = [b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2]
-            g = gcd(*cross)
-            sign = -1 if next(x for x in cross if x) < 0 else 1
-            points.add(tuple(sign * x // g for x in cross))
+    points = {primitive_point(_cross(u, v)) for i, u in enumerate(lines) for v in lines[i + 1 :]}
     return ArrangementGraph(
         tuple(Component(f"l{i + 1}", 1, mults[form]) for i, form in enumerate(lines)),
         tuple(
@@ -361,15 +356,143 @@ class TestIncidenceAgainstBruteForce:
         assert incidence_graph(forms) == brute_force_graph(forms)
 
 
+def primitive_point(v):
+    """A nonzero integer triple divided by its gcd, first nonzero entry
+    positive: one name per projective point."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
+
+
+def assert_sweep_matches_gcd_keys(forms):
+    """The sweep's points against the keying it replaced: every pair of
+    lines grouped by the primitive cross product, with gcd and sign fixed.
+    Each point comes once, its lines ascending; ``graph()`` is the graph of
+    those points by definition."""
+    incidence = _Incidence(forms)
+    lines = incidence.lines
+    through = {}
+    for i, u in enumerate(lines):
+        for k in range(i + 1, len(lines)):
+            through.setdefault(primitive_point(_cross(u, lines[k])), set()).update((i, k))
+    expected = sorted(sorted(on) for on in through.values())
+    swept = list(incidence._sweep(True))
+    assert all(on == sorted(set(on)) for on in swept)
+    assert sorted(swept) == expected
+    assert sorted(incidence._sweep(False)) == [on for on in expected if len(on) > 2]
+    assert incidence.graph() == brute_force_graph(forms)
+    return swept
+
+
+def lines_through(point, directions):
+    """The lines through ``point`` and each of ``directions``, as forms of
+    multiplicity 1 (a direction through the point itself gives none)."""
+    return [(line, 1) for line in (_cross(point, v) for v in directions) if any(line)]
+
+
+def farey_forms(bound):
+    """Line (1, 0, C) and lines (C, 1, 1 - C) and (C, 1, -C), C = ``bound``:
+    in the first line's frame they meet it at (x : y) = (C^2 + C - 1 : 1)
+    and (C^2 + C : 1), Farey neighbours (|y1*x2 - y2*x1| = 1), so their
+    ratios differ by 1/(x1*x2), about 1/C^4.  Such a pair needs a = 1 (the
+    determinant is a times det(line, k1, k2)), and with a = 1 no |x| exceeds
+    C^2 + C, so two keys come about this close and no closer.  The sums of the first
+    line with each of the other two make both points triple points."""
+    c = bound
+    first, near, far = (1, 0, c), (c, 1, 1 - c), (c, 1, -c)
+    return [(first, 1), (near, 2), (far, 3), ((c + 1, 1, 1), 1), ((c + 1, 1, 0), 1)]
+
+
+huge = st.integers(-(10**12), 10**12)
+centres = st.tuples(
+    st.one_of(st.just(0), huge), st.one_of(st.just(0), huge), st.one_of(st.just(0), huge)
+).filter(any)
+directions = st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)), min_size=2, max_size=4)
+
+
+class TestSweepKey:
+    """The sweep keys each intersection by floor(y * M / x) in place of the
+    primitive pair (x, y); it finds the points the gcd keying finds."""
+
+    @given(st.lists(st.tuples(st.tuples(huge, huge, huge).filter(any), st.integers(1, 3)), min_size=1, max_size=8))
+    def test_huge_coefficients(self, forms):
+        assert_sweep_matches_gcd_keys(forms)
+
+    @given(
+        st.lists(st.tuples(centres, directions), min_size=1, max_size=3),
+        st.lists(st.tuples(huge, huge, huge).filter(any), max_size=3),
+    )
+    def test_concurrent_lines_through_far_points(self, pencils, extra):
+        forms = [(raw, 1) for raw in extra]
+        for centre, dirs in pencils:
+            forms += lines_through(centre, dirs)
+        assume(forms)
+        assert_sweep_matches_gcd_keys(forms)
+
+    @pytest.mark.parametrize("bound", [2, 10, 999, 10**6, 10**12, 10**40])
+    def test_farey_neighbours_near_the_bound(self, bound):
+        swept = assert_sweep_matches_gcd_keys(farey_forms(bound))
+        assert [0, 1, 3] in swept and [0, 2, 4] in swept
+
+    @pytest.mark.parametrize("bound", [3, 10**6, 10**12])
+    def test_points_with_x_zero(self, bound):
+        # Line (a, b, c) meets every line (p, q, r) through (c : 0 : -a)
+        # there, where x = c*p - a*r = 0: a pencil of four lines keyed by
+        # None at line 0.  Line (1, 1, 1) meets only (1, 5, 1) at its own
+        # x = 0 point, (1 : 0 : -1).
+        a, b, c = bound, 1, bound - 1
+        forms = [((a, b, c), 1)] + lines_through((c, 0, -a), [(0, 1, 0), (1, 1, 0), (bound, 7, 2)])
+        forms += [((1, 1, 1), 2), ((1, 5, 1), 1), ((2, -3, bound), 1)]
+        swept = assert_sweep_matches_gcd_keys(forms)
+        assert [0, 1, 2, 3] in swept and [4, 5] in swept
+
+    @pytest.mark.parametrize("bound", [1, 4, 10**12])
+    def test_lines_led_by_the_second_or_third_coordinate(self, bound):
+        # Lines (0, 1, t*B) and (0, 0, 1) all pass through (1 : 0 : 0): a
+        # pencil found in the rotated frame of (0, 1, -2B).  The points
+        # (0 : B : -1) and (B : 0 : 1) are met by (0, 1, B) and (0, 1, 0) in
+        # that frame, and (0 : 1 : 0) by (0, 0, 1) in the frame of lines led
+        # by their third coordinate.
+        forms = [((0, 1, t * bound), 1) for t in range(-2, 3)] + [((0, 0, 1), 2)]
+        forms += lines_through((0, bound, -1), [(1, 0, 0), (1, 1, 1), (0, 0, 1)])
+        forms += lines_through((bound, 0, 1), [(0, 1, 0), (1, 2, 3)])
+        swept = assert_sweep_matches_gcd_keys(forms)
+        assert all(on in swept for on in ([0, 1, 2, 3, 4, 5], [3, 6, 7], [2, 8, 9], [5, 7, 8]))
+
+
+def is_node(point_type):
+    """A point on exactly two lines: two branches of multiplicity 1."""
+    return len(point_type) == 2 and point_type[0][1] == point_type[1][1] == 1
+
+
+def assert_matches_graph_summary(forms):
+    """The summary straight from incidence is the graph's summary less its
+    simple nodes, and the nodes it leaves out are exactly the pairs of lines
+    that meet at no point on three or more lines: C(L, 2) - sum_v C(r_v, 2)
+    over the points it keeps."""
+    incidence = _Incidence(forms)
+    summary = incidence.point_types()
+    full = incidence_graph(forms).point_types
+    nodes = sum(n for t, n in full.histogram.items() if is_node(t))
+    kept = {t: n for t, n in full.histogram.items() if not is_node(t)}
+    assert summary == PointTypeSummary(full.degree_by_mult, full.comp_pairs, kept)
+    assert all(summary.histogram.values())
+    lines = len(incidence.lines)
+    assert nodes == comb(lines, 2) - sum(n * comb(len(t), 2) for t, n in summary.histogram.items())
+    # The nodes add nothing: the kernel on the graph's full summary.
+    assert spectrum_of_point_types(full) == spectrum_of_point_types(summary)
+    return summary
+
+
 class TestPointTypeSummary:
-    """The summary straight from incidence equals the summary of the graph."""
+    """The summary straight from incidence equals the summary of the graph
+    less its points on exactly two lines."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_graph_summary(self, seed):
         forms = random_line_forms(seed)
-        summary = _Incidence(forms).point_types()
-        assert summary == incidence_graph(forms).point_types
-        assert all(summary.histogram.values())
+        summary = assert_matches_graph_summary(forms)
         # RR, fed by the graph's summary, against the kernel and RR, both
         # fed by the summary built from line incidence.
         assert spectrum_via_riemann_roch(incidence_graph(forms)) == spectrum_of_point_types(summary)
@@ -386,34 +509,32 @@ class TestPointTypeSummary:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_concurrent_lines_match_graph_summary(self, seed):
-        forms = concurrent_line_forms(seed)
-        summary = _Incidence(forms).point_types()
-        assert summary == incidence_graph(forms).point_types
-        assert all(summary.histogram.values())
+        assert_matches_graph_summary(concurrent_line_forms(seed))
 
     def test_shared_line_through_two_large_points(self):
-        forms = shared_line_forms()
-        summary = _Incidence(forms).point_types()
-        assert summary == incidence_graph(forms).point_types
-        assert summary.histogram[((1, 1), (1, 1), (2, 1), (3, 1))] == 1
-        assert summary.histogram[((1, 1), (2, 1), (3, 1), (3, 1))] == 1
+        # Besides the two points on four lines, x + y + z = 0 passes through
+        # (0 : 1 : -1) on x = 0 and y + z = 0, and (1 : -1 : 0) on z = 0 and
+        # x + y = 0.
+        summary = assert_matches_graph_summary(shared_line_forms())
+        assert summary.histogram == {
+            ((1, 1), (1, 1), (2, 1), (3, 1)): 1,
+            ((1, 1), (2, 1), (3, 1), (3, 1)): 1,
+            ((1, 1), (2, 1), (3, 1)): 1,
+            ((1, 1), (2, 1), (2, 1)): 1,
+        }
 
     def test_two_line_types_all_inside_larger_points_are_dropped(self):
         # Four lines of multiplicity 1 through one point: every pair of
-        # them meets there, so no point lies on exactly two of them.
+        # them meets there, so no point lies on exactly two of them.  The
+        # four nodes on the fifth line are left out too.
         forms = [((1, t, 0), 1) for t in range(4)] + [((0, 0, 1), 2)]
-        summary = _Incidence(forms).point_types()
-        assert summary.histogram == {((1, 1), (1, 1), (1, 1), (1, 1)): 1, ((1, 1), (2, 1)): 4}
+        summary = assert_matches_graph_summary(forms)
+        assert summary.histogram == {((1, 1), (1, 1), (1, 1), (1, 1)): 1}
 
     def test_type_is_the_sorted_tuple_of_line_multiplicities(self):
         # A pencil of three lines through (0, 0, 1) and a fourth line z = 0.
-        summary = _Incidence([((1, 0, 0), 3), ((0, 1, 0), 1), ((1, 1, 0), 2), ((0, 0, 1), 2)]).point_types()
-        assert summary.histogram == {
-            ((1, 1), (2, 1), (3, 1)): 1,
-            ((1, 1), (2, 1)): 1,
-            ((2, 1), (2, 1)): 1,
-            ((2, 1), (3, 1)): 1,
-        }
+        summary = assert_matches_graph_summary([((1, 0, 0), 3), ((0, 1, 0), 1), ((1, 1, 0), 2), ((0, 0, 1), 2)])
+        assert summary.histogram == {((1, 1), (2, 1), (3, 1)): 1}
         assert summary.degree_by_mult == {1: 1, 2: 2, 3: 1}
         assert summary.comp_pairs == 0
 
@@ -505,7 +626,7 @@ class TestLineValidation:
 
 def test_summary_memory_does_not_grow_with_the_points():
     # 300 general-position lines meet in 44 850 points, each on two lines;
-    # the summary counts those points and stores none of them.
+    # the summary leaves those points out and stores none of them.
     forms = [((1, t, t * t), 1) for t in range(300)]
     tracemalloc.start()
     try:

@@ -15,7 +15,7 @@ from curvespec.arrangement import ArrangementGraph, derived, validate
 from curvespec.binomial import binom, ceil_div
 from curvespec.cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e
 from curvespec.formulas import spectrum_general
-from curvespec.lines import incidence_graph, line_incidence
+from curvespec.lines import incidence_graph
 from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
 from curvespec.riemann_roch import (
     _euler_characteristics,
@@ -476,8 +476,9 @@ def weighted_line_summary(count):
     """Lines (1, t, t^2) of multiplicity t + 1, t < count: every point lies
     on two lines of distinct multiplicities, so nearly every point is a
     type of its own, count*(count - 1)/2 types at total degree
-    count*(count + 1)/2."""
-    return line_incidence([((1, t, t * t), t + 1) for t in range(count)]).point_types()
+    count*(count + 1)/2.  Read from the graph, which keeps those points on
+    two lines; the summary of ``line_incidence`` leaves them out."""
+    return incidence_graph([((1, t, t * t), t + 1) for t in range(count)]).point_types
 
 
 # Graphs drawn (seed 11) under each of the CLI's `check` bounds.
