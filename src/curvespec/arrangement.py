@@ -16,6 +16,12 @@ and :meth:`ArrangementGraph.with_point` hands a kept report on to the graph
 with one more point, extended by the checks on that point alone.
 The same pass sorts the points into types: a valid graph's report carries
 its :class:`PointTypeSummary`, which every spectrum route reads.
+
+:func:`graph_from_dict` reads a component, point or branch inline when it is
+a plain dict with exactly the schema's keys and values of their exact types,
+and builds the records through their written-out ``__init__``, which fills
+each slot through its member descriptor; anything else goes through the one
+table-driven schema check, which words every message.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ def _frozen(cls):
 
 
 @_frozen
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Component:
     """One irreducible curve in the arrangement.
 
@@ -94,24 +100,43 @@ class Component:
     degree: int
     multiplicity: int = 1
 
+    def __init__(self, id: str, degree: int, multiplicity: int = 1) -> None:
+        _SET_COMPONENT_ID(self, id)
+        _SET_DEGREE(self, degree)
+        _SET_MULTIPLICITY(self, multiplicity)
+
 
 @_frozen
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Branch:
     """A component passing through a singular point with local multiplicity ``mult``."""
 
     component: str
     mult: int = 1
 
+    def __init__(self, component: str, mult: int = 1) -> None:
+        _SET_COMPONENT(self, component)
+        _SET_MULT(self, mult)
+
 
 @_frozen
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SingularPoint:
     id: str
     branches: Tuple[Branch, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
+    def __init__(self, id: str, branches: Tuple[Branch, ...]) -> None:
+        _SET_POINT_ID(self, id)
+        _SET_BRANCHES(self, tuple(branches))
+
+
+# The records' slot setters: one C call per field, where a generated
+# __init__ calls object.__setattr__ per field.
+_SET_COMPONENT_ID, _SET_DEGREE, _SET_MULTIPLICITY = (
+    Component.__dict__[name].__set__ for name in ("id", "degree", "multiplicity")
+)
+_SET_COMPONENT, _SET_MULT = (Branch.__dict__[name].__set__ for name in ("component", "mult"))
+_SET_POINT_ID, _SET_BRANCHES = (SingularPoint.__dict__[name].__set__ for name in ("id", "branches"))
 
 
 @dataclass(frozen=True)
@@ -237,22 +262,24 @@ def _check_point(
     pairs = []
     m_red = 0
     for br in point.branches:
-        comp = seen_comp.get(br.component)
-        m_red += br.mult
+        component = br.component
+        mult = br.mult
+        comp = seen_comp.get(component)
+        m_red += mult
         if comp is None:
-            message = f"branch names unknown component {_echo(br.component)}"
+            message = f"branch names unknown component {_echo(component)}"
             errors.append(("unknown-component", message, _point_at(point, br)))
         else:
-            pairs.append((comp.multiplicity, br.mult))
-        if br.component in branch_comps:
-            message = f"component {_echo(br.component)} listed twice"
+            pairs.append((comp.multiplicity, mult))
+        if component in branch_comps:
+            message = f"component {_echo(component)} listed twice"
             errors.append(("duplicate-branch", message, _point_at(point, br)))
-        branch_comps.add(br.component)
-        if br.mult < 1:
-            message = f"branch multiplicity must be >= 1, got {_echo(br.mult)}"
+        branch_comps.add(component)
+        if mult < 1:
+            message = f"branch multiplicity must be >= 1, got {_echo(mult)}"
             errors.append(("nonpositive-branch-mult", message, _point_at(point, br)))
-        elif comp is not None and br.mult > comp.degree:
-            message = f"branch multiplicity {_echo(br.mult)} exceeds component degree {_echo(comp.degree)}"
+        elif comp is not None and mult > comp.degree:
+            message = f"branch multiplicity {_echo(mult)} exceeds component degree {_echo(comp.degree)}"
             errors.append(("branch-mult-exceeds-degree", message, _point_at(point, br)))
     if len(errors) == point_errors:
         # No error: the branches name distinct components, each with
@@ -445,14 +472,26 @@ def graph_from_dict(data) -> ArrangementGraph:
     raw_comps, raw_pts = _object(data, _ARRANGEMENT, "arrangement")
     if not isinstance(raw_comps, list):
         raise ArrangementFormatError("'components' must be a list")
-    comps = [Component(*_object(rc, _COMPONENT, "components[{}]", i)) for i, rc in enumerate(raw_comps)]
+    # A plain dict with exactly the schema's keys and values of their exact
+    # types is read inline (a component may leave out "multiplicity");
+    # anything else goes through _object and _require, which define the
+    # schema's messages and their order.
+    comps = []
+    for i, rc in enumerate(raw_comps):
+        if (
+            type(rc) is dict
+            and type(comp_id := rc.get("id")) is str
+            and type(degree := rc.get("degree")) is int
+            and type(multiplicity := rc.get("multiplicity", 1)) is int
+            and len(rc) == 2 + ("multiplicity" in rc)
+        ):
+            comps.append(Component(comp_id, degree, multiplicity))
+        else:
+            comps.append(Component(*_object(rc, _COMPONENT, "components[{}]", i)))
     if not isinstance(raw_pts, list):
         raise ArrangementFormatError("'points' must be a list")
     points = []
     for i, rp in enumerate(raw_pts):
-        # A plain dict with exactly the schema's keys and values of their exact
-        # types is read inline; anything else goes through _object and
-        # _require, which define the schema's messages and their order.
         if not (
             type(rp) is dict
             and len(rp) == 2

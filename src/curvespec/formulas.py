@@ -8,7 +8,8 @@ points and which the reduced display and the characteristic-class route
 read too (the routes share that counting, no formula code), and walks the
 breakpoints of the twist coefficients: each ceil(j*m/d) is a step function
 of j, so every type is visited only where its uv steps, its changes go
-into difference arrays, and one prefix pass over j emits the rows.
+into difference arrays, and one prefix pass over j fills the three
+coefficient runs.
 ``curvespec.lines`` builds that summary straight from line incidence,
 where a point's type is the sorted tuple of (m_l, 1) over the lines
 through it, and leaves out the points on exactly two lines: such a type
@@ -33,13 +34,15 @@ j/d, 1 + j/d and 2 + j/d, built from the twist coefficients
 
 via generalized binomials (binom(-1, 2) = 1 matters: it produces the
 -delta(j, d) cancellation pattern at the top exponent).  Every exponent is
-a multiple of 1/d, so the rows (j, n0, n1, n2) become a spectrum on the
-integer grid 1/d: the numerators j, d + j and 2d + j, with no rational
-arithmetic between the j-loop and the printed output.
+a multiple of 1/d, so each display fills three runs of coefficients, n0,
+n1 and n2 over j = 1..d, and they become a spectrum on the integer grid
+1/d at the numerators 1..3d in order (j, then d + j, then 2d + j), with no
+rational arithmetic between the j-loop and the printed output.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 from .arrangement import ArrangementGraph, PointTypeSummary, _echo, require_valid
@@ -57,16 +60,11 @@ __all__ = [
 ]
 
 
-def _three_level_spectrum(d: int, rows) -> Spectrum:
-    """Assemble coefficients {(j, n0, n1, n2)} into a spectrum over exponents
-    j/d, 1 + j/d, 2 + j/d, i.e. the numerators j, d + j, 2d + j on the grid 1/d.
-    Each j in [1, d] comes once, so no two terms share a numerator."""
-    terms = {}
-    for j, n0, n1, n2 in rows:
-        terms[j] = n0
-        terms[d + j] = n1
-        terms[2 * d + j] = n2
-    return Spectrum._of(d, terms)
+def _three_level_spectrum(d: int, n0: list[int], n1: list[int], n2: list[int]) -> Spectrum:
+    """Assemble the coefficient runs n0, n1, n2 over j = 1..d into a
+    spectrum over the exponents j/d, 1 + j/d, 2 + j/d, i.e. the numerators
+    j, d + j, 2d + j on the grid 1/d, which the runs fill in increasing order."""
+    return Spectrum._of(d, zip(range(1, 3 * d + 1), chain(n0, n1, n2)))
 
 
 def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
@@ -80,7 +78,7 @@ def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
     once over its own steps, adding count * (new - old) of two of its three
     quadratics into difference arrays; the three add up to a constant that
     folds, with its pair counts, into one constant of n1.  One prefix pass
-    over j then emits the rows, so the cost grows with d plus the
+    over j then fills the coefficient runs, so the cost grows with d plus the
     breakpoints of the types, however many points share a type.  The
     summary must come from a valid arrangement.
     """
@@ -102,14 +100,19 @@ def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
 
     # Types with the same weight by component multiplicity share their uv
     # and m_red; only their branch pair counts differ, and those go into
-    # pair_term here.
+    # pair_term here.  A type is sorted, so its weight merges runs of equal m.
     by_weight: dict[tuple, int] = {}
     for branches, count in summary.histogram.items():
-        weight: dict[int, int] = {}
+        weight = []
+        last = 0
         for m, mult in branches:
-            weight[m] = weight.get(m, 0) + mult
+            if m == last:
+                weight[-1] = (m, weight[-1][1] + mult)
+            else:
+                weight.append((m, mult))
+                last = m
             pair_term -= count * (mult * (mult - 1) // 2)
-        key = tuple(sorted(weight.items()))
+        key = tuple(weight)
         by_weight[key] = by_weight.get(key, 0) + count
 
     # diff_k[p] is the change at j = p + 1 of the sum over types of
@@ -128,9 +131,11 @@ def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
             m_v += m * w
             m_red += w
         pair_term -= count * ((m_red - 1) * (m_red - 2) // 2)
+        # The steps of m_v are made for this weight alone: kept for every
+        # distinct m_v, they would grow with the weights, not with d.
         steps = positions.get(m_v)
         if steps is None:
-            positions[m_v] = steps = [k * d // m_v for k in range(m_v)]
+            steps = [k * d // m_v for k in range(m_v)]
         events = dict.fromkeys(steps, -1)
         for m, w in weight:
             for p in positions[m]:
@@ -145,7 +150,8 @@ def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
             diff2[p] += count * (new2 - old2)
             old0, old2 = new0, new2
 
-    rows = []
+    n0, n1, n2 = [], [], []
+    add0, add1, add2 = n0.append, n1.append, n2.append
     ceil_sum = s0 = s2 = 0
     for j, r, e0, e2 in zip(range(1, d + 1), rise, diff0, diff2):
         ceil_sum += r
@@ -153,13 +159,12 @@ def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
         s2 += e2
         u0 = ceil_sum - j
         low = d_red - u0 - 1
-        n0 = low * (low - 1) // 2 - s0
-        n1 = (u0 - 1) * low + pair_term + s0 + s2
-        n2 = (u0 - 1) * (u0 - 2) // 2 - s2
-        rows.append((j, n0, n1, n2))
+        add0(low * (low - 1) // 2 - s0)
+        add1((u0 - 1) * low + pair_term + s0 + s2)
+        add2((u0 - 1) * (u0 - 2) // 2 - s2)
     # The -delta(j, d) at the top exponent.
-    rows[-1] = (d, n0, n1, n2 - 1)
-    return _three_level_spectrum(d, rows)
+    n2[-1] -= 1
+    return _three_level_spectrum(d, n0, n1, n2)
 
 
 def spectrum_general(graph: ArrangementGraph) -> Spectrum:
@@ -192,7 +197,7 @@ def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
         by_point_mult[m_v] = by_point_mult.get(m_v, 0) + count
 
     # binom(x, 2) is written x*(x - 1)//2, ceil(j*m_v/d) as (j*m_v + d - 1)//d.
-    rows = []
+    run0, run1, run2 = [], [], []
     top = d - 1
     for j in range(1, d + 1):
         n0 = (j - 1) * (j - 2) // 2
@@ -203,10 +208,11 @@ def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
             n0 -= count * ((ceil_v - 1) * (ceil_v - 2) // 2)
             n1 -= count * ((ceil_v - 1) * (m_v - ceil_v))
             n2 -= count * ((m_v - ceil_v) * (m_v - ceil_v - 1) // 2)
-        if j == d:
-            n2 -= 1
-        rows.append((j, n0, n1, n2))
-    return _three_level_spectrum(d, rows)
+        run0.append(n0)
+        run1.append(n1)
+        run2.append(n2)
+    run2[-1] -= 1
+    return _three_level_spectrum(d, run0, run1, run2)
 
 
 def spectrum_smooth_components(graph: ArrangementGraph) -> Spectrum:
@@ -254,7 +260,7 @@ def spectrum_irreducible_power(d: int, m: int, point_mults: Sequence[int]) -> Sp
     total = m * d
     curve_pairs = binom(d, 2)
 
-    rows = []
+    run0, run1, run2 = [], [], []
     for j in range(1, total + 1):
         q = ceil_div(j, d)
         u0 = q * d - j
@@ -266,10 +272,11 @@ def spectrum_irreducible_power(d: int, m: int, point_mults: Sequence[int]) -> Sp
             n0 -= binom(mu - uv - 1, 2)
             n1 -= uv * (mu - uv - 1) + binom(mu, 2)
             n2 -= binom(uv, 2)
-        if j == total:
-            n2 -= 1
-        rows.append((j, n0, n1, n2))
-    return _three_level_spectrum(total, rows)
+        run0.append(n0)
+        run1.append(n1)
+        run2.append(n2)
+    run2[-1] -= 1
+    return _three_level_spectrum(total, run0, run1, run2)
 
 
 def spectrum_binary_linear(mults: Sequence[int]) -> Spectrum:
@@ -282,13 +289,13 @@ def spectrum_binary_linear(mults: Sequence[int]) -> Spectrum:
             raise ValueError(f"multiplicity must be >= 1, got {m}")
     d = sum(mults)
     d_red = len(mults)
-    rows = []
+    run0, run1 = [], []
     for j in range(1, d + 1):
         ceil_sum = sum(ceil_div(j * m, d) for m in mults)
-        n0 = d_red - ceil_sum + j - 1
-        n1 = ceil_sum - j - 1 + (1 if j == d else 0)
-        rows.append((j, n0, n1, 0))
-    return _three_level_spectrum(d, rows)
+        run0.append(d_red - ceil_sum + j - 1)
+        run1.append(ceil_sum - j - 1)
+    run1[-1] += 1
+    return _three_level_spectrum(d, run0, run1, [0] * d)
 
 
 def spectrum_isolated(d: int, n: int) -> Spectrum:

@@ -33,8 +33,9 @@ Each j therefore reads u0 and three integer sums over the point types,
 sum u_v, sum m_{v,red}*u_v and sum u_v^2, each type times its count.  With
 i = d - j every twist coefficient is built from floors floor(i*m/d), which
 rise by one at i = ceil(k*d/m); so the four go into difference arrays at
-those rises (the linear ones once per distinct multiplicity, sum u_v^2 by
-one walk per type) and one pass over i yields every j.  The cost is
+those rises (the linear ones once per distinct component multiplicity and
+once per type at the rises of its m_v, sum u_v^2 by one walk per type) and
+one pass over i yields every j.  The cost is
 O(d + sum_T (m_v + sum_l m_l)) for the types T, not O(T*d).  Every chi is
 formed as an integer over 2, and an odd numerator (from a non-integral c2,
 say) fails the integrality assertion.  No :class:`fractions.Fraction` is
@@ -44,6 +45,7 @@ made in the pairing.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .arrangement import ArrangementGraph, PointTypeSummary, derived, require_valid
 from .cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e, product
@@ -254,9 +256,10 @@ def _euler_characteristics(summary: PointTypeSummary):
     degree_by_mult = summary.degree_by_mult
     d = sum(m * deg for m, deg in degree_by_mult.items())
     rises = {m: _rises(m, d) for m in degree_by_mult}
-    # What one rise of floor(i*m/d) adds to u0, X and Y, by m.
+    # What one rise of floor(i*m_l/d) adds to u0, X and Y, by m_l.
     linear = {m: [-deg, 0, 0] for m, deg in degree_by_mult.items()}
     diff_x = [0] * d
+    diff_y = [0] * d
     for (branches, count), m_red in zip(summary.histogram.items(), m_reds):
         k -= count * (2 - m_red) * (1 - m_red)
         count_y = 2 * count * (m_red - 2)
@@ -266,15 +269,17 @@ def _euler_characteristics(summary: PointTypeSummary):
             row = linear[m]
             row[1] -= count * mu
             row[2] -= count_y * mu
-        row = linear.get(point_mult)
-        if row is None:
-            linear[point_mult] = row = [0, 0, 0]
-            rises[point_mult] = _rises(point_mult, d)
-        row[1] += count
-        row[2] += count_y
+        # The rises of m_v are made for this type alone and added here: kept
+        # for every distinct m_v, they would grow with the types, not with d.
+        steps = rises.get(point_mult)
+        if steps is None:
+            steps = _rises(point_mult, d)
+        for i in steps:
+            diff_x[i] += count
+            diff_y[i] += count_y
         # u_T is 0 at i = 0; it rises by 1 at each rise of m_v and falls by
         # m_{v,l} at each rise of m_l.
-        events = dict.fromkeys(rises[point_mult], 1)
+        events = dict.fromkeys(steps, 1)
         for m, mu in branches:
             for i in rises[m]:
                 events[i] = events.get(i, 0) - mu
@@ -286,7 +291,6 @@ def _euler_characteristics(summary: PointTypeSummary):
             square = new
 
     diff_u0 = [0] * d
-    diff_y = [0] * d
     for m, (a, b, c) in linear.items():
         for i in rises[m]:
             diff_u0[i] += a
@@ -326,10 +330,12 @@ def _spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
     point-type summary alone, such as the one ``curvespec.lines`` counts
     without building a graph."""
     d = sum(m * deg for m, deg in summary.degree_by_mult.items())
-    terms = {}
-    for j, (chi0, chi1, chi2) in _euler_characteristics(summary):
-        # Exponent k + j/d is the numerator k*d + j on the grid 1/d.
-        terms[j] = chi2
-        terms[d + j] = -chi1
-        terms[2 * d + j] = chi0 - 1 if j == d else chi0
-    return Spectrum._of(d, terms)
+    run0, run1, run2 = [], [], []
+    for _, (chi0, chi1, chi2) in _euler_characteristics(summary):
+        run0.append(chi2)
+        run1.append(-chi1)
+        run2.append(chi0)
+    run2[-1] -= 1
+    # Exponent k + j/d is the numerator k*d + j on the grid 1/d: the runs
+    # fill the numerators 1..3d in order.
+    return Spectrum._of(d, zip(range(1, 3 * d + 1), chain(run0, run1, run2)))

@@ -10,9 +10,13 @@ colliding terms such as t^(6/4) and t^(3/2) merge, and zero coefficients
 are dropped eagerly, so that equality of spectra is plain structural
 equality.  The closed formulas and the characteristic-class route build
 their spectra directly on the grid 1/d with integer arithmetic only,
-through the trusted constructor ``Spectrum._of(d, terms)``, which skips the
-per-term type checks; :meth:`Spectrum.items`, :meth:`Spectrum.support`
-and :meth:`Spectrum.coefficient` still speak :class:`fractions.Fraction`.
+through the trusted constructor ``Spectrum._of(d, pairs)``, which skips the
+per-term type checks and the merging of repeated numerators: they hand it
+(numerator, coefficient) pairs in increasing numerator order, three runs of
+coefficients at j, d + j and 2d + j, so the terms are stored in exponent
+order and formatting sorts keys that are already sorted.
+:meth:`Spectrum.items`, :meth:`Spectrum.support` and
+:meth:`Spectrum.coefficient` still speak :class:`fractions.Fraction`.
 
 Three serializations are supported (see :func:`format_spectrum`):
 
@@ -87,10 +91,10 @@ class Spectrum:
             if type(k) is not int and not _is_int(k):
                 raise TypeError(f"grid numerator must be an integer, got {k!r}")
             data[k] = data.get(k, 0) + n
-        self._store(den, data)
+        self._store(den, data.items())
 
-    def _store(self, den: int, data: Mapping[int, int]) -> None:
-        data = {k: n for k, n in data.items() if n}
+    def _store(self, den: int, pairs: Iterable[Tuple[int, int]]) -> None:
+        data = {k: n for k, n in pairs if n}
         g = gcd(den, *data)
         if g > 1:
             den //= g
@@ -104,13 +108,14 @@ class Spectrum:
     # -- construction ------------------------------------------------
 
     @classmethod
-    def _of(cls, den: int, terms: Mapping[int, int]) -> "Spectrum":
-        """Spectrum from a dict of int grid numerators to int coefficients
-        over the positive denominator den, brought to lowest terms with zero
-        coefficients dropped: the formula routes use it in place of the
+    def _of(cls, den: int, pairs: Iterable[Tuple[int, int]]) -> "Spectrum":
+        """Spectrum from (int grid numerator, int coefficient) pairs with
+        distinct numerators over the positive denominator den, brought to
+        lowest terms with zero coefficients dropped, its terms kept in the
+        order of ``pairs``: the formula routes use it in place of the
         checking constructor, which also merges repeated numerators."""
         obj = object.__new__(cls)
-        obj._store(den, terms)
+        obj._store(den, pairs)
         return obj
 
     @classmethod

@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import json
+import typing
 from collections import OrderedDict
 from types import MappingProxyType
 
@@ -36,6 +38,7 @@ from curvespec.arrangement import (
     require_valid,
     validate,
 )
+from curvespec.arrangement import _COMPONENT, _object
 from curvespec.binomial import binom
 from curvespec.cli import main
 from curvespec.cohomology import CohClass
@@ -597,6 +600,44 @@ def wrapped(data, mapping):
 MAPPINGS = [MappingProxyType, OrderedDict]
 
 
+class Count(int):
+    pass
+
+
+class Name(str):
+    pass
+
+
+COMPONENT = {"id": "c", "degree": 3, "multiplicity": 2}
+ODD_VALUES = [True, False, 0, -1, 2.0, 3.5, "3", "", None, [], Count(3), Name("c"), 10**30]
+
+
+@st.composite
+def component_objects(draw):
+    """A component object with some of its keys dropped or given values of
+    other types (bool, float, str, an int or str subclass), perhaps an
+    extra key, and perhaps held in another Mapping or in no mapping at all."""
+    obj = dict(COMPONENT)
+    for key in draw(st.lists(st.sampled_from(sorted(COMPONENT)), unique=True)):
+        if draw(st.booleans()):
+            del obj[key]
+        else:
+            obj[key] = draw(st.sampled_from(ODD_VALUES))
+    if draw(st.booleans()):
+        obj[draw(st.sampled_from(["color", "mult", "Degree"]))] = draw(st.sampled_from(ODD_VALUES))
+    return draw(st.sampled_from([dict, dict, OrderedDict, MappingProxyType, lambda o: list(o.items())]))(obj)
+
+
+def outcome(read):
+    """The fields of the record ``read()`` returns, each with its type, or
+    the message of the ArrangementFormatError it raises."""
+    try:
+        record = read()
+    except ArrangementFormatError as err:
+        return str(err)
+    return [(type(value), value) for value in dataclasses.astuple(record)]
+
+
 class TestSerialization:
     @given(arrangement_graphs())
     def test_round_trip(self, g):
@@ -666,6 +707,55 @@ class TestSerialization:
         cache = {nodal_cubic(): "a"}
         assert cache[nodal_cubic()] == "a"
 
+    @given(component_objects(), st.integers(0, 2))
+    def test_components_read_as_the_schema_reads_them(self, obj, index):
+        # The inline read of a component must give what _object alone gives:
+        # the same values of the same types, or the same first message.
+        comps = [{"id": f"x{k}", "degree": 1} for k in range(index)] + [obj]
+        expected = outcome(lambda: Component(*_object(obj, _COMPONENT, "components[{}]", index)))
+        assert outcome(lambda: graph_from_dict({"components": comps}).components[index]) == expected
+
+
+
+# The records as generated dataclasses, with the same names, fields and
+# annotations: the reference for their written-out __init__ methods.
+REFERENCE_RECORDS = {
+    Component: dataclasses.make_dataclass(
+        "Component",
+        [("id", "str"), ("degree", "int"), ("multiplicity", "int", dataclasses.field(default=1))],
+        frozen=True,
+        slots=True,
+    ),
+    Branch: dataclasses.make_dataclass(
+        "Branch", [("component", "str"), ("mult", "int", dataclasses.field(default=1))], frozen=True, slots=True
+    ),
+    SingularPoint: dataclasses.make_dataclass(
+        "SingularPoint",
+        [("id", "str"), ("branches", "Tuple[Branch, ...]")],
+        namespace={"__post_init__": lambda self: object.__setattr__(self, "branches", tuple(self.branches))},
+        frozen=True,
+        slots=True,
+    ),
+}
+
+# (record, positional arguments, keyword arguments): positional, by keyword
+# and by default, made afresh for each call since an iterator is used up.
+# A point given its branches as a list or an iterator must store a tuple,
+# as the reference's __post_init__ does.
+CONSTRUCTIONS = [
+    (Component, lambda: ("c", 3, 2), dict),
+    (Component, lambda: ("c", 3), dict),
+    (Component, lambda: ("c",), lambda: {"multiplicity": 4, "degree": 2}),
+    (Component, tuple, lambda: {"id": "c", "degree": Count(3)}),
+    (Branch, lambda: ("c", 2), dict),
+    (Branch, lambda: ("c",), dict),
+    (Branch, tuple, lambda: {"mult": 5, "component": Name("c")}),
+    (SingularPoint, lambda: ("v", [Branch("c"), Branch("d", 2)]), dict),
+    (SingularPoint, lambda: ("v",), lambda: {"branches": (Branch("c"),)}),
+    (SingularPoint, tuple, lambda: {"id": "v", "branches": iter([Branch("c", 2)])}),
+    (SingularPoint, lambda: ("v", ()), dict),
+]
+
 
 class TestRecords:
     RECORDS = [Component("c", 3, 2), Branch("c", 2), SingularPoint("v", [Branch("c"), Branch("d", 2)])]
@@ -696,6 +786,36 @@ class TestRecords:
         assert repr(point) == "SingularPoint(id='v', branches=(Branch(component='c', mult=1),))"
         assert repr(Component("c", 3)) == "Component(id='c', degree=3, multiplicity=1)"
         assert dataclasses.replace(point, branches=[Branch("d")]).branches == (Branch("d"),)
+
+    @pytest.mark.parametrize(
+        "record, args, kwargs", CONSTRUCTIONS, ids=[f"call{i}" for i in range(len(CONSTRUCTIONS))]
+    )
+    def test_construction_matches_the_generated_dataclass(self, record, args, kwargs):
+        reference = REFERENCE_RECORDS[record]
+        made, expected = record(*args(), **kwargs()), reference(*args(), **kwargs())
+        fields = [(f.name, f.type, f.default, f.init) for f in dataclasses.fields(expected)]
+        assert [(f.name, f.type, f.default, f.init) for f in dataclasses.fields(made)] == fields
+        values = [(type(getattr(made, name)), getattr(made, name)) for name, *_ in fields]
+        assert values == [(type(getattr(expected, name)), getattr(expected, name)) for name, *_ in fields]
+        assert hash(made) == hash(expected)
+        assert repr(made) == repr(expected)
+        renamed = {fields[0][0]: "other"}
+        assert repr(dataclasses.replace(made, **renamed)) == repr(dataclasses.replace(expected, **renamed))
+        assert repr(dataclasses.replace(made)) == repr(made)
+
+    @pytest.mark.parametrize("record", list(REFERENCE_RECORDS), ids=lambda r: r.__name__)
+    def test_signature_matches_the_generated_dataclass(self, record):
+        reference = REFERENCE_RECORDS[record]
+        assert inspect.signature(record).parameters == inspect.signature(reference).parameters
+        # Written under postponed evaluation, the return annotation is the
+        # string "None", which resolves as the generated None does.
+        assert typing.get_type_hints(record.__init__)["return"] is type(None)
+        for args in [(), ("a", 1, 2, 3)]:
+            with pytest.raises(TypeError) as made:
+                record(*args)
+            with pytest.raises(TypeError) as expected:
+                reference(*args)
+            assert str(made.value) == str(expected.value)
 
     def test_graph_keeps_its_report(self):
         g = nodal_cubic()

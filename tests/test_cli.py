@@ -65,7 +65,7 @@ def corrupt_rows(monkeypatch):
     monkeypatch.setattr(
         curvespec.formulas,
         "_three_level_spectrum",
-        lambda d, rows: assemble(d, [(j, n0 + j, n1, n2) for j, n0, n1, n2 in rows]),
+        lambda d, n0, n1, n2: assemble(d, [n + j for j, n in enumerate(n0, 1)], n1, n2),
     )
 
 

@@ -7,8 +7,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import spectra
-from curvespec.formulas import spectrum_isolated
+from conftest import arrangement_graphs, spectra
+from curvespec.formulas import (
+    _three_level_spectrum,
+    spectrum_binary_linear,
+    spectrum_general,
+    spectrum_irreducible_power,
+    spectrum_isolated,
+    spectrum_reduced,
+)
+from curvespec.riemann_roch import spectrum_via_riemann_roch
 from curvespec.spectrum import (
     Spectrum,
     SpectrumParseError,
@@ -387,7 +395,7 @@ class TestAgainstReference:
         # The trusted constructor on the 3x grid, one coefficient per numerator.
         last = dict(pairs)
         assert_matches(
-            Spectrum._of(den * 3, {3 * k: n for k, n in last.items()}),
+            Spectrum._of(den * 3, [(3 * k, n) for k, n in last.items()]),
             ReferenceSpectrum((Fraction(k, den), n) for k, n in last.items()),
         )
 
@@ -431,8 +439,58 @@ class TestGrid:
         # reduce; coefficient 0 is drawn often.
         den *= factor
         terms = {factor * k: n for k, n in terms.items()}
-        trusted = Spectrum._of(den, terms)
+        trusted = Spectrum._of(den, terms.items())
         checked = Spectrum(list(terms.items()), den=den)
         assert trusted == checked
         assert trusted._den == checked._den
         assert trusted._terms == checked._terms
+
+
+@st.composite
+def level_runs(draw):
+    """(d, n0, n1, n2): three coefficient runs over j = 1..d, with zero,
+    small, negative and large coefficients.  When a factor g > 1 of d is
+    drawn, every coefficient off the multiples of g is 0, so that the grid
+    reduces by g or a multiple of it."""
+    g = draw(st.integers(1, 4))
+    d = g * draw(st.integers(1, 10))
+    coefficient = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**30), 10**30))
+    return (d, *([draw(coefficient) if j % g == 0 else 0 for j in range(1, d + 1)] for _ in range(3)))
+
+
+def assert_in_exponent_order(s):
+    assert list(s._terms) == sorted(s._terms)
+    assert 0 not in s._terms.values()
+
+
+class TestTrustedBuild:
+    """The formula routes build their spectra from three coefficient runs
+    through the trusted constructor; it must give what the checking one
+    gives on the same (numerator, coefficient) pairs, in exponent order."""
+
+    @given(level_runs())
+    @example((1, [0], [0], [0]))
+    @example((4, [0, 5, 0, -5], [0, 0, 0, 10**30], [0, 1, 0, 0]))
+    def test_level_runs_match_the_checking_constructor(self, runs):
+        d, *levels = runs
+        pairs = [(level * d + j, n) for level, run in enumerate(levels) for j, n in enumerate(run, 1)]
+        checked = Spectrum(pairs, den=d)
+        for trusted in (_three_level_spectrum(d, *levels), Spectrum._of(d, pairs)):
+            assert trusted == checked
+            assert (trusted._den, trusted._terms) == (checked._den, checked._terms)
+            assert_in_exponent_order(trusted)
+
+    @given(arrangement_graphs())
+    def test_routes_store_their_terms_in_exponent_order(self, g):
+        for route in (spectrum_general, spectrum_via_riemann_roch):
+            assert_in_exponent_order(route(g))
+        if g.is_reduced():
+            assert_in_exponent_order(spectrum_reduced(g))
+
+    @pytest.mark.parametrize("d, m, mults", [(3, 1, [2]), (4, 3, [2, 3]), (6, 2, [2, 2, 5])])
+    def test_single_curve_power_stores_its_terms_in_exponent_order(self, d, m, mults):
+        assert_in_exponent_order(spectrum_irreducible_power(d, m, mults))
+
+    @pytest.mark.parametrize("mults", [[1], [1, 1], [2, 1, 3], [4, 4, 2]])
+    def test_binary_form_stores_its_terms_in_exponent_order(self, mults):
+        assert_in_exponent_order(spectrum_binary_linear(mults))
