@@ -9,7 +9,10 @@ read too (the routes share that counting, no formula code), and walks the
 breakpoints of the twist coefficients: each ceil(j*m/d) is a step function
 of j, so every type is visited only where its uv steps, its changes go
 into difference arrays, and one prefix pass over j fills the three
-coefficient runs.
+coefficient runs.  A type on a single component multiplicity m walks the
+m_v = m*m_red steps of its point multiplicity in closed form, with uv read
+off the step index, and every step computes one quadratic: the other
+follows from it (see :func:`spectrum_of_point_types`).
 ``curvespec.lines`` builds that summary straight from line incidence,
 where a point's type is the sorted tuple of (m_l, 1) over the lines
 through it, and leaves out the points on exactly two lines: such a type
@@ -77,14 +80,24 @@ def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
     of the multiplicities in its weight and of m_v.  Each type is walked
     once over its own steps, adding count * (new - old) of two of its three
     quadratics into difference arrays; the three add up to a constant that
-    folds, with its pair counts, into one constant of n1.  One prefix pass
-    over j then fills the coefficient runs, so the cost grows with d plus the
-    breakpoints of the types, however many points share a type.  The
-    summary must come from a valid arrangement.
+    folds, with its pair counts, into one constant of n1.  Only
+    binom(uv, 2) is computed at a step: binom(m_red - uv - 1, 2) differs
+    from it by binom(m_red - 1, 2) - (m_red - 2)*uv, so its change is that
+    of binom(uv, 2) less (m_red - 2) times the change of uv, and the
+    constant is seeded once at position 0.  A weight on one component
+    multiplicity m has m_v = m*m_red and every step of m among the steps
+    of m_v, so it walks those m_v steps alone, uv read off the step index,
+    with no event merge and no sort; a weight with m_red <= 2 is skipped,
+    its quadratics being 0 at every j.  One prefix pass over j then fills
+    the coefficient runs, so the cost grows with d plus the breakpoints of
+    the types, however many points share a type.  The summary must come
+    from a valid arrangement.
     """
     degree_by_mult = summary.degree_by_mult
-    d = sum(m * deg for m, deg in degree_by_mult.items())
-    d_red = sum(degree_by_mult.values())
+    d = d_red = 0
+    for m, deg in degree_by_mult.items():
+        d += m * deg
+        d_red += deg
     # The part of n1 that is constant in j: the component pair count less,
     # for every point, its branch pair counts and binom(m_red - 1, 2).
     pair_term = summary.comp_pairs
@@ -119,20 +132,48 @@ def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
     # count * (k-th quadratic of uv); binom(x, 2) is written x*(x - 1)//2.
     # With low = m_red - uv - 1 the three quadratics binom(low, 2), uv*low
     # and binom(uv, 2) add up to binom(m_red - 1, 2) at every j, so the
-    # middle one is carried by pair_term, diff0 and diff2.
+    # middle one is carried by pair_term, diff0 and diff2.  And
+    # binom(low, 2) = binom(uv, 2) + binom(m_red - 1, 2) - (m_red - 2)*uv,
+    # so a step that moves uv by e changes the first quadratic by the change
+    # of the last less (m_red - 2)*e: each step computes one quadratic, and
+    # the constant binom(m_red - 1, 2) is seeded at position 0, where every
+    # uv starts from 0 with both quadratics 0 before j = 1.
     diff0 = [0] * d
     diff2 = [0] * d
     for weight, count in by_weight.items():
-        # uv(j) = sum_m ceil(j*m/d) * weight[m] - ceil(j*m_v/d), walked from
-        # uv = 0 and both quadratics 0 before j = 1.  Position 0 is a step
-        # of every m, so the first event sets the values at j = 1.
+        # uv(j) = sum_m ceil(j*m/d) * weight[m] - ceil(j*m_v/d).
         m_v = m_red = 0
         for m, w in weight:
             m_v += m * w
             m_red += w
-        pair_term -= count * ((m_red - 1) * (m_red - 2) // 2)
-        # The steps of m_v are made for this weight alone: kept for every
-        # distinct m_v, they would grow with the weights, not with d.
+        top = m_red - 1
+        if top < 2:
+            # uv and low lie in {0, 1} at every j: both quadratics are 0.
+            continue
+        seed = count * (top * (top - 1) // 2)
+        pair_term -= seed
+        diff0[0] += seed
+        slope = count * (m_red - 2)
+        if len(weight) == 1:
+            # One component multiplicity m, m_v = m*m_red: step k of m is
+            # step k*m_red of m_v, so after step k of m_v (at position
+            # k*d//m_v) uv = m_red - 1 - k mod m_red: no step list, no
+            # events and no sort.
+            uv = old = 0
+            for k in range(m_v):
+                new_uv = top - k % m_red
+                new = count * (new_uv * (new_uv - 1) // 2)
+                change = new - old
+                p = k * d // m_v
+                diff2[p] += change
+                diff0[p] += change - slope * (new_uv - uv)
+                old = new
+                uv = new_uv
+            continue
+        # Walked from uv = 0 before j = 1; position 0 is a step of every m,
+        # so the first event sets the values at j = 1.  The steps of m_v are
+        # made for this weight alone: kept for every distinct m_v, they would
+        # grow with the weights, not with d.
         steps = positions.get(m_v)
         if steps is None:
             steps = [k * d // m_v for k in range(m_v)]
@@ -140,15 +181,15 @@ def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
         for m, w in weight:
             for p in positions[m]:
                 events[p] = events.get(p, 0) + w
-        uv = old0 = old2 = 0
+        uv = old = 0
         for p in sorted(events):
-            uv += events[p]
-            low = m_red - uv - 1
-            new0 = low * (low - 1) // 2
-            new2 = uv * (uv - 1) // 2
-            diff0[p] += count * (new0 - old0)
-            diff2[p] += count * (new2 - old2)
-            old0, old2 = new0, new2
+            e = events[p]
+            uv += e
+            new = count * (uv * (uv - 1) // 2)
+            change = new - old
+            diff2[p] += change
+            diff0[p] += change - slope * e
+            old = new
 
     n0, n1, n2 = [], [], []
     add0, add1, add2 = n0.append, n1.append, n2.append

@@ -243,15 +243,16 @@ class _Incidence:
         the lines through it, and there are no component pairs.
 
         Only the points on three or more lines, which the sweep yields, are
-        counted.  A point on exactly two lines, of type ((m, 1), (m', 1)),
+        counted, each by its profile, the sorted tuple of the multiplicities
+        of its lines; the type ((m, 1), ...) is built once per distinct
+        profile, not once per point.  A point on exactly two lines, of type ((m, 1), (m', 1)),
         has m_red = 2 and a twist of 0 or 1 at every j, so it adds zero to
         every coefficient of both spectrum routes (Budur and Saito read only
         the points on three or more lines of a line arrangement).
         """
         mults = self.mults
-        histogram = Counter(
-            tuple([(m, 1) for m in sorted([mults[i] for i in on])]) for on in self._sweep(False)
-        )
+        profiles = Counter(tuple(sorted(map(mults.__getitem__, on))) for on in self._sweep(False))
+        histogram = {tuple([(m, 1) for m in profile]): count for profile, count in profiles.items()}
         return PointTypeSummary(Counter(mults), 0, histogram)
 
 

@@ -66,11 +66,11 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
+        self.state = z = (self.state + 0x9E3779B97F4A7C15) & _MASK
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return (z ^ (z >> 31)) & _MASK
+        # z < 2^64, and so is z ^ (z >> 31).
+        return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
         """Uniform-ish draw in [0, n) via modulo reduction."""

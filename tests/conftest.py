@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from curvespec.arrangement import ArrangementGraph, Branch, Component, SingularPoint
+from curvespec.arrangement import ArrangementGraph, Branch, Component, PointTypeSummary, SingularPoint
 from curvespec.randomgraphs import GraphBounds
 from curvespec.spectrum import Spectrum
 
@@ -123,6 +123,47 @@ def arrangement_graphs(
             branches.append(Branch(comps[idx].id, draw(st.integers(1, top))))
         points.append(SingularPoint(f"v{k + 1}", tuple(branches)))
     return ArrangementGraph(tuple(comps), tuple(points))
+
+
+# Summaries for the walks over types whose branches all sit on one
+# component multiplicity m, where m_v = m*m_red and both routes read the
+# twist in closed form: every type is sorted, no branch multiplicity
+# exceeds the degree it draws on, and so m_v <= d.
+ONE_MULTIPLICITY_SUMMARIES = {
+    "smooth-points-m_red=1": PointTypeSummary({1: 2, 3: 2}, 2, {((1, 1),): 3, ((3, 1),): 2}),
+    "nodes-on-equal-multiplicities": PointTypeSummary(
+        {2: 3, 4: 2}, 4, {((2, 1), (2, 1)): 3, ((4, 2),): 1, ((2, 2),): 2}
+    ),
+    "w>=3": PointTypeSummary({1: 6, 2: 3}, 9, {((1, 1), (1, 1), (1, 1)): 1, ((1, 2), (1, 3)): 1, ((2, 1), (2, 2)): 1}),
+    "m_v=d": PointTypeSummary({3: 4}, 6, {((3, 1), (3, 1), (3, 2)): 1}),
+    "count>1": PointTypeSummary({2: 5, 5: 2}, 10, {((2, 1), (2, 1), (2, 1)): 6, ((5, 1), (5, 1)): 4, ((2, 4),): 9}),
+    "one-multiplicity-and-mixed": PointTypeSummary(
+        {1: 3, 2: 4, 3: 2},
+        7,
+        {((1, 1), (1, 1), (1, 1)): 2, ((1, 1), (2, 1), (3, 1)): 3, ((2, 3),): 1, ((1, 2), (3, 1)): 2, ((3, 2),): 1},
+    ),
+}
+
+
+@st.composite
+def one_multiplicity_summaries(draw):
+    """Point-type summaries made only of types on one component
+    multiplicity m, with branch multiplicities adding up to at most the
+    degree of multiplicity m, so m_v <= d."""
+    degree_by_mult = draw(st.dictionaries(st.integers(1, 12), st.integers(1, 8), min_size=1, max_size=4))
+    histogram: dict[tuple, int] = {}
+    for _ in range(draw(st.integers(0, 6))):
+        m = draw(st.sampled_from(sorted(degree_by_mult)))
+        budget = degree_by_mult[m]
+        branches = []
+        for mu in draw(st.lists(st.integers(1, budget), min_size=1, max_size=4)):
+            if mu > budget:
+                break
+            branches.append((m, mu))
+            budget -= mu
+        key = tuple(sorted(branches))
+        histogram[key] = histogram.get(key, 0) + draw(st.integers(1, 5))
+    return PointTypeSummary(degree_by_mult, draw(st.integers(0, 40)), histogram)
 
 
 def crossing_powers_closed_form(g: int) -> Spectrum:

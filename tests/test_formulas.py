@@ -8,11 +8,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import (
+    ONE_MULTIPLICITY_SUMMARIES,
     arrangement_graphs,
     crossing_powers_closed_form,
     graph,
     line_and_nodal_cubic,
     nodal_cubic,
+    one_multiplicity_summaries,
     pencil_graph,
     random_line_forms,
     triangle_graph,
@@ -177,6 +179,7 @@ EDGE_SUMMARIES = {
     "many-points-one-type": line_summary([1] * 80, {(1, 1): 3160}),
     "many-points-few-types": line_summary([1] * 30 + [2] * 10, {(1, 1): 435, (1, 2): 300, (2, 2): 45}),
     "many-curves-one-type": PointTypeSummary({3: 12}, 120, {((3, 2),): 40, ((3, 1), (3, 1)): 500}),
+    **ONE_MULTIPLICITY_SUMMARIES,
 }
 
 
@@ -205,6 +208,10 @@ class TestBreakpointKernel:
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_per_j_kernel_on_weighted_lines(self, seed):
         summary = incidence_graph(random_line_forms(seed)).point_types
+        assert spectrum_of_point_types(summary) == per_j_kernel(summary)
+
+    @given(one_multiplicity_summaries())
+    def test_one_multiplicity_walk_matches_per_j_kernel_on_drawn_summaries(self, summary):
         assert spectrum_of_point_types(summary) == per_j_kernel(summary)
 
 

@@ -38,10 +38,12 @@ from curvespec.spectrum import Spectrum
 
 from conftest import (
     CHECK_BOUNDS,
+    ONE_MULTIPLICITY_SUMMARIES,
     arrangement_graphs,
     graph,
     line_and_nodal_cubic,
     nodal_cubic,
+    one_multiplicity_summaries,
     two_line_powers,
 )
 
@@ -508,6 +510,16 @@ class TestBreakpointWalk:
     @given(arrangement_graphs())
     def test_matches_per_j_pairing_on_generated_graphs(self, g):
         summary = g.point_types
+        assert list(_euler_characteristics(summary)) == list(per_j_characteristics(summary))
+
+    @pytest.mark.parametrize(
+        "summary", ONE_MULTIPLICITY_SUMMARIES.values(), ids=ONE_MULTIPLICITY_SUMMARIES.keys()
+    )
+    def test_one_multiplicity_walk_matches_per_j_pairing(self, summary):
+        assert list(_euler_characteristics(summary)) == list(per_j_characteristics(summary))
+
+    @given(one_multiplicity_summaries())
+    def test_one_multiplicity_walk_matches_per_j_pairing_on_drawn_summaries(self, summary):
         assert list(_euler_characteristics(summary)) == list(per_j_characteristics(summary))
 
     def test_line_events_follow_breakpoints(self):
