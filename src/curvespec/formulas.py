@@ -38,14 +38,16 @@ j/d, 1 + j/d and 2 + j/d, built from the twist coefficients
 via generalized binomials (binom(-1, 2) = 1 matters: it produces the
 -delta(j, d) cancellation pattern at the top exponent).  Every exponent is
 a multiple of 1/d, so each display fills three runs of coefficients, n0,
-n1 and n2 over j = 1..d, and they become a spectrum on the integer grid
-1/d at the numerators 1..3d in order (j, then d + j, then 2d + j), with no
-rational arithmetic between the j-loop and the printed output.
+n1 and n2 over j = 1..d, and hands ``n0 + n1 + n2`` to the trusted
+constructor ``Spectrum._dense(d, run)``: the coefficients at the numerators
+1..3d of the grid 1/d in order (j, then d + j, then 2d + j).  The spectrum
+keeps that list, builds no term dict until arithmetic or a hash needs one,
+and compares and prints from the list, so there is no rational arithmetic
+between the j-loop and the printed output.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 from .arrangement import ArrangementGraph, PointTypeSummary, _echo, require_valid
@@ -64,10 +66,10 @@ __all__ = [
 
 
 def _three_level_spectrum(d: int, n0: list[int], n1: list[int], n2: list[int]) -> Spectrum:
-    """Assemble the coefficient runs n0, n1, n2 over j = 1..d into a
-    spectrum over the exponents j/d, 1 + j/d, 2 + j/d, i.e. the numerators
-    j, d + j, 2d + j on the grid 1/d, which the runs fill in increasing order."""
-    return Spectrum._of(d, zip(range(1, 3 * d + 1), chain(n0, n1, n2)))
+    """The spectrum of the coefficient runs n0, n1, n2 over j = 1..d at the
+    exponents j/d, 1 + j/d, 2 + j/d, i.e. the numerators j, d + j, 2d + j on
+    the grid 1/d, which the runs fill in increasing order: one dense run."""
+    return Spectrum._dense(d, n0 + n1 + n2)
 
 
 def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:

@@ -49,7 +49,6 @@ made in the pairing.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 
 from .arrangement import ArrangementGraph, PointTypeSummary, derived, require_valid
 from .cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e, product
@@ -357,4 +356,4 @@ def _spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
     run2[-1] -= 1
     # Exponent k + j/d is the numerator k*d + j on the grid 1/d: the runs
     # fill the numerators 1..3d in order.
-    return Spectrum._of(d, zip(range(1, 3 * d + 1), chain(run0, run1, run2)))
+    return Spectrum._dense(d, run0 + run1 + run2)

@@ -2,21 +2,32 @@
 
 A spectrum is a fractional Laurent polynomial sum(n_alpha * t^alpha) with
 integer coefficients n_alpha and exact rational exponents alpha.  All
-exponents of a spectrum sit on one integer grid: the spectrum stores a
-denominator ``den`` and a dict from integer numerators k to coefficients,
-the exponent of a term being k/den.  ``den`` is the least common
-denominator of the exponents (it is divided by gcd(den, *numerators)), so
-colliding terms such as t^(6/4) and t^(3/2) merge, and zero coefficients
-are dropped eagerly, so that equality of spectra is plain structural
-equality.  The closed formulas and the characteristic-class route build
-their spectra directly on the grid 1/d with integer arithmetic only,
-through the trusted constructor ``Spectrum._of(d, pairs)``, which skips the
-per-term type checks and the merging of repeated numerators: they hand it
-(numerator, coefficient) pairs in increasing numerator order, three runs of
-coefficients at j, d + j and 2d + j, so the terms are stored in exponent
-order and formatting sorts keys that are already sorted.
+exponents of a spectrum sit on one integer grid 1/den, the exponent of a
+term being k/den for an integer numerator k.  A spectrum is stored in one
+of two forms:
+
+* dense: the closed formulas and the characteristic-class route fill three
+  runs of coefficients n0, n1, n2 over j = 1..d, at the exponents j/d,
+  1 + j/d and 2 + j/d, and hand over ``n0 + n1 + n2`` through the trusted
+  constructor ``Spectrum._dense(d, run)``: run[k - 1] is the coefficient at
+  k/d for k = 1..3d, zeros included, and the spectrum keeps that list.
+* normal: a denominator ``den`` and a dict from integer numerators to
+  nonzero coefficients, ``den`` the least common denominator of the
+  exponents (it is divided by gcd(den, *numerators)), so colliding terms
+  such as t^(6/4) and t^(3/2) merge and equal spectra have equal dicts.  The
+  checking constructor builds this form.  A dense spectrum builds it at most
+  once, when arithmetic, ``hash`` or a comparison with anything but a dense
+  run of its grid and length first needs it.
+
+Equality compares two dense runs directly when they lie on the same grid
+and have the same length, and the normal forms otherwise.  Evaluation at
+t = 1, truth, length, :meth:`Spectrum.coefficient`, :meth:`Spectrum.items`,
+:meth:`Spectrum.support` and every format style read a dense run in place,
+walking its nonzero entries in order with no dict and no sort.
 :meth:`Spectrum.items`, :meth:`Spectrum.support` and
-:meth:`Spectrum.coefficient` still speak :class:`fractions.Fraction`.
+:meth:`Spectrum.coefficient` speak :class:`fractions.Fraction`; exponents
+given to the checking constructor or to :meth:`Spectrum.coefficient` are
+``Fraction``, ``int`` (not ``bool``) or ``"p/q"`` strings.
 
 Three serializations are supported (see :func:`format_spectrum`):
 
@@ -60,6 +71,39 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# An exponent string: "p" or "p/q" in ASCII digits.  Fraction(str) would
+# also take decimals, underscores and exponents such as "1e2000000", whose
+# cost grows with the exponent.
+_EXPONENT_RE = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*", re.ASCII)
+
+
+def _exponent(alpha: ExponentLike) -> Fraction:
+    """``alpha`` as a Fraction.  Anything but a Fraction, an int that is not
+    a bool or a string raises TypeError; a string that is not "p" or "p/q"
+    with q > 0 raises ValueError."""
+    if isinstance(alpha, Fraction):
+        return alpha
+    if _is_int(alpha):
+        return Fraction(alpha)
+    if not isinstance(alpha, str):
+        raise TypeError(f"exponent must be a Fraction, an int or a 'p/q' string, got {alpha!r}")
+    m = _EXPONENT_RE.fullmatch(alpha)
+    if m is None or m[2] is not None and int(m[2]) == 0:
+        raise ValueError(f"exponent string must be 'p' or 'p/q' with q > 0, got {alpha!r}")
+    return Fraction(int(m[1]), int(m[2] or 1))
+
+
+def _lowest(den: int, pairs: Iterable[Tuple[int, int]]) -> Tuple[int, dict[int, int]]:
+    """The normal form of the (distinct numerator, coefficient) pairs over
+    den: zero coefficients dropped, den and the numerators divided by their
+    gcd, the terms kept in the order of ``pairs``."""
+    data = {k: n for k, n in pairs if n}
+    g = gcd(den, *data)
+    if g > 1:
+        return den // g, {k // g: n for k, n in data.items()}
+    return den, data
+
+
 class Spectrum:
     """Immutable fractional Laurent polynomial with integer coefficients.
 
@@ -69,7 +113,10 @@ class Spectrum:
     exponents k/d.
     """
 
-    __slots__ = ("_den", "_terms")
+    # _run is a dense spectrum's coefficient list over the numerators
+    # 1..len(_run) on the grid 1/_grid, and None for a normal one; _normal
+    # is the (den, terms) normal form, None until a dense spectrum needs it.
+    __slots__ = ("_run", "_grid", "_normal")
 
     def __init__(
         self,
@@ -78,7 +125,7 @@ class Spectrum:
     ):
         items = () if terms is None else terms.items() if isinstance(terms, Mapping) else terms
         if den is None:
-            exponents = [(Fraction(alpha), n) for alpha, n in items]
+            exponents = [(_exponent(alpha), n) for alpha, n in items]
             den = lcm(*(alpha.denominator for alpha, _ in exponents))
             items = [(alpha.numerator * (den // alpha.denominator), n) for alpha, n in exponents]
         elif not _is_int(den) or den < 1:
@@ -91,16 +138,7 @@ class Spectrum:
             if type(k) is not int and not _is_int(k):
                 raise TypeError(f"grid numerator must be an integer, got {k!r}")
             data[k] = data.get(k, 0) + n
-        self._store(den, data.items())
-
-    def _store(self, den: int, pairs: Iterable[Tuple[int, int]]) -> None:
-        data = {k: n for k, n in pairs if n}
-        g = gcd(den, *data)
-        if g > 1:
-            den //= g
-            data = {k // g: n for k, n in data.items()}
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_terms", data)
+        _set(self, None, 0, _lowest(den, data.items()))
 
     def __setattr__(self, name, value):
         raise AttributeError("Spectrum is immutable")
@@ -108,14 +146,13 @@ class Spectrum:
     # -- construction ------------------------------------------------
 
     @classmethod
-    def _of(cls, den: int, pairs: Iterable[Tuple[int, int]]) -> "Spectrum":
-        """Spectrum from (int grid numerator, int coefficient) pairs with
-        distinct numerators over the positive denominator den, brought to
-        lowest terms with zero coefficients dropped, its terms kept in the
-        order of ``pairs``: the formula routes use it in place of the
-        checking constructor, which also merges repeated numerators."""
+    def _dense(cls, den: int, run: list[int]) -> "Spectrum":
+        """Spectrum whose coefficient at t^(k/den) is run[k - 1] for
+        k = 1..len(run), the positive int den and the int coefficients
+        unchecked: the formula routes hand over a fresh list of their
+        coefficient runs, which the spectrum keeps as it is."""
         obj = object.__new__(cls)
-        obj._store(den, pairs)
+        _set(obj, run, den, None)
         return obj
 
     @classmethod
@@ -127,21 +164,45 @@ class Spectrum:
         """The monomial n * t^alpha."""
         return cls({alpha: n})
 
+    def _normal_form(self) -> Tuple[int, dict[int, int]]:
+        """(den, terms): the least grid and the nonzero coefficients by
+        numerator, in increasing numerator order for a dense spectrum."""
+        normal = self._normal
+        if normal is None:
+            normal = _lowest(self._grid, enumerate(self._run, 1))
+            _SET_NORMAL(self, normal)
+        return normal
+
+    def _ordered(self) -> Tuple[int, Iterable[Tuple[int, int]]]:
+        """A grid denominator and the (numerator, coefficient) pairs of the
+        nonzero terms over it, in increasing exponent order."""
+        run = self._run
+        if run is None:
+            den, terms = self._normal
+            return den, sorted(terms.items())
+        return self._grid, ((k, n) for k, n in enumerate(run, 1) if n)
+
     # -- inspection --------------------------------------------------
 
     def items(self) -> list[Tuple[Fraction, int]]:
         """Terms as (exponent, coefficient) pairs, exponents strictly increasing."""
-        den = self._den
-        return [(Fraction(k, den), n) for k, n in sorted(self._terms.items())]
+        den, pairs = self._ordered()
+        return [(Fraction(k, den), n) for k, n in pairs]
 
     def coefficient(self, alpha: ExponentLike) -> int:
-        alpha = Fraction(alpha)
-        scale, rest = divmod(self._den, alpha.denominator)
-        return 0 if rest else self._terms.get(alpha.numerator * scale, 0)
+        alpha = _exponent(alpha)
+        run = self._run
+        if run is None:
+            den, terms = self._normal
+            scale, rest = divmod(den, alpha.denominator)
+            return 0 if rest else terms.get(alpha.numerator * scale, 0)
+        scale, rest = divmod(self._grid, alpha.denominator)
+        k = alpha.numerator * scale
+        return run[k - 1] if not rest and 0 < k <= len(run) else 0
 
     def support(self) -> Tuple[Fraction, ...]:
-        den = self._den
-        return tuple(Fraction(k, den) for k in sorted(self._terms))
+        den, pairs = self._ordered()
+        return tuple(Fraction(k, den) for k, _ in pairs)
 
     def eval_at_one(self) -> int:
         """Sum of all coefficients, i.e. the polynomial evaluated at t = 1.
@@ -149,24 +210,31 @@ class Spectrum:
         For the spectrum of an isolated singularity this is the Milnor
         number.
         """
-        return sum(self._terms.values())
+        run = self._run
+        return sum(self._normal[1].values() if run is None else run)
 
     def __iter__(self) -> Iterator[Tuple[Fraction, int]]:
         return iter(self.items())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        run = self._run
+        return len(self._normal[1]) if run is None else len(run) - run.count(0)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        run = self._run
+        return bool(self._normal[1]) if run is None else any(run)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return self._den == other._den and self._terms == other._terms
+        run, other_run = self._run, other._run
+        if run is not None and other_run is not None and self._grid == other._grid and len(run) == len(other_run):
+            return run == other_run
+        return self._normal_form() == other._normal_form()
 
     def __hash__(self) -> int:
-        return hash((self._den, frozenset(self._terms.items())))
+        den, terms = self._normal_form()
+        return hash((den, frozenset(terms.items())))
 
     def __repr__(self) -> str:
         return f"Spectrum({format_spectrum(self, 'plain')!r})"
@@ -178,14 +246,15 @@ class Spectrum:
 
     def _on_grid(self, den: int) -> list[Tuple[int, int]]:
         """Terms as (numerator, coefficient) pairs over ``den``, a multiple of
-        this spectrum's denominator."""
-        scale = den // self._den
-        return [(k * scale, n) for k, n in self._terms.items()]
+        this spectrum's least denominator."""
+        own, terms = self._normal_form()
+        scale = den // own
+        return [(k * scale, n) for k, n in terms.items()]
 
     def __add__(self, other: "Spectrum") -> "Spectrum":
         if not isinstance(other, Spectrum):
             return NotImplemented
-        den = lcm(self._den, other._den)
+        den = lcm(self._normal_form()[0], other._normal_form()[0])
         return Spectrum(self._on_grid(den) + other._on_grid(den), den=den)
 
     def __sub__(self, other: "Spectrum") -> "Spectrum":
@@ -194,16 +263,18 @@ class Spectrum:
         return self + (-other)
 
     def __neg__(self) -> "Spectrum":
-        return Spectrum([(k, -n) for k, n in self._terms.items()], den=self._den)
+        den, terms = self._normal_form()
+        return Spectrum([(k, -n) for k, n in terms.items()], den=den)
 
     def __mul__(self, other: Union["Spectrum", int]) -> "Spectrum":
         if isinstance(other, bool):
             return NotImplemented
         if isinstance(other, int):
-            return Spectrum([(k, n * other) for k, n in self._terms.items()], den=self._den)
+            den, terms = self._normal_form()
+            return Spectrum([(k, n * other) for k, n in terms.items()], den=den)
         if not isinstance(other, Spectrum):
             return NotImplemented
-        den = lcm(self._den, other._den)
+        den = lcm(self._normal_form()[0], other._normal_form()[0])
         right = other._on_grid(den)
         return Spectrum(
             ((k1 + k2, n1 * n2) for k1, n1 in self._on_grid(den) for k2, n2 in right), den=den
@@ -213,6 +284,18 @@ class Spectrum:
         if isinstance(other, bool) or not isinstance(other, int):
             return NotImplemented
         return self * other
+
+
+_SET_RUN = Spectrum._run.__set__
+_SET_GRID = Spectrum._grid.__set__
+_SET_NORMAL = Spectrum._normal.__set__
+
+
+def _set(s: Spectrum, run: list[int] | None, grid: int, normal: Tuple[int, dict[int, int]] | None) -> None:
+    """Fill the three slots of a new spectrum past its ``__setattr__``."""
+    _SET_RUN(s, run)
+    _SET_GRID(s, grid)
+    _SET_NORMAL(s, normal)
 
 
 def dummy_shift(s: Spectrum) -> Spectrum:
@@ -230,29 +313,24 @@ def dummy_shift(s: Spectrum) -> Spectrum:
 # ---------------------------------------------------------------------
 
 
-def _exponents(s: Spectrum) -> Iterator[Tuple[str, int]]:
-    """(exponent in lowest terms as "p" or "p/q", coefficient) per term in
-    increasing exponent order, one gcd per term."""
-    den = s._den
-    for k, n in sorted(s._terms.items()):
-        g = gcd(k, den)
-        yield (str(k // den) if g == den else f"{k // g}/{den // g}"), n
-
-
 def format_spectrum(s: Spectrum, style: str = "plain") -> str:
-    """Render a spectrum in one of the styles ``plain``, ``latex``, ``json``."""
-    if style == "json":
-        return json.dumps([{"alpha": alpha, "n": n} for alpha, n in _exponents(s)])
-    if style not in ("plain", "latex"):
+    """Render a spectrum in one of the styles ``plain``, ``latex``, ``json``.
+
+    The terms come in increasing exponent order, each exponent brought to
+    lowest terms by one gcd with the grid denominator."""
+    if style not in ("plain", "latex", "json"):
         raise ValueError(f"unknown spectrum style {style!r}")
-    if not s:
-        return "0"
+    den, pairs = s._ordered()
+    if style == "json":
+        terms = []
+        for k, n in pairs:
+            g = gcd(k, den)
+            terms.append({"alpha": str(k // den) if g == den else f"{k // g}/{den // g}", "n": n})
+        return json.dumps(terms)
     plain = style == "plain"
     times, plus, minus = ("*", " + ", " - ") if plain else ("", "+", "-")
-    den = s._den
-    terms = sorted(s._terms.items())
     parts: list[str] = []
-    for k, n in terms:
+    for k, n in pairs:
         g = gcd(k, den)
         if g != den:
             power = f"t^({k // g}/{den // g})" if plain else f"t^{{{k // g}/{den // g}}}"
@@ -266,8 +344,11 @@ def format_spectrum(s: Spectrum, style: str = "plain") -> str:
             parts.append(minus + power)
         else:
             parts.append(f"{minus if n < 0 else plus}{-n if n < 0 else n}{times}{power}")
+    if not parts:
+        return "0"
     # The first term carries no "+", and its "-" no spaces.
-    parts[0] = "-" + parts[0][len(minus) :] if terms[0][1] < 0 else parts[0][len(plus) :]
+    first = parts[0]
+    parts[0] = "-" + first[len(minus) :] if first.startswith(minus) else first[len(plus) :]
     return "".join(parts)
 
 

@@ -16,7 +16,7 @@ from curvespec.arrangement import ArrangementGraph, derived, validate
 from curvespec.binomial import binom, ceil_div
 from curvespec.cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e
 from curvespec.formulas import spectrum_general, spectrum_of_point_types
-from curvespec.lines import incidence_graph
+from curvespec.lines import incidence_graph, line_incidence
 from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
 from curvespec.riemann_roch import (
     _euler_characteristics,
@@ -593,6 +593,25 @@ class TestStepMemory:
     def test_kernel_equals_riemann_roch_on_the_family(self):
         summary = distinct_point_mult_summary(20)
         assert spectrum_of_point_types(summary) == _spectrum_of_point_types(summary)
+
+
+def build_and_compare_route_spectra(summary):
+    assert spectrum_of_point_types(summary) == _spectrum_of_point_types(summary)
+
+
+class TestRouteSpectrumMemory:
+    """Each route hands its coefficient runs to the spectrum as one list and
+    the spectrum builds no term dict for a comparison, so building and
+    comparing both route spectra of 200 weighted lines (1, t, t^2) of
+    multiplicity t + 1 (d = 20 100, no point on three lines) peaks at about
+    330 bytes of tracemalloc per j.  With a dict of the 3d terms in each
+    spectrum it peaked at about 720."""
+
+    def test_peak_per_j_stays_under_the_bound(self):
+        summary = line_incidence([((1, t, t * t), t + 1) for t in range(200)]).point_types()
+        d = sum(m * deg for m, deg in summary.degree_by_mult.items())
+        assert (d, len(summary.histogram)) == (20100, 0)
+        assert traced_peak(build_and_compare_route_spectra, summary) <= 500 * d
 
 
 class TestTypedBuild:

@@ -40,6 +40,37 @@ class TestConstruction:
 
     def test_exponent_coercion(self):
         assert Spectrum({"4/3": 2}) == Spectrum({Fraction(4, 3): 2})
+        assert Spectrum({" -6/4 ": 1, "2": 1, 3: 1}) == Spectrum({Fraction(-3, 2): 1, 2: 1, Fraction(3): 1})
+        assert Spectrum.term(2, 5).coefficient("4/2") == Spectrum.term(2, 5).coefficient(2) == 5
+
+    @pytest.mark.parametrize(
+        "alpha, error",
+        [
+            (0.1, TypeError),  # Fraction(0.1) is 3602879701896397/36028797018963968
+            (True, TypeError),  # Fraction(True) is 1
+            (float("inf"), TypeError),  # Fraction(inf) raises OverflowError
+            (None, TypeError),
+            ("1e2000000", ValueError),  # Fraction() would take time growing with the exponent
+            ("1.5", ValueError),
+            ("1_000", ValueError),
+            ("", ValueError),
+            ("1/0", ValueError),  # Fraction() raises ZeroDivisionError
+            ("1/-2", ValueError),
+            ("\u0661/2", ValueError),
+        ],
+        ids=[
+            "float", "bool", "inf", "None", "huge-exponent-string", "decimal-string", "underscore-string",
+            "empty-string", "zero-denominator", "negative-denominator", "non-ascii-digit",
+        ],
+    )
+    def test_only_documented_exponent_types(self, alpha, error):
+        with pytest.raises(error):
+            Spectrum({alpha: 1})
+        with pytest.raises(error):
+            Spectrum.term(alpha)
+        for s in (Spectrum.term(1), spectrum_isolated(3, 2)):
+            with pytest.raises(error):
+                s.coefficient(alpha)
 
     def test_non_integer_coefficient_rejected(self):
         with pytest.raises(TypeError):
@@ -392,11 +423,16 @@ class TestAgainstReference:
     def test_format_grids(self, grid):
         den, pairs = grid
         assert_matches(Spectrum(pairs, den=den), ReferenceSpectrum((Fraction(k, den), n) for k, n in pairs))
-        # The trusted constructor on the 3x grid, one coefficient per numerator.
+        # The trusted constructor on the 3x grid, one coefficient per
+        # numerator, zeros between: a dense run starts at numerator 1, so
+        # the numerators k in -40..40 move to k + 41.
         last = dict(pairs)
+        run = [0] * (3 * 81)
+        for k, n in last.items():
+            run[3 * (k + 41) - 1] = n
         assert_matches(
-            Spectrum._of(den * 3, [(3 * k, n) for k, n in last.items()]),
-            ReferenceSpectrum((Fraction(k, den), n) for k, n in last.items()),
+            Spectrum._dense(den * 3, run),
+            ReferenceSpectrum((Fraction(k + 41, den), n) for k, n in last.items()),
         )
 
     @given(spectra(max_terms=10))
@@ -436,14 +472,18 @@ class TestGrid:
     @given(st.integers(1, 12), st.integers(1, 12), st.dictionaries(st.integers(-20, 20), st.integers(-3, 3)))
     def test_trusted_constructor_matches_checking_one(self, factor, den, terms):
         # A common factor of den and every numerator leaves a grid to
-        # reduce; coefficient 0 is drawn often.
+        # reduce; coefficient 0 is drawn often.  A dense run starts at
+        # numerator 1, so the numerators k in -20..20 move to k + 21 before
+        # the scaling by factor.
         den *= factor
-        terms = {factor * k: n for k, n in terms.items()}
-        trusted = Spectrum._of(den, terms.items())
+        terms = {factor * (k + 21): n for k, n in terms.items()}
+        run = [0] * (factor * 41)
+        for k, n in terms.items():
+            run[k - 1] = n
+        trusted = Spectrum._dense(den, run)
         checked = Spectrum(list(terms.items()), den=den)
         assert trusted == checked
-        assert trusted._den == checked._den
-        assert trusted._terms == checked._terms
+        assert trusted._normal_form() == checked._normal_form()
 
 
 @st.composite
@@ -459,8 +499,26 @@ def level_runs(draw):
 
 
 def assert_in_exponent_order(s):
-    assert list(s._terms) == sorted(s._terms)
-    assert 0 not in s._terms.values()
+    terms = s._normal_form()[1]
+    assert list(terms) == sorted(terms)
+    assert 0 not in terms.values()
+
+
+def assert_reads_match(dense, checked):
+    """Every read of a dense spectrum gives what it gives on the checking
+    constructor's spectrum of the same terms."""
+    assert dense == checked and checked == dense
+    assert not dense != checked
+    assert len(dense) == len(checked)
+    assert bool(dense) == bool(checked)
+    assert dense.items() == checked.items()
+    assert dense.support() == checked.support()
+    assert dense.eval_at_one() == checked.eval_at_one()
+    den = dense._grid
+    for alpha in PROBES + [Fraction(k, 2 * den) for k in range(-2, 6 * den + 4)]:
+        assert dense.coefficient(alpha) == checked.coefficient(alpha)
+    for style in ("plain", "latex", "json"):
+        assert format_spectrum(dense, style) == format_spectrum(checked, style)
 
 
 class TestTrustedBuild:
@@ -475,10 +533,40 @@ class TestTrustedBuild:
         d, *levels = runs
         pairs = [(level * d + j, n) for level, run in enumerate(levels) for j, n in enumerate(run, 1)]
         checked = Spectrum(pairs, den=d)
-        for trusted in (_three_level_spectrum(d, *levels), Spectrum._of(d, pairs)):
+        run = [n for level in levels for n in level]
+
+        def dense():
+            # A new object each time, so no read finds a normal form that
+            # an earlier read built.
+            return Spectrum._dense(d, list(run))
+
+        for trusted in (_three_level_spectrum(d, *levels), dense()):
             assert trusted == checked
-            assert (trusted._den, trusted._terms) == (checked._den, checked._terms)
+            assert trusted._normal_form() == checked._normal_form()
             assert_in_exponent_order(trusted)
+        assert_reads_match(dense(), checked)
+        assert hash(dense()) == hash(checked)
+        # Two runs on one grid: equal runs, a run that differs in its last
+        # coefficient, and the same terms in a longer run; and the same run
+        # on another grid, equal only when it is all zeros.
+        assert dense() == _three_level_spectrum(d, *levels)
+        assert Spectrum._dense(d, run[:-1] + [run[-1] + 1]) != dense()
+        assert Spectrum._dense(d, run + [0] * d) == dense()
+        assert (Spectrum._dense(2 * d, list(run)) == dense()) == (not any(run))
+        other = Spectrum.term(Fraction(1, 2), 3) - Spectrum.term(2)
+        for left in (dense(), checked):
+            assert dense() + left == checked + checked
+            assert dense() - left == Spectrum.zero() == left - dense()
+            assert dense() * left == checked * checked
+            assert dense() + other == checked + other and other - dense() == other - checked
+            assert dense() * other == checked * other
+        assert dense() * -3 == -3 * dense() == checked * -3
+        assert -dense() == -checked
+        # The same terms on the grid 2d, every odd numerator 0.
+        doubled = Spectrum._dense(2 * d, [x for n in run for x in (0, n)])
+        assert doubled == dense() and dense() == doubled
+        assert hash(doubled) == hash(checked)
+        assert_reads_match(doubled, checked)
 
     @given(arrangement_graphs())
     def test_routes_store_their_terms_in_exponent_order(self, g):
