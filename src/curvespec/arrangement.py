@@ -22,14 +22,20 @@ a plain dict with exactly the schema's keys and values of their exact types,
 and builds the records through their written-out ``__init__``, which fills
 each slot through its member descriptor; anything else goes through the one
 table-driven schema check, which words every message.
+
+:func:`_rational` reads every exact rational: line coefficients, spectrum
+exponents and cohomology scalars.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import FrozenInstanceError, dataclass, field
+from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Tuple
+from numbers import Rational
+from typing import Mapping, Tuple, Union
 
 __all__ = [
     "ArrangementFormatError",
@@ -426,6 +432,35 @@ def _require(value, kind: type, where: str, *at, error=ArrangementFormatError):
         return value
     noun = "an integer" if kind is int else "a string"
     raise error(f"{where.format(*at)} must be {noun}, got {_echo(value)}")
+
+
+RationalLike = Union[Fraction, int, str]
+
+# Exact rational text: [sign]digits[/digits] in ASCII digits, inside ASCII
+# whitespace.  Fraction(str) also takes "0.1", "1e2000000" (at a cost that
+# grows with the exponent), "\u0663" and, by Python version, "1_000" and "1 / 2".
+_RATIONAL_RE = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*", re.ASCII)
+
+
+def _rational(x: RationalLike, where: str, *at, error: type[ValueError] | None = None) -> Fraction:
+    """``x`` as a Fraction by the one rule for exact rationals: a
+    ``numbers.Rational`` that is not a bool, or a string that ``_RATIONAL_RE``
+    matches with a nonzero denominator and digit runs that ``int()`` converts.
+    Anything else raises ``error`` at ``where.format(*at)``; with no
+    ``error``, another type raises TypeError and another string ValueError."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, str):
+        m = _RATIONAL_RE.fullmatch(x)
+        if m is not None:
+            try:
+                return Fraction(int(m[1]), int(m[2] or 1))
+            except (ValueError, ZeroDivisionError):  # a digit run past int()'s limit, or q = 0
+                pass
+        raise (error or ValueError)(f"{where.format(*at)} is not a valid rational: {_echo(x)}")
+    if isinstance(x, bool) or not isinstance(x, Rational):
+        raise (error or TypeError)(f"{where.format(*at)} must be an integer or 'p/q' string, got {_echo(x)}")
+    return Fraction(x)
 
 
 # Each object of the schema: {key: (type of its value, or None if the caller

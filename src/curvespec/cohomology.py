@@ -29,20 +29,17 @@ would copy every point coefficient once per factor.
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
 from typing import Iterable, Mapping, Tuple, Union
+
+from .arrangement import RationalLike, _rational
 
 __all__ = ["CohClass", "ONE", "exceptional_class", "hyperplane_e0", "point_e", "product"]
 
-ScalarLike = Union[Fraction, int, str]
 
-
-def _frac(x: ScalarLike) -> Fraction:
+def _frac(x: RationalLike) -> Fraction:
     if type(x) is Fraction:  # ring results need no check
         return x
-    if isinstance(x, bool) or not isinstance(x, (Rational, str)):
-        raise TypeError(f"expected an exact rational, got {x!r}")
-    return Fraction(x)
+    return _rational(x, "class coefficient")
 
 
 class CohClass:
@@ -56,10 +53,10 @@ class CohClass:
 
     def __init__(
         self,
-        a: ScalarLike = 0,
-        b0: ScalarLike = 0,
-        bv: Mapping[str, ScalarLike] | None = None,
-        c: ScalarLike = 0,
+        a: RationalLike = 0,
+        b0: RationalLike = 0,
+        bv: Mapping[str, RationalLike] | None = None,
+        c: RationalLike = 0,
     ):
         self._a = _frac(a)
         self._b0 = _frac(b0)
@@ -108,7 +105,7 @@ class CohClass:
     def __neg__(self) -> "CohClass":
         return CohClass(-self._a, -self._b0, {v: -x for v, x in self._bv.items()}, -self._c)
 
-    def __mul__(self, other: Union["CohClass", ScalarLike]) -> "CohClass":
+    def __mul__(self, other: Union["CohClass", RationalLike]) -> "CohClass":
         if not isinstance(other, CohClass):
             try:
                 s = _frac(other)
@@ -129,7 +126,7 @@ class CohClass:
             prod[v] = prod.get(v, 0) + a2 * x
         return CohClass(a * a2, a * b02 + a2 * b0, prod, a * other._c + a2 * self._c + cross)
 
-    def __rmul__(self, other: ScalarLike) -> "CohClass":
+    def __rmul__(self, other: RationalLike) -> "CohClass":
         return self * other
 
     def __truediv__(self, other: int) -> "CohClass":
@@ -203,12 +200,12 @@ def product(factors: Iterable[Tuple[CohClass, int]]) -> CohClass:
     return terms[0] if terms else ONE
 
 
-def hyperplane_e0(coeff: ScalarLike = 1) -> CohClass:
+def hyperplane_e0(coeff: RationalLike = 1) -> CohClass:
     """coeff * e0 (recall e0 is minus the pulled-back hyperplane class)."""
     return CohClass(b0=coeff)
 
 
-def point_e(point_id: str, coeff: ScalarLike = 1) -> CohClass:
+def point_e(point_id: str, coeff: RationalLike = 1) -> CohClass:
     """coeff * e_v for the exceptional direction over one blown-up point."""
     return CohClass(bv={point_id: coeff})
 

@@ -30,13 +30,11 @@ sweep; it builds component records only to word an error.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 from operator import itemgetter
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple
 
 from .arrangement import (
     MAX_TOTAL_DEGREE,
@@ -44,10 +42,11 @@ from .arrangement import (
     Branch,
     Component,
     PointTypeSummary,
+    RationalLike,
     SingularPoint,
     require_valid,
 )
-from .arrangement import _NEEDED, _echo, _load_json, _object, _require
+from .arrangement import _NEEDED, _echo, _load_json, _object, _rational, _require
 
 __all__ = [
     "LineFileError",
@@ -57,9 +56,6 @@ __all__ = [
     "load_lines",
     "normalize_form",
 ]
-
-RationalLike = Union[Fraction, int, str]
-
 
 class ZeroFormError(ValueError):
     """The zero triple does not define a projective line."""
@@ -80,25 +76,8 @@ def _primitive(x: int, y: int, z: int) -> Tuple[int, int, int]:
     return (x // g, y // g, z // g)
 
 
-# A coefficient string: an optional sign, digits and an optional "/digits".
-# Fraction(str) would also take decimals, underscores (from Python 3.11)
-# and exponents such as "1e2000000", whose cost grows with the exponent.
-# ASCII only: a Unicode \d would also take digits such as "\u0663".
-_RATIONAL_RE = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*", re.ASCII)
-
-
 def _to_fraction(x: RationalLike, where: str, *at) -> Fraction:
-    if isinstance(x, bool) or not isinstance(x, (Rational, str)):
-        raise LineFileError(f"{where.format(*at)} must be an integer or 'p/q' string, got {_echo(x)}")
-    if not isinstance(x, str):
-        return Fraction(x)
-    m = _RATIONAL_RE.fullmatch(x)
-    try:
-        if m is None:
-            raise ValueError("not of the form [sign]digits[/digits]")
-        return Fraction(int(m[1]), int(m[2] or 1))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise LineFileError(f"{where.format(*at)} is not a valid rational: {_echo(x)}") from exc
+    return _rational(x, where, *at, error=LineFileError)
 
 
 def _integer_triple(raw: Sequence[RationalLike], where: str, *at) -> Tuple[int, int, int]:

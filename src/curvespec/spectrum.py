@@ -27,7 +27,7 @@ walking its nonzero entries in order with no dict and no sort.
 :meth:`Spectrum.items`, :meth:`Spectrum.support` and
 :meth:`Spectrum.coefficient` speak :class:`fractions.Fraction`; exponents
 given to the checking constructor or to :meth:`Spectrum.coefficient` are
-``Fraction``, ``int`` (not ``bool``) or ``"p/q"`` strings.
+exact rationals, read by :func:`curvespec.arrangement._rational`.
 
 Three serializations are supported (see :func:`format_spectrum`):
 
@@ -47,6 +47,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
+from .arrangement import RationalLike, _echo, _rational
+
 __all__ = [
     "Spectrum",
     "SpectrumParseError",
@@ -54,9 +56,6 @@ __all__ = [
     "format_spectrum",
     "parse_spectrum",
 ]
-
-ExponentLike = Union[Fraction, int, str]
-
 
 class SpectrumParseError(ValueError):
     """Malformed spectrum text; records the offending position and token."""
@@ -71,26 +70,8 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# An exponent string: "p" or "p/q" in ASCII digits.  Fraction(str) would
-# also take decimals, underscores and exponents such as "1e2000000", whose
-# cost grows with the exponent.
-_EXPONENT_RE = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*", re.ASCII)
-
-
-def _exponent(alpha: ExponentLike) -> Fraction:
-    """``alpha`` as a Fraction.  Anything but a Fraction, an int that is not
-    a bool or a string raises TypeError; a string that is not "p" or "p/q"
-    with q > 0 raises ValueError."""
-    if isinstance(alpha, Fraction):
-        return alpha
-    if _is_int(alpha):
-        return Fraction(alpha)
-    if not isinstance(alpha, str):
-        raise TypeError(f"exponent must be a Fraction, an int or a 'p/q' string, got {alpha!r}")
-    m = _EXPONENT_RE.fullmatch(alpha)
-    if m is None or m[2] is not None and int(m[2]) == 0:
-        raise ValueError(f"exponent string must be 'p' or 'p/q' with q > 0, got {alpha!r}")
-    return Fraction(int(m[1]), int(m[2] or 1))
+def _exponent(alpha: RationalLike) -> Fraction:
+    return _rational(alpha, "exponent")
 
 
 def _lowest(den: int, pairs: Iterable[Tuple[int, int]]) -> Tuple[int, dict[int, int]]:
@@ -108,9 +89,9 @@ class Spectrum:
     """Immutable fractional Laurent polynomial with integer coefficients.
 
     ``Spectrum(terms)`` takes (exponent, coefficient) pairs or a mapping,
-    exponents as Fraction, int or ``"p/q"`` strings.  ``Spectrum(terms,
-    den=d)`` takes (integer numerator k, coefficient) pairs for the
-    exponents k/d.
+    exponents exact rationals (Fraction, int or ``"p/q"`` strings).
+    ``Spectrum(terms, den=d)`` takes (integer numerator k, coefficient)
+    pairs for the exponents k/d.
     """
 
     # _run is a dense spectrum's coefficient list over the numerators
@@ -120,7 +101,7 @@ class Spectrum:
 
     def __init__(
         self,
-        terms: Union[Mapping[ExponentLike, int], Iterable[Tuple[ExponentLike, int]], None] = None,
+        terms: Union[Mapping[RationalLike, int], Iterable[Tuple[RationalLike, int]], None] = None,
         den: int | None = None,
     ):
         items = () if terms is None else terms.items() if isinstance(terms, Mapping) else terms
@@ -129,14 +110,14 @@ class Spectrum:
             den = lcm(*(alpha.denominator for alpha, _ in exponents))
             items = [(alpha.numerator * (den // alpha.denominator), n) for alpha, n in exponents]
         elif not _is_int(den) or den < 1:
-            raise ValueError(f"grid denominator must be a positive integer, got {den!r}")
+            raise ValueError(f"grid denominator must be a positive integer, got {_echo(den)}")
         data: dict[int, int] = {}
         for k, n in items:
             # Plain ints, the usual case, skip the isinstance checks.
             if type(n) is not int and not _is_int(n):
-                raise TypeError(f"coefficient must be an integer, got {n!r}")
+                raise TypeError(f"coefficient must be an integer, got {_echo(n)}")
             if type(k) is not int and not _is_int(k):
-                raise TypeError(f"grid numerator must be an integer, got {k!r}")
+                raise TypeError(f"grid numerator must be an integer, got {_echo(k)}")
             data[k] = data.get(k, 0) + n
         _set(self, None, 0, _lowest(den, data.items()))
 
@@ -160,7 +141,7 @@ class Spectrum:
         return cls()
 
     @classmethod
-    def term(cls, alpha: ExponentLike, n: int = 1) -> "Spectrum":
+    def term(cls, alpha: RationalLike, n: int = 1) -> "Spectrum":
         """The monomial n * t^alpha."""
         return cls({alpha: n})
 
@@ -189,7 +170,7 @@ class Spectrum:
         den, pairs = self._ordered()
         return [(Fraction(k, den), n) for k, n in pairs]
 
-    def coefficient(self, alpha: ExponentLike) -> int:
+    def coefficient(self, alpha: RationalLike) -> int:
         alpha = _exponent(alpha)
         run = self._run
         if run is None:
@@ -319,7 +300,7 @@ def format_spectrum(s: Spectrum, style: str = "plain") -> str:
     The terms come in increasing exponent order, each exponent brought to
     lowest terms by one gcd with the grid denominator."""
     if style not in ("plain", "latex", "json"):
-        raise ValueError(f"unknown spectrum style {style!r}")
+        raise ValueError(f"unknown spectrum style {_echo(style)}")
     den, pairs = s._ordered()
     if style == "json":
         terms = []

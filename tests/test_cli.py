@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import curvespec.cli
 import curvespec.formulas
@@ -705,6 +707,78 @@ class TestLongValueEcho:
         captured = capsys.readouterr()
         assert captured == ("", f"error: {message}\n")
         assert len(captured.err) < 200
+
+
+# Values put in place of numbers of a small input: ints, bools, floats
+# (NaN and infinities included), and strings in and near the grammar of
+# exact rationals.
+MUTANT_VALUES = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([10**6, -(10**30)]),
+    st.booleans(),
+    st.floats(),
+    st.text(alphabet="0123456789+-/ ._e\u00a0\u0663", max_size=8),
+    st.sampled_from(["1/2", "-3/4", " 6/4 ", "+5", "0", "1/0", "7" * 5000]),
+)
+SMALL_LINES = [{"form": [1, 0, 0]}, {"form": [0, 1, 0], "multiplicity": 2}, {"form": ["1/2", "1/3", "-1"]}]
+SMALL_ARRANGEMENT = {
+    "components": [{"id": "c", "degree": 3}, {"id": "l", "degree": 1, "multiplicity": 2}],
+    "points": [
+        {"id": "v", "branches": [{"component": "c", "mult": 2}]},
+        {"id": "w", "branches": [{"component": "c", "mult": 1}, {"component": "l", "mult": 1}]},
+    ],
+}
+# Where the numbers of each input sit, as key paths.
+LINE_NUMBERS = [(i, "form", k) for i in range(3) for k in range(3)] + [(1, "multiplicity")]
+ARRANGEMENT_NUMBERS = [
+    ("components", 0, "degree"),
+    ("components", 1, "degree"),
+    ("components", 1, "multiplicity"),
+    ("points", 0, "branches", 0, "mult"),
+    ("points", 1, "branches", 0, "mult"),
+    ("points", 1, "branches", 1, "mult"),
+]
+
+
+class TestMutatedInputContract:
+    """The exit-code contract on a small line file and a small arrangement
+    file with some of their numbers replaced: exit 0, 1 or 2; stdout only
+    on exit 0 and stderr only otherwise; one line on exit 1, lines that
+    start with "error" on exit 2; never a traceback."""
+
+    @staticmethod
+    def run_mutated(tmp_path, capsys, command, doc, places, replacements):
+        doc = json.loads(json.dumps(doc))
+        for index, value in replacements.items():
+            *path, last = places[index]
+            target = doc
+            for key in path:
+                target = target[key]
+            target[last] = value
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([command, str(path), "--verify"])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (code, err)
+        if code == 0:
+            assert err == ""
+        else:
+            assert out == ""
+        if code == 1:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+        if code == 2:
+            assert all(line.startswith("error") for line in err.splitlines()), err
+        assert "Traceback" not in err
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(st.integers(0, len(LINE_NUMBERS) - 1), MUTANT_VALUES, min_size=1, max_size=3))
+    def test_line_file(self, tmp_path, capsys, replacements):
+        self.run_mutated(tmp_path, capsys, "lines", SMALL_LINES, LINE_NUMBERS, replacements)
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(st.integers(0, len(ARRANGEMENT_NUMBERS) - 1), MUTANT_VALUES, min_size=1, max_size=3))
+    def test_arrangement_file(self, tmp_path, capsys, replacements):
+        self.run_mutated(tmp_path, capsys, "compute", SMALL_ARRANGEMENT, ARRANGEMENT_NUMBERS, replacements)
 
 
 class TestExamples:

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import arrangement_graphs, spectra
+from curvespec.cohomology import CohClass
 from curvespec.formulas import (
     _three_level_spectrum,
     spectrum_binary_linear,
@@ -16,6 +17,7 @@ from curvespec.formulas import (
     spectrum_isolated,
     spectrum_reduced,
 )
+from curvespec.lines import LineFileError, normalize_form
 from curvespec.riemann_roch import spectrum_via_riemann_roch
 from curvespec.spectrum import (
     Spectrum,
@@ -26,6 +28,53 @@ from curvespec.spectrum import (
 )
 
 BENCH_DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
+
+# Values that no exact-rational reader takes: exponents, line coefficients
+# and cohomology scalars alike.
+REFUSED = [
+    (0.1, TypeError),  # Fraction(0.1) is 3602879701896397/36028797018963968
+    (True, TypeError),  # Fraction(True) is 1
+    (float("inf"), TypeError),  # Fraction(inf) raises OverflowError
+    (None, TypeError),
+    ("1e2000000", ValueError),  # Fraction() would take time growing with the exponent
+    ("1.5", ValueError),
+    ("1_000", ValueError),  # Fraction() takes it from Python 3.11
+    ("", ValueError),
+    ("1/0", ValueError),  # Fraction() raises ZeroDivisionError
+    ("1/-2", ValueError),
+    ("\u0661/2", ValueError),
+    ("1 / 2", ValueError),  # Fraction() takes it from Python 3.12
+    ("0.1", ValueError),
+    ("1e3", ValueError),
+    ("\u0663", ValueError),  # Fraction() takes non-ASCII digits
+]
+REFUSED_IDS = [
+    "float", "bool", "inf", "None", "huge-exponent-string", "decimal-string", "underscore-string",
+    "empty-string", "zero-denominator", "negative-denominator", "non-ascii-digit",
+    "spaced-slash-string", "tenth-string", "exponent-string", "non-ascii-integer",
+]
+
+
+def read_three_ways(text):
+    """What the three exact-rational readers make of ``text``: its value as a
+    spectrum exponent, a cohomology scalar and a line coefficient, each an
+    ``error`` marker if that reader refuses it."""
+
+    def attempt(read):
+        try:
+            return read()
+        except (TypeError, ValueError):
+            return "error"
+
+    def line_coefficient():
+        a, _, c = normalize_form([text, 0, 1])
+        return Fraction(a, c)
+
+    return (
+        attempt(lambda: Spectrum.term(text).support()[0]),
+        attempt(lambda: CohClass(text).a),
+        attempt(line_coefficient),
+    )
 
 
 class TestConstruction:
@@ -43,26 +92,7 @@ class TestConstruction:
         assert Spectrum({" -6/4 ": 1, "2": 1, 3: 1}) == Spectrum({Fraction(-3, 2): 1, 2: 1, Fraction(3): 1})
         assert Spectrum.term(2, 5).coefficient("4/2") == Spectrum.term(2, 5).coefficient(2) == 5
 
-    @pytest.mark.parametrize(
-        "alpha, error",
-        [
-            (0.1, TypeError),  # Fraction(0.1) is 3602879701896397/36028797018963968
-            (True, TypeError),  # Fraction(True) is 1
-            (float("inf"), TypeError),  # Fraction(inf) raises OverflowError
-            (None, TypeError),
-            ("1e2000000", ValueError),  # Fraction() would take time growing with the exponent
-            ("1.5", ValueError),
-            ("1_000", ValueError),
-            ("", ValueError),
-            ("1/0", ValueError),  # Fraction() raises ZeroDivisionError
-            ("1/-2", ValueError),
-            ("\u0661/2", ValueError),
-        ],
-        ids=[
-            "float", "bool", "inf", "None", "huge-exponent-string", "decimal-string", "underscore-string",
-            "empty-string", "zero-denominator", "negative-denominator", "non-ascii-digit",
-        ],
-    )
+    @pytest.mark.parametrize("alpha, error", REFUSED, ids=REFUSED_IDS)
     def test_only_documented_exponent_types(self, alpha, error):
         with pytest.raises(error):
             Spectrum({alpha: 1})
@@ -71,6 +101,47 @@ class TestConstruction:
         for s in (Spectrum.term(1), spectrum_isolated(3, 2)):
             with pytest.raises(error):
                 s.coefficient(alpha)
+
+    @pytest.mark.parametrize("alpha, error", REFUSED, ids=REFUSED_IDS)
+    def test_three_readers_refuse_alike(self, alpha, error):
+        # Line coefficients and cohomology scalars follow the exponents' rule.
+        with pytest.raises(error):
+            CohClass(alpha)
+        message = "must be an integer or 'p/q' string" if error is TypeError else "is not a valid rational"
+        with pytest.raises(LineFileError, match=message):
+            normalize_form([alpha, 0, 1])
+
+    @pytest.mark.parametrize("text, value", [(" -6/4 ", Fraction(-3, 2)), ("+5", 5), ("0", 0), ("4/2", 2)])
+    def test_three_readers_accept_alike(self, text, value):
+        assert read_three_ways(text) == (value, value, value)
+
+    @given(st.text(alphabet="0123456789+-/ ._e\u00a0\u0663", max_size=8))
+    @example("1 / 2")
+    @example("1_000")
+    @example("\u00a01")
+    def test_three_readers_agree(self, text):
+        outcomes = read_three_ways(text)
+        assert len(set(outcomes)) == 1, outcomes
+
+    @pytest.mark.parametrize(
+        "text",
+        ["7" * 5000, "1/" + "7" * 5000, " -" + "7" * 5000 + " "],
+        ids=["5000-digit-integer", "5000-digit-denominator", "5000-digit-negative-spaced"],
+    )
+    def test_long_digit_run_is_outside_the_grammar(self, text):
+        # Past int()'s digit limit a string is refused with the module's own
+        # message, which echoes at most 80 characters of it.
+        for read, subject in [
+            (Spectrum.term, "exponent"),
+            (Spectrum.term(1).coefficient, "exponent"),
+            (CohClass, "class coefficient"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{subject} is not a valid rational: '") as info:
+                read(text)
+            assert len(str(info.value)) < 160
+        with pytest.raises(LineFileError, match="is not a valid rational") as info:
+            normalize_form([text, 0, 1])
+        assert len(str(info.value)) < 160
 
     def test_non_integer_coefficient_rejected(self):
         with pytest.raises(TypeError):
