@@ -25,8 +25,9 @@ reduced, irreducible-power, binary and isolated displays are separate code
 that shares no formula code with the kernel, so each of them is an
 independent check of the general formula on its own domain, and the test
 suite checks that.  They evaluate every j directly; the reduced display
-groups the summary's point types by m_v and folds their branch pair counts,
-which do not depend on j, into one constant.
+groups the summary's point types by m_v, folds their branch pair counts,
+which do not depend on j, into one constant, and reads each group's
+quadratics at j from a table over c = ceil(j*m_v/d).
 
 Shared shape of all the plane-curve formulas: for each j in [1, d] (d the
 total degree) three integer coefficients are produced at the exponents
@@ -223,8 +224,10 @@ def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
     so this is a second algorithm beside the general kernel.  It reads the
     graph's ``point_types`` summary and groups its types by m_v alone: a
     point's branch pair count does not depend on j, so every type's count
-    times it folds into the j-constant of n1 together with ``comp_pairs``,
-    and each m_v group's step is taken once per j, times its size."""
+    times it folds into the j-constant of n1 together with ``comp_pairs``.
+    A group's three quadratics depend on j only through c = ceil(j*m_v/d),
+    so each group tabulates them, times its size, over c = 0..m_v, and a j
+    costs one floor division and three subtractions per group."""
     summary = require_valid(graph).point_types
     if not graph.is_reduced():
         bad = [c.id for c in graph.components if c.multiplicity != 1]
@@ -240,17 +243,26 @@ def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
         by_point_mult[m_v] = by_point_mult.get(m_v, 0) + count
 
     # binom(x, 2) is written x*(x - 1)//2, ceil(j*m_v/d) as (j*m_v + d - 1)//d.
+    tables = [
+        (
+            m_v,
+            [count * ((c - 1) * (c - 2) // 2) for c in range(m_v + 1)],
+            [count * ((c - 1) * (m_v - c)) for c in range(m_v + 1)],
+            [count * ((m_v - c) * (m_v - c - 1) // 2) for c in range(m_v + 1)],
+        )
+        for m_v, count in by_point_mult.items()
+    ]
     run0, run1, run2 = [], [], []
     top = d - 1
     for j in range(1, d + 1):
         n0 = (j - 1) * (j - 2) // 2
         n1 = (j - 1) * (d - j - 1) + pair_term
         n2 = (d - j - 1) * (d - j - 2) // 2
-        for m_v, count in by_point_mult.items():
-            ceil_v = (j * m_v + top) // d
-            n0 -= count * ((ceil_v - 1) * (ceil_v - 2) // 2)
-            n1 -= count * ((ceil_v - 1) * (m_v - ceil_v))
-            n2 -= count * ((m_v - ceil_v) * (m_v - ceil_v - 1) // 2)
+        for m_v, low, mid, high in tables:
+            c = (j * m_v + top) // d
+            n0 -= low[c]
+            n1 -= mid[c]
+            n2 -= high[c]
         run0.append(n0)
         run1.append(n1)
         run2.append(n2)

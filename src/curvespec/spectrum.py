@@ -23,7 +23,12 @@ Equality compares two dense runs directly when they lie on the same grid
 and have the same length, and the normal forms otherwise.  Evaluation at
 t = 1, truth, length, :meth:`Spectrum.coefficient`, :meth:`Spectrum.items`,
 :meth:`Spectrum.support` and every format style read a dense run in place,
-walking its nonzero entries in order with no dict and no sort.
+with no dict and no sort.  :func:`format_spectrum` prints it by residue
+class: for k = l*d + j the exponent k/d is (l*q + j/g)/q in lowest terms,
+with g = gcd(j, d) and q = d/g, so it takes one gcd per residue j and builds
+each nonzero term's text in one expression, the integer exponents at the
+multiples of d being the only special terms.  A normal form, which
+arithmetic returns, prints term by term.
 :meth:`Spectrum.items`, :meth:`Spectrum.support` and
 :meth:`Spectrum.coefficient` speak :class:`fractions.Fraction`; exponents
 given to the checking constructor or to :meth:`Spectrum.coefficient` are
@@ -41,7 +46,6 @@ Three serializations are supported (see :func:`format_spectrum`):
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -58,10 +62,11 @@ __all__ = [
 ]
 
 class SpectrumParseError(ValueError):
-    """Malformed spectrum text; records the offending position and token."""
+    """Malformed spectrum text; records the offending position and token.
+    The message echoes the token cut to 80 characters; ``token`` keeps it whole."""
 
     def __init__(self, message: str, position: int, token: str):
-        super().__init__(f"{message} at position {position}: {token!r}")
+        super().__init__(f"{message} at position {position}: {_echo(token)}")
         self.position = position
         self.token = token
 
@@ -293,44 +298,122 @@ def dummy_shift(s: Spectrum) -> Spectrum:
 # formatting
 # ---------------------------------------------------------------------
 
+# A term's text is led by its separator, which the first term drops: " + "
+# or " - " (plain), "+" or "-" (latex), ", " (json).
+
+
+def _power(style: str, p: int, q: int) -> str:
+    """The text of t^(p/q), p/q in lowest terms (q = 1 for an integer)."""
+    if style == "json":
+        return f"{p}/{q}" if q != 1 else str(p)
+    if q != 1:
+        return f"t^({p}/{q})" if style == "plain" else f"t^{{{p}/{q}}}"
+    if p == 1:
+        return "t"
+    return f"t^{p}" if style == "plain" else f"t^{{{p}}}"
+
+
+def _term(style: str, n: int, power: str) -> str:
+    """The text of the term n*power, led by its separator."""
+    if style == "plain":
+        return (
+            f" + {n}*{power}" if n > 1
+            else f" - {-n}*{power}" if n < -1
+            else f" + {power}" if n == 1
+            else f" - {power}"
+        )
+    if style == "latex":
+        return f"+{n}{power}" if n > 1 else f"-{-n}{power}" if n < -1 else f"+{power}" if n == 1 else f"-{power}"
+    return f', {{"alpha": "{power}", "n": {n}}}'
+
+
+def _plain_fractions(ks: range, gs: list[int], tails: list[str], level: list[int]) -> list[str]:
+    """The texts of the nonzero fractional terms of one level of a dense
+    run, given its numerators ks, the gcds gs of their residues with the
+    grid, the residues' denominator texts tails ("/q" and the closing
+    character) and its coefficients: :func:`_term` of :func:`_power`,
+    written out as one f-string per term.  The same for each style."""
+    return [
+        f" + {n}*t^({k // g}{tail}" if n > 1
+        else f" - {-n}*t^({k // g}{tail}" if n < -1
+        else f" + t^({k // g}{tail}" if n == 1
+        else f" - t^({k // g}{tail}"
+        for k, g, tail, n in zip(ks, gs, tails, level)
+        if n
+    ]
+
+
+def _latex_fractions(ks: range, gs: list[int], tails: list[str], level: list[int]) -> list[str]:
+    return [
+        f"+{n}t^{{{k // g}{tail}" if n > 1
+        else f"-{-n}t^{{{k // g}{tail}" if n < -1
+        else f"+t^{{{k // g}{tail}" if n == 1
+        else f"-t^{{{k // g}{tail}"
+        for k, g, tail, n in zip(ks, gs, tails, level)
+        if n
+    ]
+
+
+def _json_fractions(ks: range, gs: list[int], tails: list[str], level: list[int]) -> list[str]:
+    return [f', {{"alpha": "{k // g}{tail}, "n": {n}}}' for k, g, tail, n in zip(ks, gs, tails, level) if n]
+
+
+# Per style: the character that closes a fractional exponent, and its
+# fractional terms.
+_STYLES = {"plain": (")", _plain_fractions), "latex": ("}", _latex_fractions), "json": ('"', _json_fractions)}
+
+
+def _run_texts(run: list[int], d: int, style: str) -> list[str]:
+    """The texts of the levels of a dense run on the grid 1/d, empty ones
+    left out.  For k = l*d + j with 0 < j < d the exponent k/d is
+    (l*q + j/g)/q in lowest terms, g = gcd(j, d) and q = d/g: one gcd and
+    one denominator text per residue j serve every level, and level l's
+    only integer exponent is l + 1, at k = (l + 1)*d."""
+    close, fractions = _STYLES[style]
+    gs = [gcd(j, d) for j in range(1, min(d, len(run) + 1))]
+    whole = f"/{d}{close}"
+    tails = [whole if g == 1 else f"/{d // g}{close}" for g in gs]
+    texts = []
+    for base in range(0, len(run), d):
+        level = run[base : base + d]
+        terms = fractions(range(base + 1, base + d), gs, tails, level)
+        if len(level) == d and level[-1]:
+            terms.append(_term(style, level[-1], _power(style, base // d + 1, 1)))
+        if terms:
+            texts.append("".join(terms))
+    return texts
+
 
 def format_spectrum(s: Spectrum, style: str = "plain") -> str:
     """Render a spectrum in one of the styles ``plain``, ``latex``, ``json``.
 
-    The terms come in increasing exponent order, each exponent brought to
-    lowest terms by one gcd with the grid denominator."""
-    if style not in ("plain", "latex", "json"):
+    The terms come in increasing exponent order, each exponent in lowest
+    terms.  A dense run, the form every formula route returns, of any
+    length, prints one level (its coefficients at l + j/d for j = 1..d) at
+    a time, with one gcd per residue j shared by the levels (see
+    :func:`_run_texts`); a normal form, which arithmetic returns, prints
+    term by term, one gcd per term."""
+    if style not in _STYLES:
         raise ValueError(f"unknown spectrum style {_echo(style)}")
-    den, pairs = s._ordered()
+    run = s._run
+    if run is not None:
+        texts = _run_texts(run, s._grid, style)
+    else:
+        den, pairs = s._ordered()
+        texts = [_term(style, n, _power(style, k // g, den // g)) for k, n in pairs for g in (gcd(k, den),)]
     if style == "json":
-        terms = []
-        for k, n in pairs:
-            g = gcd(k, den)
-            terms.append({"alpha": str(k // den) if g == den else f"{k // g}/{den // g}", "n": n})
-        return json.dumps(terms)
-    plain = style == "plain"
-    times, plus, minus = ("*", " + ", " - ") if plain else ("", "+", "-")
-    parts: list[str] = []
-    for k, n in pairs:
-        g = gcd(k, den)
-        if g != den:
-            power = f"t^({k // g}/{den // g})" if plain else f"t^{{{k // g}/{den // g}}}"
-        elif k != den:
-            power = f"t^{k // den}" if plain else f"t^{{{k // den}}}"
-        else:
-            power = "t"
-        if n == 1:
-            parts.append(plus + power)
-        elif n == -1:
-            parts.append(minus + power)
-        else:
-            parts.append(f"{minus if n < 0 else plus}{-n if n < 0 else n}{times}{power}")
-    if not parts:
+        if texts:
+            texts[0] = texts[0][2:]
+        return f"[{''.join(texts)}]"
+    if not texts:
         return "0"
     # The first term carries no "+", and its "-" no spaces.
-    first = parts[0]
-    parts[0] = "-" + first[len(minus) :] if first.startswith(minus) else first[len(plus) :]
-    return "".join(parts)
+    first = texts[0]
+    if style == "plain":
+        texts[0] = "-" + first[3:] if first[1] == "-" else first[3:]
+    elif first[0] == "+":
+        texts[0] = first[1:]
+    return "".join(texts)
 
 
 # ---------------------------------------------------------------------

@@ -302,6 +302,23 @@ class TestReducedGrouping:
         assert len(g.points) >= 4 * len(keys)
         assert spectrum_reduced(g) == per_point_reduced(g)
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            *(graph([(1, 1)] * n, [[(i, 1) for i in range(n)]]) for n in (2, 3, 7)),
+            graph([(1, 1)] * 4, [[(i, 1) for i in range(4)], [(0, 1)], [(3, 1)]]),
+            graph([(1, 1)], [[(0, 1)]]),
+            graph([(2, 1)], [[(0, 1)]]),
+            graph([(3, 1), (1, 1)], [[(0, 2)], [(0, 1)], [(1, 1)], [(0, 1), (1, 1)]]),
+        ],
+        ids=["pencil-2", "pencil-3", "pencil-7", "pencil-and-smooth-points", "line-smooth-point",
+             "conic-smooth-point", "nodal-cubic-line-smooth-points"],
+    )
+    def test_matches_per_point_loop_at_the_table_edges(self, g):
+        # A pencil has m_v = d, so ceil(j*m_v/d) reaches c = m_v at j = d;
+        # a smooth point has m_v = 1, a table of c = 0..1.
+        assert spectrum_reduced(g) == per_point_reduced(g) == spectrum_general(g)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_per_point_loop_on_line_arrangements(self, seed):
         # Proportional forms merge and add up their multiplicities.

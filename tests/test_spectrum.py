@@ -324,6 +324,17 @@ class TestParse:
             parse_spectrum(text)
         assert err.value.position == position
         assert err.value.token == "1" * 5000
+        assert len(str(err.value)) < 160
+
+    def test_long_token_is_cut_in_the_message(self):
+        # 4000 zeros are one token whether int() takes them (a zero
+        # denominator) or not (a digit run too long).
+        with pytest.raises(SpectrumParseError) as err:
+            parse_spectrum("t^(1/" + "0" * 4000 + ")")
+        assert err.value.position == 5
+        assert err.value.token == "0" * 4000
+        assert len(str(err.value)) < 160
+        assert str(err.value).endswith("...")
 
     @given(spectra())
     def test_round_trip(self, s):
@@ -423,6 +434,7 @@ grid_terms = st.tuples(
     st.lists(st.tuples(st.integers(-30, 30), st.integers(-3, 3)), max_size=7),
 )
 PROBES = [Fraction(p, q) for q in range(1, 10) for p in range(-13, 14)]
+coefficients = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**30), 10**30))
 
 # Grids that often reduce, exponents below 0, at 0 and at 1, coefficients
 # +-1, small and large, and the empty list (the zero spectrum).
@@ -506,6 +518,25 @@ class TestAgainstReference:
             ReferenceSpectrum((Fraction(k + 41, den), n) for k, n in last.items()),
         )
 
+    @pytest.mark.parametrize("d", range(1, 41))
+    def test_format_route_runs(self, d):
+        # Dense runs as the routes build them, 3d long with every residue of
+        # the grid filled, and of other lengths, with and without zeros.
+        values = [1, -1, 2, -3, 10**30, -(10**30), 7, -1, 1]
+        full = [values[k % len(values)] for k in range(3 * d)]
+        holed = [0 if k % 4 == d % 4 else n for k, n in enumerate(full)]
+        runs = [full, holed, [0] * (3 * d), [], full[:1], full[: d - 1], full[:d], holed[: 2 * d + 1], holed + full]
+        for run in runs:
+            assert_matches(
+                Spectrum._dense(d, list(run)),
+                ReferenceSpectrum((Fraction(k, d), n) for k, n in enumerate(run, 1)),
+            )
+
+    @given(st.integers(1, 40).flatmap(lambda d: st.tuples(st.just(d), st.lists(coefficients, max_size=4 * d + 2))))
+    def test_format_dense_runs(self, dense):
+        d, run = dense
+        assert_matches(Spectrum._dense(d, list(run)), ReferenceSpectrum((Fraction(k, d), n) for k, n in enumerate(run, 1)))
+
     @given(spectra(max_terms=10))
     def test_fraction_spectra(self, s):
         assert_matches(s, ReferenceSpectrum(s.items()))
@@ -565,8 +596,7 @@ def level_runs(draw):
     reduces by g or a multiple of it."""
     g = draw(st.integers(1, 4))
     d = g * draw(st.integers(1, 10))
-    coefficient = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**30), 10**30))
-    return (d, *([draw(coefficient) if j % g == 0 else 0 for j in range(1, d + 1)] for _ in range(3)))
+    return (d, *([draw(coefficients) if j % g == 0 else 0 for j in range(1, d + 1)] for _ in range(3)))
 
 
 def assert_in_exponent_order(s):
