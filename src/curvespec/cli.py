@@ -57,11 +57,21 @@ class VerificationMismatch(Exception):
     """Two pipelines that must agree produced different spectra."""
 
 
-def _first_difference(a: Spectrum, b: Spectrum) -> str:
-    """Where two unequal spectra part: the smallest exponent at which their
-    coefficients differ, with both coefficients."""
+def _disagreement(label: str, a: Spectrum, b: Spectrum) -> str | None:
+    """None if the spectra agree, else ``label`` and where they part: the
+    smallest exponent at which their coefficients differ, with both
+    coefficients."""
+    if a == b:
+        return None
     alpha = (a - b).support()[0]
-    return f"first difference at t^({alpha}): {a.coefficient(alpha)} vs {b.coefficient(alpha)}"
+    return f"{label}: first difference at t^({alpha}): {a.coefficient(alpha)} vs {b.coefficient(alpha)}"
+
+
+def _require_agreement(label: str, a: Spectrum, b: Spectrum) -> None:
+    """Raise :class:`VerificationMismatch` unless the spectra agree."""
+    text = _disagreement(label, a, b)
+    if text is not None:
+        raise VerificationMismatch(text)
 
 
 def _auto_dispatch(graph: ArrangementGraph):
@@ -69,12 +79,9 @@ def _auto_dispatch(graph: ArrangementGraph):
     separately coded reduced display at runtime."""
     result = spectrum_general(graph)
     if graph.is_reduced():
-        reduced = spectrum_reduced(graph)
-        if result != reduced:
-            raise VerificationMismatch(
-                "auto-dispatched general formula disagrees with the reduced formula: "
-                + _first_difference(result, reduced)
-            )
+        _require_agreement(
+            "auto-dispatched general formula disagrees with the reduced formula", result, spectrum_reduced(graph)
+        )
     return result
 
 
@@ -87,18 +94,14 @@ _FORMULAS = {
 }
 
 
-def _verify(result: Spectrum, oracle: Spectrum) -> None:
-    """Raise :class:`VerificationMismatch` unless the characteristic-class
-    spectrum ``oracle`` equals ``result``."""
-    if oracle != result:
-        raise VerificationMismatch("characteristic-class pipeline disagrees: " + _first_difference(result, oracle))
+_RR_DISAGREES = "characteristic-class pipeline disagrees"
 
 
 def cmd_compute(args) -> int:
     graph = load_arrangement(args.file)
     result = _FORMULAS[args.formula](graph)
     if args.verify:
-        _verify(result, spectrum_via_riemann_roch(graph))
+        _require_agreement(_RR_DISAGREES, result, spectrum_via_riemann_roch(graph))
     print(format_spectrum(result, args.style))
     return 0
 
@@ -117,14 +120,8 @@ def _check_one(graph: ArrangementGraph, rng: SplitMix64) -> list[str]:
     when the graph has >= 2 components, then one draw for the extra smooth
     point.
     """
-    failures = []
     base = spectrum_general(graph)
-
-    def compare(label: str, other: Spectrum) -> None:
-        if other != base:
-            failures.append(f"{label}: {_first_difference(base, other)}")
-
-    compare("general vs characteristic-class pipeline", spectrum_via_riemann_roch(graph))
+    failures = [_disagreement("general vs characteristic-class pipeline", base, spectrum_via_riemann_roch(graph))]
     # The spectrum sums to the reduced Euler characteristic of the Milnor
     # fibre, a d-fold cover of the complement of the curve.
     total = base.eval_at_one()
@@ -132,16 +129,18 @@ def _check_one(graph: ArrangementGraph, rng: SplitMix64) -> list[str]:
     expected = d * complement_euler_characteristic(graph) - 1
     if total != expected:
         failures.append(f"general vs topological Euler characteristic: value at t = 1: {total} vs {expected}")
+    rows = []
     if graph.is_reduced():
-        compare("general vs reduced formula", spectrum_reduced(graph))
+        rows.append(("general vs reduced formula", spectrum_reduced(graph)))
     if len(graph.components) == 1:
         # Multiplicity-1 points are formula-neutral, so dropping them keeps
         # the single-curve power formula applicable.
-        compare("general vs single-curve power formula", _single_component_power_spectrum(graph))
+        rows.append(("general vs single-curve power formula", _single_component_power_spectrum(graph)))
     if len(graph.components) >= 2:
-        compare("invariance under adding a simple node", spectrum_general(insert_snc_node(graph, rng)))
-    compare("invariance under adding a smooth point", spectrum_general(insert_smooth_point(graph, rng)))
-    return failures
+        rows.append(("invariance under adding a simple node", spectrum_general(insert_snc_node(graph, rng))))
+    rows.append(("invariance under adding a smooth point", spectrum_general(insert_smooth_point(graph, rng))))
+    failures += [_disagreement(label, base, other) for label, other in rows]
+    return [failure for failure in failures if failure is not None]
 
 
 def cmd_check(args) -> int:
@@ -183,7 +182,7 @@ def cmd_lines(args) -> int:
     summary = incidence.point_types()
     result = spectrum_of_point_types(summary)
     if args.verify:
-        _verify(result, riemann_roch_of_point_types(summary))
+        _require_agreement(_RR_DISAGREES, result, riemann_roch_of_point_types(summary))
     print(format_spectrum(result, args.style))
     return 0
 

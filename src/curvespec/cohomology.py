@@ -37,8 +37,6 @@ __all__ = ["CohClass", "ONE", "exceptional_class", "hyperplane_e0", "point_e", "
 
 
 def _frac(x: RationalLike) -> Fraction:
-    if type(x) is Fraction:  # ring results need no check
-        return x
     return _rational(x, "class coefficient")
 
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .arrangement import ArrangementGraph, PointTypeSummary, _echo, require_valid
+from .arrangement import ArrangementGraph, PointTypeSummary, _echo, _require, require_valid
 from .binomial import binom, ceil_div
 from .spectrum import Spectrum
 
@@ -305,12 +305,12 @@ def spectrum_irreducible_power(d: int, m: int, point_mults: Sequence[int]) -> Sp
 
     Sampling runs over j in [1, m*d]; exponents live on the 1/(m*d) grid.
     """
-    if d < 1:
+    if _require(d, int, "degree", error=TypeError) < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    if m < 1:
+    if _require(m, int, "power", error=TypeError) < 1:
         raise ValueError(f"power must be >= 1, got {m}")
     for mu in point_mults:
-        if not 2 <= mu <= d:
+        if not 2 <= _require(mu, int, "point multiplicity", error=TypeError) <= d:
             raise ValueError(f"point multiplicity must lie in [2, {d}], got {mu}")
     total = m * d
     curve_pairs = binom(d, 2)
@@ -340,7 +340,7 @@ def spectrum_binary_linear(mults: Sequence[int]) -> Spectrum:
     if not mults:
         raise ValueError("need at least one linear form")
     for m in mults:
-        if m < 1:
+        if _require(m, int, "multiplicity", error=TypeError) < 1:
             raise ValueError(f"multiplicity must be >= 1, got {m}")
     d = sum(mults)
     d_red = len(mults)
@@ -359,9 +359,9 @@ def spectrum_isolated(d: int, n: int) -> Spectrum:
 
     d = 1 gives the zero spectrum (empty geometric sum).
     """
-    if d < 1:
+    if _require(d, int, "degree", error=TypeError) < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    if n not in (1, 2, 3):
+    if _require(n, int, "ambient dimension", error=TypeError) not in (1, 2, 3):
         raise ValueError(f"ambient dimension must be 1, 2 or 3, got {n}")
     factor = Spectrum([(i, 1) for i in range(1, d)], den=d)
     result = Spectrum.term(0)

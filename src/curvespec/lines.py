@@ -84,8 +84,6 @@ def _integer_triple(raw: Sequence[RationalLike], where: str, *at) -> Tuple[int, 
     """The three coefficients ``raw`` times the lcm of their denominators,
     each coefficient checked and converted once; ``where.format(*at, k)``
     names coefficient k, and is formatted only for an error."""
-    if all(type(x) is int for x in raw):  # no denominators to clear (bool is not int here)
-        return tuple(raw)
     triple = [_to_fraction(x, where, *at, k) for k, x in enumerate(raw)]
     denom = lcm(*(x.denominator for x in triple))
     return tuple(x.numerator * (denom // x.denominator) for x in triple)

@@ -35,11 +35,7 @@ i = d - j every twist coefficient is built from floors floor(i*m/d), which
 rise by one at i = ceil(k*d/m); so the four go into difference arrays at
 those rises (the linear ones once per distinct component multiplicity and
 once per type at the rises of its m_v, sum u_v^2 by one walk per type) and
-one pass over i yields every j.  A type whose branches all sit on one
-component multiplicity m has m_v = m*m_{v,red}, and the k-th rise of m is
-rise k*m_{v,red} of m_v, so u_v = r mod m_{v,red} from the r-th rise of m_v
-on: its walk is one loop over those rises, with no event merge and no
-sort.  The cost is
+one pass over i yields every j.  The cost is
 O(d + sum_T (m_v + sum_l m_l)) for the types T, not O(T*d).  Every chi is
 formed as an integer over 2, and an odd numerator (from a non-integral c2,
 say) fails the integrality assertion.  No :class:`fractions.Fraction` is
@@ -272,21 +268,6 @@ def _euler_characteristics(summary: PointTypeSummary):
             row = linear[m]
             row[1] -= count * mu
             row[2] -= count_y * mu
-        if branches[0][0] == branches[-1][0]:
-            # One component multiplicity m (types are sorted), m_v = m*m_red:
-            # rise k of m is rise k*m_red of m_v, so u_T = r mod m_red from
-            # the r-th rise of m_v on, with no rise list, events or sort.
-            # Each rise adds count to X and count_y to Y, as below, and X
-            # also takes the change of -count*u_T^2.
-            square = 0
-            for r in range(1, point_mult):
-                i = (r * d + point_mult - 1) // point_mult
-                u = r % m_red
-                new = u * u
-                diff_x[i] += count * (1 - new + square)
-                diff_y[i] += count_y
-                square = new
-            continue
         # The rises of m_v are made for this type alone and added here: kept
         # for every distinct m_v, they would grow with the types, not with d.
         steps = rises.get(point_mult)

@@ -16,20 +16,19 @@ of two forms:
   exponents (it is divided by gcd(den, *numerators)), so colliding terms
   such as t^(6/4) and t^(3/2) merge and equal spectra have equal dicts.  The
   checking constructor builds this form.  A dense spectrum builds it at most
-  once, when arithmetic, ``hash`` or a comparison with anything but a dense
-  run of its grid and length first needs it.
+  once, when arithmetic, ``hash``, a query or a comparison with anything but
+  a dense run of its grid and length first needs it.
 
 Equality compares two dense runs directly when they lie on the same grid
 and have the same length, and the normal forms otherwise.  Evaluation at
-t = 1, truth, length, :meth:`Spectrum.coefficient`, :meth:`Spectrum.items`,
-:meth:`Spectrum.support` and every format style read a dense run in place,
-with no dict and no sort.  :func:`format_spectrum` prints it by residue
-class: for k = l*d + j the exponent k/d is (l*q + j/g)/q in lowest terms,
-with g = gcd(j, d) and q = d/g, so it takes one gcd per residue j and builds
-each nonzero term's text in one expression, the integer exponents at the
-multiples of d being the only special terms.  A normal form, which
-arithmetic returns, prints term by term.
-:meth:`Spectrum.items`, :meth:`Spectrum.support` and
+t = 1 and every format style read a dense run in place, with no dict and
+no sort; the other queries read the normal form.  :func:`format_spectrum`
+prints a dense run by residue class: for k = l*d + j the exponent k/d is
+(l*q + j/g)/q in lowest terms, with g = gcd(j, d) and q = d/g, so it takes
+one gcd per residue j and builds each nonzero term's text in one
+expression, the integer exponents at the multiples of d being the only
+special terms.  A normal form, which arithmetic returns, prints term by
+term.  :meth:`Spectrum.items`, :meth:`Spectrum.support` and
 :meth:`Spectrum.coefficient` speak :class:`fractions.Fraction`; exponents
 given to the checking constructor or to :meth:`Spectrum.coefficient` are
 exact rationals, read by :func:`curvespec.arrangement._rational`.
@@ -118,10 +117,9 @@ class Spectrum:
             raise ValueError(f"grid denominator must be a positive integer, got {_echo(den)}")
         data: dict[int, int] = {}
         for k, n in items:
-            # Plain ints, the usual case, skip the isinstance checks.
-            if type(n) is not int and not _is_int(n):
+            if not _is_int(n):
                 raise TypeError(f"coefficient must be an integer, got {_echo(n)}")
-            if type(k) is not int and not _is_int(k):
+            if not _is_int(k):
                 raise TypeError(f"grid numerator must be an integer, got {_echo(k)}")
             data[k] = data.get(k, 0) + n
         _set(self, None, 0, _lowest(den, data.items()))
@@ -159,14 +157,11 @@ class Spectrum:
             _SET_NORMAL(self, normal)
         return normal
 
-    def _ordered(self) -> Tuple[int, Iterable[Tuple[int, int]]]:
-        """A grid denominator and the (numerator, coefficient) pairs of the
-        nonzero terms over it, in increasing exponent order."""
-        run = self._run
-        if run is None:
-            den, terms = self._normal
-            return den, sorted(terms.items())
-        return self._grid, ((k, n) for k, n in enumerate(run, 1) if n)
+    def _ordered(self) -> Tuple[int, list[Tuple[int, int]]]:
+        """The least grid denominator and the (numerator, coefficient) pairs
+        of the nonzero terms over it, in increasing exponent order."""
+        den, terms = self._normal_form()
+        return den, sorted(terms.items())
 
     # -- inspection --------------------------------------------------
 
@@ -177,14 +172,9 @@ class Spectrum:
 
     def coefficient(self, alpha: RationalLike) -> int:
         alpha = _exponent(alpha)
-        run = self._run
-        if run is None:
-            den, terms = self._normal
-            scale, rest = divmod(den, alpha.denominator)
-            return 0 if rest else terms.get(alpha.numerator * scale, 0)
-        scale, rest = divmod(self._grid, alpha.denominator)
-        k = alpha.numerator * scale
-        return run[k - 1] if not rest and 0 < k <= len(run) else 0
+        den, terms = self._normal_form()
+        scale, rest = divmod(den, alpha.denominator)
+        return 0 if rest else terms.get(alpha.numerator * scale, 0)
 
     def support(self) -> Tuple[Fraction, ...]:
         den, pairs = self._ordered()
@@ -203,12 +193,7 @@ class Spectrum:
         return iter(self.items())
 
     def __len__(self) -> int:
-        run = self._run
-        return len(self._normal[1]) if run is None else len(run) - run.count(0)
-
-    def __bool__(self) -> bool:
-        run = self._run
-        return bool(self._normal[1]) if run is None else any(run)
+        return len(self._normal_form()[1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Spectrum):
@@ -393,7 +378,7 @@ def format_spectrum(s: Spectrum, style: str = "plain") -> str:
     a time, with one gcd per residue j shared by the levels (see
     :func:`_run_texts`); a normal form, which arithmetic returns, prints
     term by term, one gcd per term."""
-    if style not in _STYLES:
+    if not (isinstance(style, str) and style in _STYLES):
         raise ValueError(f"unknown spectrum style {_echo(style)}")
     run = s._run
     if run is not None:

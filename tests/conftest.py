@@ -125,10 +125,10 @@ def arrangement_graphs(
     return ArrangementGraph(tuple(comps), tuple(points))
 
 
-# Summaries for the walks over types whose branches all sit on one
-# component multiplicity m, where m_v = m*m_red and both routes read the
-# twist in closed form: every type is sorted, no branch multiplicity
-# exceeds the degree it draws on, and so m_v <= d.
+# Summaries of types whose branches all sit on one component multiplicity
+# m, where m_v = m*m_red and the general kernel reads the twist in closed
+# form: every type is sorted, no branch multiplicity exceeds the degree it
+# draws on, and so m_v <= d.
 ONE_MULTIPLICITY_SUMMARIES = {
     "smooth-points-m_red=1": PointTypeSummary({1: 2, 3: 2}, 2, {((1, 1),): 3, ((3, 1),): 2}),
     "nodes-on-equal-multiplicities": PointTypeSummary(

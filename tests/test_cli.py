@@ -89,6 +89,23 @@ def lines_file(tmp_path, doc):
     return str(path)
 
 
+class TestStoredBenchmarkInputs:
+    """The stored `compute` and `lines` inputs of the benchmark, each run
+    once with --verify: the characteristic-class route must agree with the
+    printed spectrum, which must be the stored one."""
+
+    @pytest.mark.parametrize("command", ["compute", "lines"])
+    def test_verify_prints_the_stored_stdout(self, tmp_path, capsys, command):
+        data = Path(__file__).resolve().parent.parent / "bench" / "data" / f"{command}.json"
+        items = json.loads(data.read_text(encoding="utf-8"))["items"]
+        assert len(items) == {"compute": 96, "lines": 35}[command]
+        for index, item in enumerate(items):
+            path = tmp_path / f"{command}-{index}.json"
+            path.write_text(json.dumps(item["input"]), encoding="utf-8")
+            code = main([command, str(path), "--verify"])
+            assert (code, *capsys.readouterr()) == (0, item["stdout"], ""), index
+
+
 class TestCompute:
     def test_plain_output(self, tmp_path, capsys):
         assert main(["compute", arrangement_file(tmp_path, NODAL_CUBIC)]) == 0

@@ -194,6 +194,34 @@ class TestStructure:
         assert top == expected
 
 
+class TestAccessors:
+    def test_coefficients(self):
+        x = CohClass(2, "1/3", {"v": -1}, Fraction(5, 2))
+        assert (x.a, x.b0, x.bv, x.c) == (2, Fraction(1, 3), {"v": -1}, Fraction(5, 2))
+        assert CohClass().c == 0
+
+    def test_repr(self):
+        x = CohClass(1, 2, {"v": Fraction(1, 2), "u": -1}, 3)
+        assert repr(x) == "CohClass(1 + 2*e0 + -1*e[u] + 1/2*e[v] + 3*e0^2)"
+        assert repr(CohClass(b0=-1, bv={"w": 0})) == "CohClass(-1*e0)"
+        assert repr(CohClass()) == "CohClass(0)"
+
+    def test_foreign_operands_are_not_implemented(self):
+        for other in (1, None, "1", Fraction(1)):
+            assert ONE.__eq__(other) is NotImplemented
+            assert ONE.__add__(other) is NotImplemented
+            assert ONE.__sub__(other) is NotImplemented
+            assert ONE != other
+            with pytest.raises(TypeError):
+                ONE + other
+            with pytest.raises(TypeError):
+                ONE - other
+        for other in (None, 1.5, True, "x"):
+            assert ONE.__mul__(other) is NotImplemented
+            with pytest.raises(TypeError):
+                ONE * other
+
+
 class TestScalarMultiplication:
     def test_non_numeric_string_is_a_type_error(self):
         for bad in ("abc", "", "1/0x"):

@@ -406,6 +406,10 @@ class TestIrreduciblePower:
         with pytest.raises(ValueError):
             spectrum_irreducible_power(0, 1, [])
 
+    def test_power_below_one(self):
+        with pytest.raises(ValueError, match="power must be >= 1, got 0"):
+            spectrum_irreducible_power(3, 0, [])
+
     @given(st.integers(2, 5), st.integers(1, 4), st.lists(st.integers(2, 5), max_size=4))
     def test_support_on_fine_grid(self, d, m, mults):
         mults = [min(mu, d) for mu in mults]
@@ -475,6 +479,32 @@ class TestIsolated:
     @given(st.integers(1, 12))
     def test_matches_pointless_single_component(self, d):
         assert spectrum_general(graph([(d, 1)])) == spectrum_isolated(d, 3)
+
+
+# Closed-display calls with an argument or list entry that is not an int,
+# or is a bool: each must raise TypeError before its j loop.
+NON_INT_ARGUMENTS = {
+    "power-float-entry": (spectrum_irreducible_power, (3, 2, [2.0]), "point multiplicity"),
+    "power-bool-entry": (spectrum_irreducible_power, (3, 1, [True]), "point multiplicity"),
+    "power-bool-power": (spectrum_irreducible_power, (3, True, []), "power"),
+    "power-float-power": (spectrum_irreducible_power, (3, 2.0, []), "power"),
+    "power-bool-degree": (spectrum_irreducible_power, (True, 1, []), "degree"),
+    "power-float-degree": (spectrum_irreducible_power, (3.0, 1, [2]), "degree"),
+    "binary-bool-entry": (spectrum_binary_linear, ([True, 2],), "multiplicity"),
+    "binary-float-entry": (spectrum_binary_linear, ([1, 2.0],), "multiplicity"),
+    "binary-string-entry": (spectrum_binary_linear, (["1"],), "multiplicity"),
+    "isolated-float-degree": (spectrum_isolated, (2.0, 2), "degree"),
+    "isolated-bool-degree": (spectrum_isolated, (True, 2), "degree"),
+    "isolated-bool-dimension": (spectrum_isolated, (2, True), "ambient dimension"),
+    "isolated-float-dimension": (spectrum_isolated, (2, 2.0), "ambient dimension"),
+}
+
+
+@pytest.mark.parametrize("case", NON_INT_ARGUMENTS.values(), ids=NON_INT_ARGUMENTS.keys())
+def test_closed_displays_take_only_int_arguments(case):
+    function, args, name = case
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        function(*args)
 
 
 class TestPointSetInvariance:

@@ -188,6 +188,25 @@ class TestAlgebra:
         assert s - s == Spectrum.zero()
         assert -s == Spectrum({1: -2})
 
+    def test_foreign_operands_are_not_implemented(self):
+        s = Spectrum.term(1)
+        for other in (1, "t", Fraction(1), None):
+            assert s.__eq__(other) is NotImplemented
+            assert s.__add__(other) is NotImplemented
+            assert s.__sub__(other) is NotImplemented
+            assert s != other
+            with pytest.raises(TypeError):
+                s + other
+            with pytest.raises(TypeError):
+                s - other
+        for other in ("t", True, 1.5, Fraction(1), None):
+            assert s.__mul__(other) is NotImplemented
+            assert s.__rmul__(other) is NotImplemented
+            with pytest.raises(TypeError):
+                s * other
+            with pytest.raises(TypeError):
+                other * s
+
     @given(spectra(), spectra())
     def test_mul_commutative(self, a, b):
         assert a * b == b * a
@@ -256,6 +275,15 @@ class TestFormat:
     def test_unknown_style(self):
         with pytest.raises(ValueError):
             format_spectrum(Spectrum.zero(), "html")
+        # An unhashable style is unknown too, not a TypeError.
+        with pytest.raises(ValueError, match="unknown spectrum style"):
+            format_spectrum(Spectrum.zero(), [])
+
+    def test_repr_and_str(self):
+        for s in (Spectrum({1: 1, Fraction(4, 3): 2}), Spectrum._dense(3, [0, 0, 1, 2])):
+            assert str(s) == "t + 2*t^(4/3)"
+            assert repr(s) == "Spectrum('t + 2*t^(4/3)')"
+        assert repr(Spectrum.zero()) == "Spectrum('0')"
 
 
 class TestParse:
