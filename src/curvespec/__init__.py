@@ -15,19 +15,15 @@ from .arrangement import (
     ArrangementGraph,
     Branch,
     Component,
-    DerivedData,
     InvalidArrangementError,
     SingularPoint,
     ValidationReport,
-    derived,
     graph_from_dict,
     graph_to_dict,
     load_arrangement,
     require_valid,
     validate,
 )
-from .binomial import binom, ceil_div
-from .cohomology import CohClass
 from .formulas import (
     spectrum_binary_linear,
     spectrum_general,
@@ -39,21 +35,8 @@ from .formulas import (
 )
 from .lines import incidence_graph, load_lines, normalize_form
 from .randomgraphs import GraphBounds, SplitMix64, generate_graph
-from .riemann_roch import (
-    chern_cotangent_log,
-    chern_tangent,
-    euler_characteristic,
-    spectrum_via_riemann_roch,
-    todd,
-    twist_class,
-)
-from .spectrum import (
-    Spectrum,
-    SpectrumParseError,
-    dummy_shift,
-    format_spectrum,
-    parse_spectrum,
-)
+from .riemann_roch import spectrum_via_riemann_roch
+from .spectrum import Spectrum, SpectrumParseError, format_spectrum, parse_spectrum
 
 __version__ = "0.1.0"
 
@@ -61,9 +44,7 @@ __all__ = [
     "ArrangementFormatError",
     "ArrangementGraph",
     "Branch",
-    "CohClass",
     "Component",
-    "DerivedData",
     "GraphBounds",
     "InvalidArrangementError",
     "SingularPoint",
@@ -71,13 +52,6 @@ __all__ = [
     "SpectrumParseError",
     "SplitMix64",
     "ValidationReport",
-    "binom",
-    "ceil_div",
-    "chern_cotangent_log",
-    "chern_tangent",
-    "derived",
-    "dummy_shift",
-    "euler_characteristic",
     "format_spectrum",
     "generate_graph",
     "graph_from_dict",
@@ -96,7 +70,5 @@ __all__ = [
     "spectrum_reduced",
     "spectrum_smooth_components",
     "spectrum_via_riemann_roch",
-    "todd",
-    "twist_class",
     "validate",
 ]

@@ -42,14 +42,12 @@ __all__ = [
     "ArrangementGraph",
     "Branch",
     "Component",
-    "DerivedData",
     "InvalidArrangementError",
     "MAX_TOTAL_DEGREE",
     "PointTypeSummary",
     "SingularPoint",
     "ValidationReport",
     "complement_euler_characteristic",
-    "derived",
     "graph_from_dict",
     "graph_to_dict",
     "load_arrangement",

@@ -24,10 +24,13 @@ second implementation, and the graph is still validated once.  The
 reduced, irreducible-power, binary and isolated displays are separate code
 that shares no formula code with the kernel, so each of them is an
 independent check of the general formula on its own domain, and the test
-suite checks that.  They evaluate every j directly; the reduced display
-groups the summary's point types by m_v, folds their branch pair counts,
-which do not depend on j, into one constant, and reads each group's
-quadratics at j from a table over c = ceil(j*m_v/d).
+suite checks that.  They evaluate every j directly (the isolated form
+counts its coefficients by window sums); the reduced display groups the
+summary's point types by m_v, folds their branch pair counts, which do
+not depend on j, into one constant, and reads each group's quadratics at
+j from a table over c = ceil(j*m_v/d).  The displays that take library
+arguments instead of a validated graph refuse a total degree above
+``MAX_TOTAL_DEGREE`` themselves.
 
 Shared shape of all the plane-curve formulas: for each j in [1, d] (d the
 total degree) three integer coefficients are produced at the exponents
@@ -49,9 +52,10 @@ between the j-loop and the printed output.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
-from .arrangement import ArrangementGraph, PointTypeSummary, _echo, _require, require_valid
+from .arrangement import MAX_TOTAL_DEGREE, ArrangementGraph, PointTypeSummary, _echo, _require, require_valid
 from .binomial import binom, ceil_div
 from .spectrum import Spectrum
 
@@ -64,6 +68,14 @@ __all__ = [
     "spectrum_reduced",
     "spectrum_smooth_components",
 ]
+
+
+def _bounded(total: int) -> int:
+    """``total``, the total degree of a display's input, unless it exceeds
+    the limit that ``validate`` puts on every arrangement."""
+    if total > MAX_TOTAL_DEGREE:
+        raise ValueError(f"total degree {total} exceeds the limit {MAX_TOTAL_DEGREE}")
+    return total
 
 
 def _three_level_spectrum(d: int, n0: list[int], n1: list[int], n2: list[int]) -> Spectrum:
@@ -309,10 +321,10 @@ def spectrum_irreducible_power(d: int, m: int, point_mults: Sequence[int]) -> Sp
         raise ValueError(f"degree must be >= 1, got {d}")
     if _require(m, int, "power", error=TypeError) < 1:
         raise ValueError(f"power must be >= 1, got {m}")
+    total = _bounded(m * d)
     for mu in point_mults:
         if not 2 <= _require(mu, int, "point multiplicity", error=TypeError) <= d:
             raise ValueError(f"point multiplicity must lie in [2, {d}], got {mu}")
-    total = m * d
     curve_pairs = binom(d, 2)
 
     run0, run1, run2 = [], [], []
@@ -342,7 +354,7 @@ def spectrum_binary_linear(mults: Sequence[int]) -> Spectrum:
     for m in mults:
         if _require(m, int, "multiplicity", error=TypeError) < 1:
             raise ValueError(f"multiplicity must be >= 1, got {m}")
-    d = sum(mults)
+    d = _bounded(sum(mults))
     d_red = len(mults)
     run0, run1 = [], []
     for j in range(1, d + 1):
@@ -357,14 +369,18 @@ def spectrum_isolated(d: int, n: int) -> Spectrum:
     """Spectrum of a homogeneous polynomial of degree d in n variables with
     an isolated singularity: the n-th power of t^(1/d) + ... + t^((d-1)/d).
 
-    d = 1 gives the zero spectrum (empty geometric sum).
+    The coefficient at t^(k/d) counts the ways to write k as a sum of n
+    numerators in [1, d - 1]: one factor's box, then n - 1 window sums of
+    width d - 1 over k = 0..3d, each one prefix pass, so the cost grows
+    linearly with d.  d = 1 gives the zero spectrum (empty geometric sum).
     """
     if _require(d, int, "degree", error=TypeError) < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     if _require(n, int, "ambient dimension", error=TypeError) not in (1, 2, 3):
         raise ValueError(f"ambient dimension must be 1, 2 or 3, got {n}")
-    factor = Spectrum([(i, 1) for i in range(1, d)], den=d)
-    result = Spectrum.term(0)
-    for _ in range(n):
-        result = result * factor
-    return result
+    _bounded(d)
+    run = [0] + [1] * (d - 1) + [0] * (2 * d + 1)
+    for _ in range(n - 1):
+        prefix = [0, *accumulate(run)]  # prefix[k] = sum(run[:k])
+        run = [prefix[k] - prefix[max(k - d + 1, 0)] for k in range(3 * d + 1)]
+    return Spectrum._dense(d, run[1:])

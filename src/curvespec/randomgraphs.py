@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import MAX_TOTAL_DEGREE, ArrangementGraph, Branch, Component, SingularPoint
+from .arrangement import MAX_TOTAL_DEGREE, ArrangementGraph, Branch, Component, SingularPoint, _require
 
 __all__ = [
     "MAX_GRAPH_SIZE",
@@ -63,7 +63,7 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        self.state = _require(seed, int, "seed", error=TypeError) & _MASK
 
     def next_u64(self) -> int:
         self.state = z = (self.state + 0x9E3779B97F4A7C15) & _MASK
@@ -91,7 +91,10 @@ class GraphBounds:
     max_mult: int = 4
 
     def __post_init__(self):
-        for name, low in (("max_components", 1), ("max_points", 0), ("max_degree", 1), ("max_mult", 1)):
+        lows = (("max_components", 1), ("max_points", 0), ("max_degree", 1), ("max_mult", 1))
+        for name, _ in lows:
+            _require(getattr(self, name), int, name, error=TypeError)
+        for name, low in lows:
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}")
         for name in ("max_components", "max_points"):

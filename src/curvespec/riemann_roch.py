@@ -7,14 +7,14 @@ its wedge powers, twist by an explicit divisor class depending on an
 integer sample index j, multiply by the Todd class, and integrate.  The
 resulting Euler characteristics assemble into spectrum coefficients.
 
-The public per-point builds (:func:`chern_tangent`,
-:func:`chern_cotangent_log`, :func:`todd`, :func:`wedge_ch`,
-:func:`euler_characteristic`) work from first principles in the truncated
-cohomology ring; they are the reference.  The spectrum route takes the log
-cotangent class from its closed expansion instead, written once in
-:func:`_log_chern`, and the Todd class from its closed form; the
-``*_closed`` functions are per-point views of those expansions, so tests
-compare the two builds.  Agreement of :func:`spectrum_via_riemann_roch`
+The per-point builds (:func:`chern_tangent`, :func:`chern_cotangent_log`,
+:func:`todd`, :func:`wedge_ch`, :func:`euler_characteristic`) work from
+first principles in the truncated cohomology ring; they are the tests'
+reference, importable from this module but not exported by the package.
+The spectrum route takes the log cotangent class from its closed
+expansion instead, written once in :func:`_log_chern`, and the Todd class
+from its closed form; the ``*_closed`` functions are per-point views of
+those expansions, so tests compare the two builds.  Agreement of :func:`spectrum_via_riemann_roch`
 with the combinatorial formulas in :mod:`curvespec.formulas` is the
 package's central cross-validation.
 
@@ -50,18 +50,7 @@ from .arrangement import ArrangementGraph, PointTypeSummary, derived, require_va
 from .cohomology import ONE, CohClass, exceptional_class, hyperplane_e0, point_e, product
 from .spectrum import Spectrum
 
-__all__ = [
-    "chern_cotangent_log",
-    "chern_cotangent_log_closed",
-    "chern_tangent",
-    "euler_characteristic",
-    "line_bundle_ch",
-    "spectrum_via_riemann_roch",
-    "todd",
-    "todd_closed",
-    "twist_class",
-    "wedge_ch",
-]
+__all__ = ["spectrum_via_riemann_roch"]
 
 
 def _branch_mults(graph: ArrangementGraph) -> list[dict[str, int]]:

@@ -55,7 +55,6 @@ from .arrangement import RationalLike, _echo, _rational
 __all__ = [
     "Spectrum",
     "SpectrumParseError",
-    "dummy_shift",
     "format_spectrum",
     "parse_spectrum",
 ]
@@ -267,16 +266,6 @@ def _set(s: Spectrum, run: list[int] | None, grid: int, normal: Tuple[int, dict[
     _SET_RUN(s, run)
     _SET_GRID(s, grid)
     _SET_NORMAL(s, normal)
-
-
-def dummy_shift(s: Spectrum) -> Spectrum:
-    """Spectrum of the same polynomial after adding one unused variable.
-
-    Adding a dummy variable multiplies the spectrum by -t (the spectrum of
-    a smooth 1-variable function under the join), so a value computed in
-    ambient dimension n is carried to dimension n + 1.
-    """
-    return Spectrum.term(1, -1) * s
 
 
 # ---------------------------------------------------------------------

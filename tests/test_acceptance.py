@@ -36,7 +36,7 @@ from curvespec.riemann_roch import (
     todd_closed,
     twist_class,
 )
-from curvespec.spectrum import dummy_shift, parse_spectrum
+from curvespec.spectrum import Spectrum, parse_spectrum
 
 from conftest import (
     crossing_powers_closed_form,
@@ -177,7 +177,8 @@ def test_criterion_7_binary_forms(capsys):
     with criterion(capsys, 7, "binary linear forms match the two-variable isolated form"):
         for d in range(2, 11):
             assert spectrum_binary_linear([1] * d) == spectrum_isolated(d, 2)
-        shifted = dummy_shift(spectrum_binary_linear([1, 1]))
+        # A dummy variable multiplies the spectrum by -t.
+        shifted = Spectrum.term(1, -1) * spectrum_binary_linear([1, 1])
         assert shifted == parse_spectrum("-t^2")
         assert shifted == spectrum_general(two_line_powers(1, 1))
 

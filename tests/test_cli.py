@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -56,6 +57,8 @@ TRIANGLE_LINES = [
     {"form": [0, 0, 1]},
 ]
 
+DATA = Path(__file__).resolve().parent / "data"
+
 DEGREE_BOUNDS_ERROR = "error: max_components * max_degree * max_mult exceeds the total degree limit 100000\n"
 
 
@@ -104,6 +107,27 @@ class TestStoredBenchmarkInputs:
             path.write_text(json.dumps(item["input"]), encoding="utf-8")
             code = main([command, str(path), "--verify"])
             assert (code, *capsys.readouterr()) == (0, item["stdout"], ""), index
+
+
+class TestCliManifest:
+    """Every call of tests/data/make_cli_manifest.py gives the exit code and
+    the stdout and stderr digests that tests/data/cli_manifest.json records:
+    a refactor keeps the CLI's bytes, and a change that means to move them
+    regenerates the manifest."""
+
+    def test_every_call_matches_the_manifest(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location("make_cli_manifest", DATA / "make_cli_manifest.py")
+        make = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make)
+        manifest = json.loads(make.MANIFEST.read_text(encoding="utf-8"))
+        counts = make.write_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        replayed: dict[str, set] = {}
+        for argv in make.calls(counts):
+            group, rest = make.split(argv)
+            assert make.run(argv) == manifest.get(group, {}).get(rest), " ".join(argv)
+            replayed.setdefault(group, set()).add(rest)
+        assert replayed == {group: set(entries) for group, entries in manifest.items()}
 
 
 class TestCompute:

@@ -21,6 +21,7 @@ from conftest import (
     two_line_powers,
 )
 from curvespec.arrangement import (
+    MAX_TOTAL_DEGREE,
     ArrangementGraph,
     Branch,
     PointTypeSummary,
@@ -42,7 +43,7 @@ from curvespec.formulas import (
 from curvespec.lines import incidence_graph
 from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
 from curvespec.riemann_roch import twist_class
-from curvespec.spectrum import Spectrum, dummy_shift
+from curvespec.spectrum import Spectrum
 
 
 class TestGeneral:
@@ -376,7 +377,9 @@ class TestHyperplane:
         )
 
     def test_pencil_matches_dummy_shifted_planar_value(self):
-        assert spectrum_hyperplane(pencil_graph()) == dummy_shift(spectrum_binary_linear([1, 1, 1]))
+        # A dummy variable multiplies the spectrum by -t (the join with a
+        # smooth one-variable function).
+        assert spectrum_hyperplane(pencil_graph()) == Spectrum.term(1, -1) * spectrum_binary_linear([1, 1, 1])
 
     def test_rejects_higher_degree(self):
         with pytest.raises(ValueError):
@@ -479,6 +482,48 @@ class TestIsolated:
     @given(st.integers(1, 12))
     def test_matches_pointless_single_component(self, d):
         assert spectrum_general(graph([(d, 1)])) == spectrum_isolated(d, 3)
+
+    def test_is_the_power_of_the_geometric_sum(self):
+        for d in range(1, 31):
+            factor = Spectrum([(i, 1) for i in range(1, d)], den=d)
+            power = Spectrum.term(0)
+            for n in (1, 2, 3):
+                power = power * factor
+                assert spectrum_isolated(d, n) == power, (d, n)
+
+
+# Each closed display at the total degree limit, with the spectrum's value
+# at t = 1 ((d - 1)^3 for a pointless curve, 1 - d for one binary form
+# raised to d, (d - 1)^n for the isolated form), and past the limit, where
+# it must refuse before its j loop.
+AT_THE_DEGREE_LIMIT = {
+    "power": (spectrum_irreducible_power, (MAX_TOTAL_DEGREE, 1, []), (MAX_TOTAL_DEGREE - 1) ** 3),
+    "binary": (spectrum_binary_linear, ([MAX_TOTAL_DEGREE],), 1 - MAX_TOTAL_DEGREE),
+    "isolated": (spectrum_isolated, (MAX_TOTAL_DEGREE, 1), MAX_TOTAL_DEGREE - 1),
+}
+PAST_THE_DEGREE_LIMIT = {
+    "power-degree": (spectrum_irreducible_power, (MAX_TOTAL_DEGREE + 1, 1, []), MAX_TOTAL_DEGREE + 1),
+    "power-power": (spectrum_irreducible_power, (1, MAX_TOTAL_DEGREE + 1, []), MAX_TOTAL_DEGREE + 1),
+    "power-product": (spectrum_irreducible_power, (1000, 101, [2] * 20), 101_000),
+    "power-far": (spectrum_irreducible_power, (10**9, 10**9, []), 10**18),
+    "binary": (spectrum_binary_linear, ([MAX_TOTAL_DEGREE, 1],), MAX_TOTAL_DEGREE + 1),
+    "binary-far": (spectrum_binary_linear, ([10**6] * 200,), 2 * 10**8),
+    "isolated": (spectrum_isolated, (MAX_TOTAL_DEGREE + 1, 3), MAX_TOTAL_DEGREE + 1),
+    "isolated-far": (spectrum_isolated, (10**12, 3), 10**12),
+}
+
+
+@pytest.mark.parametrize("case", AT_THE_DEGREE_LIMIT.values(), ids=AT_THE_DEGREE_LIMIT.keys())
+def test_closed_displays_take_the_degree_limit(case):
+    function, args, value = case
+    assert function(*args).eval_at_one() == value
+
+
+@pytest.mark.parametrize("case", PAST_THE_DEGREE_LIMIT.values(), ids=PAST_THE_DEGREE_LIMIT.keys())
+def test_closed_displays_refuse_past_the_degree_limit(case):
+    function, args, total = case
+    with pytest.raises(ValueError, match=f"^total degree {total} exceeds the limit {MAX_TOTAL_DEGREE}$"):
+        function(*args)
 
 
 # Closed-display calls with an argument or list entry that is not an int,

@@ -3,12 +3,15 @@ routes, the public names, and the names the benchmark's tracer wraps."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import curvespec
 import curvespec.cli
 import curvespec.cohomology
 import curvespec.formulas
@@ -16,6 +19,54 @@ import curvespec.lines
 import curvespec.riemann_roch
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# What `import curvespec` promises.
+PRODUCT = [
+    "ArrangementFormatError",
+    "ArrangementGraph",
+    "Branch",
+    "Component",
+    "GraphBounds",
+    "InvalidArrangementError",
+    "SingularPoint",
+    "Spectrum",
+    "SpectrumParseError",
+    "SplitMix64",
+    "ValidationReport",
+    "format_spectrum",
+    "generate_graph",
+    "graph_from_dict",
+    "graph_to_dict",
+    "incidence_graph",
+    "load_arrangement",
+    "load_lines",
+    "normalize_form",
+    "parse_spectrum",
+    "require_valid",
+    "spectrum_binary_linear",
+    "spectrum_general",
+    "spectrum_hyperplane",
+    "spectrum_irreducible_power",
+    "spectrum_isolated",
+    "spectrum_reduced",
+    "spectrum_smooth_components",
+    "spectrum_via_riemann_roch",
+    "validate",
+]
+# The tests' per-point reference, its helpers and a removed function.
+NOT_EXPORTED = [
+    "CohClass",
+    "DerivedData",
+    "binom",
+    "ceil_div",
+    "chern_cotangent_log",
+    "chern_tangent",
+    "derived",
+    "dummy_shift",
+    "euler_characteristic",
+    "todd",
+    "twist_class",
+]
 
 
 def curvespec_imports(module):
@@ -81,6 +132,26 @@ class TestPublicSurface:
             assert hasattr(package, name), name
         assert set(package.__all__) <= exported
 
+    def test_the_package_exports_the_product(self):
+        assert sorted(curvespec.__all__) == sorted(PRODUCT)
+
+    @pytest.mark.parametrize("name", NOT_EXPORTED)
+    def test_the_tests_reference_is_not_exported(self, name):
+        # The per-point reference and its helpers stay importable from
+        # their modules; the package namespace does not carry them.
+        assert not hasattr(curvespec, name)
+
+    def test_the_package_and_its_cli_load_every_wrapped_module(self, tracer):
+        # The benchmark imports curvespec and curvespec.cli, then wraps
+        # names in these modules; a module only the package namespace
+        # imported would be missing once the namespace stops naming it.
+        wanted = {module for module, *_ in tracer.FUNCTIONS} | {module for module, *_ in tracer.METHODS}
+        src = str(Path(curvespec.__file__).resolve().parent.parent)
+        script = "import sys, curvespec, curvespec.cli; print(*sorted(sys.modules))"
+        env = {**os.environ, "PYTHONPATH": src}
+        loaded = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert {f"curvespec.{module}" for module in wanted} <= set(loaded.stdout.split())
+
 
 @pytest.fixture
 def tracer(monkeypatch):
@@ -111,3 +182,4 @@ class TestBenchmarkHooks:
         for module, cls_name, method, *_ in tracer.METHODS:
             cls = getattr(importlib.import_module(f"curvespec.{module}"), cls_name)
             assert method in cls.__dict__, (module, cls_name, method)
+

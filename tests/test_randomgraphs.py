@@ -32,6 +32,12 @@ class TestSplitMix64:
         assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
         assert SplitMix64(-1).state == (1 << 64) - 1
 
+    @pytest.mark.parametrize("seed", [1.5, True, "1"], ids=["float", "bool", "string"])
+    def test_seed_must_be_an_int(self, seed):
+        # A float seed would fail inside the mask, and True would replay seed 1.
+        with pytest.raises(TypeError, match="^seed must be an integer, got "):
+            SplitMix64(seed)
+
     def test_deterministic(self):
         a = SplitMix64(42)
         b = SplitMix64(42)
@@ -118,6 +124,23 @@ class TestGenerateGraph:
         GraphBounds(**{field: low})
         with pytest.raises(ValueError, match=f"{field} must be at least {low}"):
             GraphBounds(**{field: low - 1})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_mult", 2.0),
+            ("max_points", 2.5),
+            ("max_degree", True),
+            ("max_components", "3"),
+        ],
+    )
+    def test_bounds_must_be_ints(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
+            GraphBounds(**{field: value})
+
+    def test_types_are_checked_before_values(self):
+        with pytest.raises(TypeError, match="^max_mult must be an integer"):
+            GraphBounds(max_components=0, max_mult=2.0)
 
     def test_max_points_zero_yields_pointless_graphs(self):
         g = generate_graph(SplitMix64(0), GraphBounds(max_points=0))

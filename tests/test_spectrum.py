@@ -22,7 +22,6 @@ from curvespec.riemann_roch import spectrum_via_riemann_roch
 from curvespec.spectrum import (
     Spectrum,
     SpectrumParseError,
-    dummy_shift,
     format_spectrum,
     parse_spectrum,
 )
@@ -238,18 +237,6 @@ class TestEvalAtOne:
 
     def test_zero(self):
         assert Spectrum.zero().eval_at_one() == 0
-
-
-class TestDummyShift:
-    def test_node_in_two_variables(self):
-        assert dummy_shift(Spectrum.term(1)) == Spectrum.term(2, -1)
-
-    def test_zero(self):
-        assert dummy_shift(Spectrum.zero()) == Spectrum.zero()
-
-    @given(spectra())
-    def test_shift_is_multiplication_by_minus_t(self, s):
-        assert dummy_shift(s) == Spectrum.term(1, -1) * s
 
 
 class TestFormat:
