@@ -24,13 +24,12 @@ second implementation, and the graph is still validated once.  The
 reduced, irreducible-power, binary and isolated displays are separate code
 that shares no formula code with the kernel, so each of them is an
 independent check of the general formula on its own domain, and the test
-suite checks that.  They evaluate every j directly (the isolated form
-counts its coefficients by window sums); the reduced display groups the
-summary's point types by m_v, folds their branch pair counts, which do
-not depend on j, into one constant, and reads each group's quadratics at
-j from a table over c = ceil(j*m_v/d).  The displays that take library
-arguments instead of a validated graph refuse a total degree above
-``MAX_TOTAL_DEGREE`` themselves.
+suite checks that.  The reduced display reads each j from per-m_v tables
+over c = ceil(j*m_v/d); the power display reads one period, j = 1..d, of
+those tables and repeats it m times; the binary display sums over distinct
+multiplicities and the isolated form uses window sums.  The displays that
+take library arguments instead of a validated graph refuse a total degree
+above ``MAX_TOTAL_DEGREE`` themselves.
 
 Shared shape of all the plane-curve formulas: for each j in [1, d] (d the
 total degree) three integer coefficients are produced at the exponents
@@ -53,10 +52,10 @@ between the j-loop and the printed output.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterable
 
 from .arrangement import MAX_TOTAL_DEGREE, ArrangementGraph, PointTypeSummary, _echo, _require, require_valid
-from .binomial import binom, ceil_div
+from .binomial import binom
 from .spectrum import Spectrum
 
 __all__ = [
@@ -236,10 +235,7 @@ def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
     so this is a second algorithm beside the general kernel.  It reads the
     graph's ``point_types`` summary and groups its types by m_v alone: a
     point's branch pair count does not depend on j, so every type's count
-    times it folds into the j-constant of n1 together with ``comp_pairs``.
-    A group's three quadratics depend on j only through c = ceil(j*m_v/d),
-    so each group tabulates them, times its size, over c = 0..m_v, and a j
-    costs one floor division and three subtractions per group."""
+    times it folds into the j-constant of n1 together with ``comp_pairs``."""
     summary = require_valid(graph).point_types
     if not graph.is_reduced():
         bad = [c.id for c in graph.components if c.multiplicity != 1]
@@ -254,6 +250,17 @@ def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
             pair_term -= count * (mult * (mult - 1) // 2)
         by_point_mult[m_v] = by_point_mult.get(m_v, 0) + count
 
+    run0, run1, run2 = _reduced_runs(d, pair_term, by_point_mult)
+    run2[-1] -= 1
+    return _three_level_spectrum(d, run0, run1, run2)
+
+
+def _reduced_runs(d: int, pair_term: int, by_point_mult: dict[int, int]) -> tuple[list[int], list[int], list[int]]:
+    """Runs n0, n1, n2 over j = 1..d, before the top -1, of a reduced curve
+    of degree d: n1's j-constant ``pair_term``, and ``by_point_mult[m_v]``
+    points of multiplicity m_v, whose quadratics depend on j only through
+    c = ceil(j*m_v/d); each group tabulates them, times its size, over
+    c = 0..m_v, so a j costs a floor division and three subtractions per group."""
     # binom(x, 2) is written x*(x - 1)//2, ceil(j*m_v/d) as (j*m_v + d - 1)//d.
     tables = [
         (
@@ -278,8 +285,7 @@ def spectrum_reduced(graph: ArrangementGraph) -> Spectrum:
         run0.append(n0)
         run1.append(n1)
         run2.append(n2)
-    run2[-1] -= 1
-    return _three_level_spectrum(d, run0, run1, run2)
+    return run0, run1, run2
 
 
 def spectrum_smooth_components(graph: ArrangementGraph) -> Spectrum:
@@ -311,54 +317,49 @@ def spectrum_hyperplane(graph: ArrangementGraph) -> Spectrum:
     return spectrum_general(graph)
 
 
-def spectrum_irreducible_power(d: int, m: int, point_mults: Sequence[int]) -> Spectrum:
+def spectrum_irreducible_power(d: int, m: int, point_mults: Iterable[int]) -> Spectrum:
     """Spectrum of the m-th power of one irreducible degree-d curve whose
-    ordinary multiple points have the given reduced multiplicities.
+    ordinary multiple points have the given reduced multiplicities (any
+    iterable, read once).
 
-    Sampling runs over j in [1, m*d]; exponents live on the 1/(m*d) grid.
+    Exponents live on the 1/(m*d) grid.  For j = (q - 1)*d + r with
+    1 <= r <= d, u0 = d - r and uv = mu - ceil(r*mu/d): one period of the
+    reduced display's runs over r, repeated m times.
     """
     if _require(d, int, "degree", error=TypeError) < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     if _require(m, int, "power", error=TypeError) < 1:
         raise ValueError(f"power must be >= 1, got {m}")
     total = _bounded(m * d)
+    by_point_mult: dict[int, int] = {}
     for mu in point_mults:
         if not 2 <= _require(mu, int, "point multiplicity", error=TypeError) <= d:
             raise ValueError(f"point multiplicity must lie in [2, {d}], got {mu}")
-    curve_pairs = binom(d, 2)
-
-    run0, run1, run2 = [], [], []
-    for j in range(1, total + 1):
-        q = ceil_div(j, d)
-        u0 = q * d - j
-        n0 = binom(d - u0 - 1, 2)
-        n1 = (u0 - 1) * (d - u0 - 1) + curve_pairs
-        n2 = binom(u0 - 1, 2)
-        for mu in point_mults:
-            uv = q * mu - ceil_div(j * mu, d)
-            n0 -= binom(mu - uv - 1, 2)
-            n1 -= uv * (mu - uv - 1) + binom(mu, 2)
-            n2 -= binom(uv, 2)
-        run0.append(n0)
-        run1.append(n1)
-        run2.append(n2)
+        by_point_mult[mu] = by_point_mult.get(mu, 0) + 1
+    pair_term = binom(d, 2) - sum(count * binom(mu, 2) for mu, count in by_point_mult.items())
+    run0, run1, run2 = [run * m for run in _reduced_runs(d, pair_term, by_point_mult)]
     run2[-1] -= 1
     return _three_level_spectrum(total, run0, run1, run2)
 
 
-def spectrum_binary_linear(mults: Sequence[int]) -> Spectrum:
+def spectrum_binary_linear(mults: Iterable[int]) -> Spectrum:
     """Spectrum of a product of distinct linear forms in two variables,
-    the l-th form raised to mults[l].  Exponents lie in (0, 2]."""
-    if not mults:
-        raise ValueError("need at least one linear form")
+    the l-th form raised to mults[l] (any iterable, read once).  Exponents
+    lie in (0, 2].  Each j sums count * ceil(j*m/d) over the k distinct
+    multiplicities, and k(k + 1)/2 <= d."""
+    by_mult: dict[int, int] = {}
     for m in mults:
         if _require(m, int, "multiplicity", error=TypeError) < 1:
             raise ValueError(f"multiplicity must be >= 1, got {m}")
-    d = _bounded(sum(mults))
-    d_red = len(mults)
+        by_mult[m] = by_mult.get(m, 0) + 1
+    if not by_mult:
+        raise ValueError("need at least one linear form")
+    d = _bounded(sum(m * count for m, count in by_mult.items()))
+    d_red = sum(by_mult.values())
+    top = d - 1
     run0, run1 = [], []
     for j in range(1, d + 1):
-        ceil_sum = sum(ceil_div(j * m, d) for m in mults)
+        ceil_sum = sum([count * ((j * m + top) // d) for m, count in by_mult.items()])
         run0.append(d_red - ceil_sum + j - 1)
         run1.append(ceil_sum - j - 1)
     run1[-1] += 1

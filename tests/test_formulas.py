@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -390,6 +390,46 @@ class TestHyperplane:
         assert spectrum_hyperplane(g) == spectrum_general(g)
 
 
+def per_j_power(d, m, point_mults):
+    """The irreducible-power display with every point evaluated at every
+    j in [1, m*d]: the reference for the period read through the reduced
+    display's tables."""
+    total = m * d
+    terms = []
+    for j in range(1, total + 1):
+        q = ceil_div(j, d)
+        u0 = q * d - j
+        n0 = binom(d - u0 - 1, 2)
+        n1 = (u0 - 1) * (d - u0 - 1) + binom(d, 2)
+        n2 = binom(u0 - 1, 2) - (1 if j == total else 0)
+        for mu in point_mults:
+            uv = q * mu - ceil_div(j * mu, d)
+            n0 -= binom(mu - uv - 1, 2)
+            n1 -= uv * (mu - uv - 1) + binom(mu, 2)
+            n2 -= binom(uv, 2)
+        terms += [(j, n0), (total + j, n1), (2 * total + j, n2)]
+    return Spectrum(terms, den=total)
+
+
+@st.composite
+def power_arguments(draw):
+    """(d, m, point_mults) with d <= 12, m <= 6 and up to 10 point
+    multiplicities in [2, d], repeats allowed."""
+    d = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 6))
+    mults = draw(st.lists(st.integers(2, d), max_size=10)) if d >= 2 else []
+    return d, m, mults
+
+
+# The same values as each kind of iterable: both displays read their list once.
+ITERABLES = {
+    "list": list,
+    "tuple": tuple,
+    "iterator": iter,
+    "generator": lambda values: (v for v in values),
+}
+
+
 class TestIrreduciblePower:
     def test_nodal_cubic(self):
         assert spectrum_irreducible_power(3, 1, [2]) == spectrum_general(nodal_cubic())
@@ -427,6 +467,32 @@ class TestIrreduciblePower:
         g = graph([(d, m)], [[(0, mu)] for mu in mults])
         assert spectrum_irreducible_power(d, m, mults) == spectrum_general(g)
 
+    @given(power_arguments())
+    @example((1, 6, []))
+    @example((7, 3, []))
+    @example((9, 1, [2, 3, 3, 9]))
+    @example((5, 4, [5, 5, 2]))
+    @example((2, 6, [2] * 10))
+    def test_matches_per_j_power(self, args):
+        assert spectrum_irreducible_power(*args) == per_j_power(*args)
+
+    @pytest.mark.parametrize("kind", ITERABLES.values(), ids=ITERABLES.keys())
+    def test_reads_any_iterable_once(self, kind):
+        mults = [2, 3, 3, 6]
+        assert spectrum_irreducible_power(6, 2, kind(mults)) == spectrum_irreducible_power(6, 2, mults)
+        assert spectrum_irreducible_power(3, 1, kind([2])) == spectrum_irreducible_power(3, 1, [2])
+
+
+def per_form_binary(mults):
+    """The binary display summing ceil(j*m/d) over every form at every j:
+    the reference for the forms counted by multiplicity."""
+    d = sum(mults)
+    terms = []
+    for j in range(1, d + 1):
+        ceil_sum = sum(ceil_div(j * m, d) for m in mults)
+        terms += [(j, len(mults) - ceil_sum + j - 1), (d + j, ceil_sum - j - 1 + (1 if j == d else 0))]
+    return Spectrum(terms, den=d)
+
 
 class TestBinaryLinear:
     def test_two_distinct_forms(self):
@@ -454,6 +520,21 @@ class TestBinaryLinear:
         for alpha, _ in spectrum_binary_linear(mults).items():
             assert 0 < alpha <= 2
             assert (alpha * d).denominator == 1
+
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=10))
+    def test_matches_per_form_binary(self, mults):
+        assert spectrum_binary_linear(mults) == per_form_binary(mults)
+
+    @pytest.mark.parametrize("kind", ITERABLES.values(), ids=ITERABLES.keys())
+    def test_reads_any_iterable_once(self, kind):
+        mults = [1, 3, 1, 2, 3]
+        assert spectrum_binary_linear(kind(mults)) == spectrum_binary_linear(mults)
+        assert spectrum_binary_linear(kind([1, 1])) == Spectrum.term(1)
+
+    @pytest.mark.parametrize("kind", ITERABLES.values(), ids=ITERABLES.keys())
+    def test_empty_iterable_rejected(self, kind):
+        with pytest.raises(ValueError, match="^need at least one linear form$"):
+            spectrum_binary_linear(kind([]))
 
 
 class TestIsolated:
@@ -493,12 +574,20 @@ class TestIsolated:
 
 
 # Each closed display at the total degree limit, with the spectrum's value
-# at t = 1 ((d - 1)^3 for a pointless curve, 1 - d for one binary form
-# raised to d, (d - 1)^n for the isolated form), and past the limit, where
-# it must refuse before its j loop.
+# at t = 1 ((d - 1)^3 for a pointless curve, d * chi(complement) - 1 for a
+# curve with points, 1 - d for one binary form raised to d, (d - 1)^2 for d
+# distinct forms, (d - 1)^n for the isolated form), and past the limit,
+# where it must refuse before its j loop.  The long lists pin that the cost
+# does not grow with the number of entries.
 AT_THE_DEGREE_LIMIT = {
     "power": (spectrum_irreducible_power, (MAX_TOTAL_DEGREE, 1, []), (MAX_TOTAL_DEGREE - 1) ** 3),
+    "power-many-points": (
+        spectrum_irreducible_power,
+        (1000, 100, [2] * 2000),
+        MAX_TOTAL_DEGREE * complement_euler_characteristic(graph([(1000, 100)], [[(0, 2)]] * 2000)) - 1,
+    ),
     "binary": (spectrum_binary_linear, ([MAX_TOTAL_DEGREE],), 1 - MAX_TOTAL_DEGREE),
+    "binary-many-forms": (spectrum_binary_linear, ([1] * MAX_TOTAL_DEGREE,), (MAX_TOTAL_DEGREE - 1) ** 2),
     "isolated": (spectrum_isolated, (MAX_TOTAL_DEGREE, 1), MAX_TOTAL_DEGREE - 1),
 }
 PAST_THE_DEGREE_LIMIT = {

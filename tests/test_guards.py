@@ -98,7 +98,8 @@ class TestIndependence:
         assert not imported & {"formulas", "binomial"}
 
     @pytest.mark.parametrize(
-        "name", ["spectrum_reduced", "spectrum_irreducible_power", "spectrum_binary_linear", "spectrum_isolated"]
+        "name",
+        ["spectrum_reduced", "_reduced_runs", "spectrum_irreducible_power", "spectrum_binary_linear", "spectrum_isolated"],
     )
     def test_closed_displays_do_not_call_the_general_formula(self, name):
         tree = ast.parse(Path(curvespec.formulas.__file__).read_text(encoding="utf-8"))
