@@ -17,11 +17,16 @@ with one more point, extended by the checks on that point alone.
 The same pass sorts the points into types: a valid graph's report carries
 its :class:`PointTypeSummary`, which every spectrum route reads.
 
-:func:`graph_from_dict` reads a component, point or branch inline when it is
-a plain dict with exactly the schema's keys and values of their exact types,
-and builds the records through their written-out ``__init__``, which fills
-each slot through its member descriptor; anything else goes through the one
-table-driven schema check, which words every message.
+:func:`graph_from_dict` reads a valid arrangement of plain JSON values
+(dicts with exactly the schema's keys, lists, ``str`` ids, ``int`` numbers)
+in one pass that makes every check of :func:`validate` and counts the point
+types.  The graph it returns keeps that summary, so no route validates it,
+and builds its point records only when ``points`` is first read.  Anything
+else, such as another ``Mapping``, a value of another type, an unknown or
+missing key, or data that fails a check, goes through the one table-driven
+schema check and then :func:`validate`, which word every message in reading
+order.  The records' written-out ``__init__`` fills each slot through its
+member descriptor.
 
 :func:`_rational` reads every exact rational: line coefficients, spectrum
 exponents and cohomology scalars.
@@ -143,12 +148,28 @@ _SET_COMPONENT, _SET_MULT = (Branch.__dict__[name].__set__ for name in ("compone
 _SET_POINT_ID, _SET_BRANCHES = (SingularPoint.__dict__[name].__set__ for name in ("id", "branches"))
 
 
+class _PointsOnFirstRead:
+    """The default of ``ArrangementGraph.points``: ``()`` read on the class.
+    Every graph that ``__init__`` makes holds its own ``points``; one that
+    :func:`graph_from_dict` read in one pass holds instead a snapshot
+    {id: ((component, mult), ...)} of its points, from which their records
+    are built here, once, on first read."""
+
+    def __get__(self, graph, owner=None):
+        if graph is None:
+            return ()
+        snapshot = graph.__dict__.pop("_snapshot")
+        points = tuple(SingularPoint(pid, [Branch(c, m) for c, m in brs]) for pid, brs in snapshot.items())
+        graph.__dict__["points"] = points
+        return points
+
+
 @dataclass(frozen=True)
 class ArrangementGraph:
     """Bipartite incidence record: components on one side, singular points on the other."""
 
     components: Tuple[Component, ...]
-    points: Tuple[SingularPoint, ...] = ()
+    points: Tuple[SingularPoint, ...] = _PointsOnFirstRead()
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -346,8 +367,11 @@ def validate(graph: ArrangementGraph) -> ValidationReport:
 
 
 def require_valid(graph: ArrangementGraph) -> ArrangementGraph:
-    """The graph itself if it is valid, else :class:`InvalidArrangementError`;
-    the graph's report is made by its first check and read by every later one."""
+    """The graph itself if it is valid, else :class:`InvalidArrangementError`.
+    A graph that keeps its point-type summary is valid; any other graph's
+    report is made by its first check and read by every later one."""
+    if "point_types" in graph.__dict__:
+        return graph
     report = graph._report
     if not report.ok:
         raise InvalidArrangementError(report)
@@ -496,58 +520,100 @@ def _object(obj, schema, where: str, *at, error=ArrangementFormatError) -> list:
     return values
 
 
-def graph_from_dict(data) -> ArrangementGraph:
-    """Build a graph from the JSON object layout; schema errors raise
-    :class:`ArrangementFormatError`, semantic problems are left to
-    :func:`validate`.  Objects may be any ``Mapping``."""
-    if type(data) is not dict and not isinstance(data, Mapping):
-        raise ArrangementFormatError(f"arrangement must be a JSON object, got {type(data).__name__}")
-    raw_comps, raw_pts = _object(data, _ARRANGEMENT, "arrangement")
-    if not isinstance(raw_comps, list):
-        raise ArrangementFormatError("'components' must be a list")
-    # A plain dict with exactly the schema's keys and values of their exact
-    # types is read inline (a component may leave out "multiplicity");
-    # anything else goes through _object and _require, which define the
-    # schema's messages and their order.
-    comps = []
-    for i, rc in enumerate(raw_comps):
-        if (
+def _read_valid(data) -> ArrangementGraph | None:
+    """The graph of ``data`` read in one pass, or None if ``data`` is not
+    plain JSON of the schema's shape and types or fails a check of
+    :func:`validate`.  The graph keeps the :class:`PointTypeSummary`
+    counted in the pass and a snapshot of its points that holds none of
+    the caller's containers, from which ``points`` is built on first read."""
+    if type(data) is not dict or len(data) != 1 + ("points" in data):
+        return None
+    raw_comps = data.get("components")
+    raw_pts = data.get("points", [])
+    if type(raw_comps) is not list or type(raw_pts) is not list or not raw_comps:
+        return None
+    comps: dict[str, Component] = {}
+    degree_by_mult: dict[int, int] = {}
+    comp_pairs = total_degree = 0
+    for rc in raw_comps:
+        if not (
             type(rc) is dict
             and type(comp_id := rc.get("id")) is str
             and type(degree := rc.get("degree")) is int
             and type(multiplicity := rc.get("multiplicity", 1)) is int
             and len(rc) == 2 + ("multiplicity" in rc)
+            and comp_id and comp_id not in comps and degree >= 1 and multiplicity >= 1
         ):
-            comps.append(Component(comp_id, degree, multiplicity))
-        else:
-            comps.append(Component(*_object(rc, _COMPONENT, "components[{}]", i)))
-    if not isinstance(raw_pts, list):
-        raise ArrangementFormatError("'points' must be a list")
-    points = []
-    for i, rp in enumerate(raw_pts):
+            return None
+        comps[comp_id] = Component(comp_id, degree, multiplicity)
+        degree_by_mult[multiplicity] = degree_by_mult.get(multiplicity, 0) + degree
+        comp_pairs += degree * (degree - 1) // 2
+        total_degree += multiplicity * degree
+    if total_degree > MAX_TOTAL_DEGREE:
+        return None
+    histogram: dict[tuple, int] = {}
+    snapshot: dict[str, tuple] = {}
+    for rp in raw_pts:
         if not (
             type(rp) is dict
             and len(rp) == 2
             and type(point_id := rp.get("id")) is str
             and type(raw_brs := rp.get("branches")) is list
+            and point_id and point_id not in snapshot and raw_brs
         ):
-            point_id, raw_brs = _object(rp, _POINT, "points[{}]", i)
-            if not isinstance(raw_brs, list):
-                raise ArrangementFormatError(f"points[{i}].branches must be a list")
+            return None
+        names: set[str] = set()
         branches = []
-        for k, rb in enumerate(raw_brs):
-            if (
+        pairs = []
+        for rb in raw_brs:
+            if not (
                 type(rb) is dict
-                and len(rb) == 2
-                and type(component := rb.get("component")) is str
-                and type(mult := rb.get("mult")) is int
+                and type(name := rb.get("component")) is str
+                and type(mult := rb.get("mult", 1)) is int
+                and len(rb) == 1 + ("mult" in rb)
+                and (comp := comps.get(name)) is not None and 1 <= mult <= comp.degree and name not in names
             ):
-                branches.append(Branch(component, mult))
-            else:
-                branches.append(Branch(*_object(rb, _BRANCH, "points[{}].branches[{}]", i, k)))
-        if type(point_id) is not str:
-            point_id = _require(point_id, str, "points[{}].id", i)
-        points.append(SingularPoint(point_id, tuple(branches)))
+                return None
+            names.add(name)
+            branches.append((name, mult))
+            pairs.append((comp.multiplicity, mult))
+        pairs.sort()
+        key = tuple(pairs)
+        histogram[key] = histogram.get(key, 0) + 1
+        snapshot[point_id] = tuple(branches)
+    graph = object.__new__(ArrangementGraph)
+    graph.__dict__.update(
+        components=tuple(comps.values()),
+        _snapshot=snapshot,
+        point_types=PointTypeSummary(degree_by_mult, comp_pairs, histogram),
+    )
+    return graph
+
+
+def graph_from_dict(data) -> ArrangementGraph:
+    """Build a graph from the JSON object layout.  Objects may be any
+    ``Mapping``.  A valid plain-JSON arrangement is read in one pass; any
+    other input goes through the table-driven schema check, where schema
+    errors raise :class:`ArrangementFormatError` and semantic problems are
+    left to :func:`validate`."""
+    graph = _read_valid(data)
+    if graph is not None:
+        return graph
+    if type(data) is not dict and not isinstance(data, Mapping):
+        raise ArrangementFormatError(f"arrangement must be a JSON object, got {type(data).__name__}")
+    raw_comps, raw_pts = _object(data, _ARRANGEMENT, "arrangement")
+    if not isinstance(raw_comps, list):
+        raise ArrangementFormatError("'components' must be a list")
+    comps = [Component(*_object(rc, _COMPONENT, "components[{}]", i)) for i, rc in enumerate(raw_comps)]
+    if not isinstance(raw_pts, list):
+        raise ArrangementFormatError("'points' must be a list")
+    points = []
+    for i, rp in enumerate(raw_pts):
+        point_id, raw_brs = _object(rp, _POINT, "points[{}]", i)
+        if not isinstance(raw_brs, list):
+            raise ArrangementFormatError(f"points[{i}].branches must be a list")
+        branches = [Branch(*_object(rb, _BRANCH, "points[{}].branches[{}]", i, k)) for k, rb in enumerate(raw_brs)]
+        points.append(SingularPoint(_require(point_id, str, "points[{}].id", i), branches))
     return ArrangementGraph(tuple(comps), tuple(points))
 
 

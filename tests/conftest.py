@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -23,6 +26,58 @@ CHECK_BOUNDS = {
     "many_point": GraphBounds(max_components=8, max_points=200, max_degree=6, max_mult=5),
     "reduced": GraphBounds(max_mult=1, max_points=60),
 }
+
+
+# Values put in place of numbers of a small input: ints, bools, floats
+# (NaN and infinities included), and strings in and near the grammar of
+# exact rationals.
+MUTANT_VALUES = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([10**6, -(10**30)]),
+    st.booleans(),
+    st.floats(),
+    st.text(alphabet="0123456789+-/ ._e\u00a0\u0663", max_size=8),
+    st.sampled_from(["1/2", "-3/4", " 6/4 ", "+5", "0", "1/0", "7" * 5000]),
+)
+SMALL_ARRANGEMENT = {
+    "components": [{"id": "c", "degree": 3}, {"id": "l", "degree": 1, "multiplicity": 2}],
+    "points": [
+        {"id": "v", "branches": [{"component": "c", "mult": 2}]},
+        {"id": "w", "branches": [{"component": "c", "mult": 1}, {"component": "l", "mult": 1}]},
+    ],
+}
+# Where the numbers of SMALL_ARRANGEMENT sit, as key paths.
+ARRANGEMENT_NUMBERS = [
+    ("components", 0, "degree"),
+    ("components", 1, "degree"),
+    ("components", 1, "multiplicity"),
+    ("points", 0, "branches", 0, "mult"),
+    ("points", 1, "branches", 0, "mult"),
+    ("points", 1, "branches", 1, "mult"),
+]
+
+
+def mutated(doc, places, replacements: dict):
+    """A copy of the JSON document ``doc`` with the value at key path
+    ``places[index]`` replaced by ``value`` for each index and value of
+    ``replacements``."""
+    doc = json.loads(json.dumps(doc))
+    for index, value in replacements.items():
+        *path, last = places[index]
+        target = doc
+        for key in path:
+            target = target[key]
+        target[last] = value
+    return doc
+
+
+def manifest_generator():
+    """tests/data/make_cli_manifest.py, loaded as a module."""
+    path = Path(__file__).resolve().parent / "data" / "make_cli_manifest.py"
+    spec = importlib.util.spec_from_file_location("make_cli_manifest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def graph(comps, pts=()):

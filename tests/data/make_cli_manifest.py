@@ -6,8 +6,10 @@ The calls: every stored ``compute`` input of ``bench/data/compute.json`` in
 each style, with the default and each ``--formula``, plain and
 ``--verify``; every stored line file of ``bench/data/lines.json`` in each
 style, plain and ``--verify``; ``check --count 200 --seed 1``, the CI's
-wide ``check`` and ``examples``; and for each of ``compute`` and ``lines``
-a missing file, a file that is not JSON, a schema error and invalid data.
+wide ``check`` and ``examples``; for each of ``compute`` and ``lines``
+a missing file, a file that is not JSON, a schema error and invalid data;
+and one ``compute`` file per check of the one-pass reader of
+``graph_from_dict``, each a small arrangement edited to fail that check.
 Every call runs with the inputs in the working directory under bare file
 names, so no message depends on where they were written.
 
@@ -64,6 +66,56 @@ ERRORS = tuple(
     for name in ("absent.json", "bad.json", f"{command}-schema.json", f"{command}-invalid.json")
 )
 
+# A small valid arrangement, and one edit of it per check of the one-pass
+# reader of plain JSON: each edit makes that reader hand the file to the
+# schema reader and validate, which word the diagnostic.
+DECLINE_BASE = {
+    "components": [{"id": "c", "degree": 3}, {"id": "l", "degree": 1, "multiplicity": 2}],
+    "points": [
+        {"id": "v", "branches": [{"component": "c", "mult": 2}]},
+        {"id": "w", "branches": [{"component": "c", "mult": 1}, {"component": "l"}]},
+    ],
+}
+_DELETE = object()
+DECLINE_EDITS = {
+    "bool-degree": (("components", 0, "degree"), True),
+    "float-mult": (("points", 0, "branches", 0, "mult"), 2.0),
+    "extra-key": (("components", 1, "color"), "red"),
+    "missing-id": (("components", 0, "id"), _DELETE),
+    "missing-degree": (("components", 1, "degree"), _DELETE),
+    "missing-component": (("points", 1, "branches", 1, "component"), _DELETE),
+    "empty-component-id": (("components", 1, "id"), ""),
+    "empty-point-id": (("points", 0, "id"), ""),
+    "duplicate-component-id": (("components", 1, "id"), "c"),
+    "duplicate-point-id": (("points", 1, "id"), "v"),
+    "duplicate-branch": (("points", 1, "branches", 1, "component"), "c"),
+    "unknown-component": (("points", 0, "branches", 0, "component"), "x"),
+    "mult-0": (("points", 0, "branches", 0, "mult"), 0),
+    "mult-above-degree": (("points", 1, "branches", 1, "mult"), 2),
+    "degree-0": (("components", 0, "degree"), 0),
+    "multiplicity-0": (("components", 1, "multiplicity"), 0),
+    "empty-components": (("components",), []),
+    "empty-branches": (("points", 0, "branches"), []),
+    "total-degree-100001": (("components", 0, "degree"), 99_999),
+}
+
+
+def declined(name: str) -> dict:
+    """``DECLINE_BASE`` with the edit ``DECLINE_EDITS[name]``."""
+    (*path, last), value = DECLINE_EDITS[name]
+    doc = json.loads(json.dumps(DECLINE_BASE))
+    target = doc
+    for key in path:
+        target = target[key]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+DECLINES = tuple(["compute", f"compute-decline-{name}.json"] for name in DECLINE_EDITS)
+
 
 def stored_inputs(command: str) -> list:
     """The stored inputs of ``bench/data/<command>.json``, read only."""
@@ -82,6 +134,8 @@ def write_inputs(directory: Path) -> dict[str, int]:
             (directory / f"{command}-{index}.json").write_text(json.dumps(data), encoding="utf-8")
     for name, text in ERROR_FILES.items():
         (directory / name).write_text(text, encoding="utf-8")
+    for name in DECLINE_EDITS:
+        (directory / f"compute-decline-{name}.json").write_text(json.dumps(declined(name)), encoding="utf-8")
     return counts
 
 
@@ -97,7 +151,7 @@ def calls(counts: dict[str, int]) -> list[list[str]]:
         for style in STYLES:
             for verify in ([], ["--verify"]):
                 argvs.append(["lines", f"lines-{index}.json", *style, *verify])
-    return [*argvs, *CHECKS, ["examples"], *ERRORS]
+    return [*argvs, *CHECKS, ["examples"], *ERRORS, *DECLINES]
 
 
 def run(argv: list[str]) -> list:

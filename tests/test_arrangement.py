@@ -6,17 +6,22 @@ from collections import OrderedDict
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvespec.arrangement
 import curvespec.cli
 
 from conftest import (
+    ARRANGEMENT_NUMBERS,
     CHECK_BOUNDS,
+    MUTANT_VALUES,
+    SMALL_ARRANGEMENT,
     arrangement_graphs,
     graph,
     line_and_nodal_cubic,
+    manifest_generator,
+    mutated,
     nodal_cubic,
     pencil_graph,
     triangle_graph,
@@ -234,20 +239,42 @@ GRAPH_ENTRIES = {
 }
 
 
+COMPUTE_OPTIONS = pytest.mark.parametrize(
+    "options",
+    [[], ["--verify"], ["--formula", "smooth"], ["--formula", "hyperplane"]],
+    ids=["auto", "verify", "smooth", "hyperplane"],
+)
+
+
 class TestValidatedOnce:
     """A graph keeps its validation report, so each graph object is
-    validated once, however many entries it passes through."""
+    validated once, however many entries it passes through; a file is
+    never checked twice."""
 
     @pytest.mark.parametrize("doc", [LINES_THROUGH_A_POINT, DOUBLE_LINES], ids=["reduced", "non-reduced"])
-    @pytest.mark.parametrize(
-        "options",
-        [[], ["--verify"], ["--formula", "smooth"], ["--formula", "hyperplane"]],
-        ids=["auto", "verify", "smooth", "hyperplane"],
-    )
-    def test_one_call_per_compute(self, tmp_path, capsys, validate_calls, doc, options):
+    @COMPUTE_OPTIONS
+    def test_one_call_per_compute(self, tmp_path, capsys, monkeypatch, validate_calls, doc, options):
+        # A valid file is checked by the one pass that reads it, so no route
+        # calls validate, and only --formula smooth builds point records.
+        loaded = []
+
+        def load(path):
+            loaded.append(load_arrangement(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(curvespec.cli, "load_arrangement", load)
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(doc))
         assert main(["compute", str(path), *options]) == 0
+        assert validate_calls == []
+        assert ("points" in loaded[0].__dict__) == (options == ["--formula", "smooth"])
+
+    @COMPUTE_OPTIONS
+    def test_one_call_per_invalid_compute(self, tmp_path, capsys, validate_calls, options):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({**LINES_THROUGH_A_POINT, "components": LINES_THROUGH_A_POINT["components"][:2]}))
+        assert main(["compute", str(path), *options]) == 2
+        assert capsys.readouterr().err.startswith("error [unknown-component] point 'v', branch 'c'")
         assert len(validate_calls) == 1
 
     @pytest.mark.parametrize("seed", range(4))
@@ -670,8 +697,8 @@ class TestSerialization:
         "data, message", SCHEMA_VIOLATIONS, ids=[f"data{i}" for i in range(len(SCHEMA_VIOLATIONS))]
     )
     def test_schema_violations_in_any_mapping(self, data, message, mapping):
-        # Objects that are not plain dicts skip the inline read of points
-        # and branches and must fail with the same first message.
+        # Objects that are not plain dicts skip the one-pass read and must
+        # fail with the same first message.
         with pytest.raises(ArrangementFormatError) as err:
             graph_from_dict(wrapped(data, mapping))
         assert str(err.value) == message
@@ -709,12 +736,89 @@ class TestSerialization:
 
     @given(component_objects(), st.integers(0, 2))
     def test_components_read_as_the_schema_reads_them(self, obj, index):
-        # The inline read of a component must give what _object alone gives:
+        # A component read in one pass must give what _object alone gives:
         # the same values of the same types, or the same first message.
         comps = [{"id": f"x{k}", "degree": 1} for k in range(index)] + [obj]
         expected = outcome(lambda: Component(*_object(obj, _COMPONENT, "components[{}]", index)))
         assert outcome(lambda: graph_from_dict({"components": comps}).components[index]) == expected
 
+
+def read(data):
+    """The graph that ``graph_from_dict(data)`` gives and its point types,
+    with the type and message of whatever either raises."""
+    try:
+        g = graph_from_dict(data)
+    except ArrangementFormatError as err:
+        return [ArrangementFormatError, str(err)]
+    try:
+        return [g, g.point_types]
+    except InvalidArrangementError as err:
+        return [g, InvalidArrangementError, str(err)]
+
+
+def read_in_one_pass(data) -> bool:
+    """Whether graph_from_dict reads ``data`` in its one pass (a graph that
+    keeps its point types and has built no point record), after checking
+    that the schema reader and validate, which a top-level
+    ``MappingProxyType`` forces, give the same graph, point types and
+    errors."""
+    assert read(data) == read(MappingProxyType(data))
+    try:
+        state = graph_from_dict(data).__dict__
+    except ArrangementFormatError:
+        return False
+    return "point_types" in state and "points" not in state
+
+
+MANIFEST = manifest_generator()
+
+
+class TestOnePassRead:
+    """graph_from_dict's one pass over plain JSON against the schema reader
+    and validate, which it replaces for valid files."""
+
+    def test_stored_compute_inputs(self):
+        inputs = MANIFEST.stored_inputs("compute")
+        assert len(inputs) == 96
+        for data in inputs:
+            assert read_in_one_pass(data)
+
+    @pytest.mark.parametrize("name", MANIFEST.DECLINE_EDITS)
+    def test_one_file_per_check(self, name):
+        assert read_in_one_pass(MANIFEST.DECLINE_BASE)
+        assert not read_in_one_pass(MANIFEST.declined(name))
+
+    @settings(max_examples=200)
+    @given(st.dictionaries(st.integers(0, len(ARRANGEMENT_NUMBERS) - 1), MUTANT_VALUES, min_size=1, max_size=3))
+    def test_mutated_inputs(self, replacements):
+        read_in_one_pass(mutated(SMALL_ARRANGEMENT, ARRANGEMENT_NUMBERS, replacements))
+
+    @given(arrangement_graphs())
+    def test_drawn_graphs(self, g):
+        data = graph_to_dict(g)
+        assert read_in_one_pass(data) == validate(g).ok
+
+    def test_records_are_built_once_from_a_snapshot(self):
+        data = graph_to_dict(line_and_nodal_cubic())
+        g = graph_from_dict(data)
+        data["components"].pop()
+        data["points"][0]["id"] = "renamed"
+        data["points"][0]["branches"][1]["mult"] = 1
+        data["points"][1]["branches"].append({"component": "x"})
+        data["points"].append({"id": "new", "branches": []})
+        assert "points" not in g.__dict__
+        assert g.point_types == line_and_nodal_cubic().point_types
+        assert g.points == line_and_nodal_cubic().points
+        assert g.points is g.points
+        assert g == line_and_nodal_cubic() and hash(g) == hash(line_and_nodal_cubic())
+        assert repr(g) == repr(line_and_nodal_cubic())
+        assert "_report" not in g.__dict__
+        require_valid(g)
+        assert "_report" not in g.__dict__
+        assert g._report.warnings == (("snc-node", "transverse crossing of two components (simple node)", "point 'v2'"),)
+        assert_kept_report_is_validate(g)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.points = ()
 
 
 # The records as generated dataclasses, with the same names, fields and

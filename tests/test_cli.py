@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import subprocess
@@ -23,7 +22,16 @@ from curvespec.lines import incidence_graph
 from curvespec.randomgraphs import GraphBounds, SplitMix64, generate_graph
 from curvespec.spectrum import Spectrum, format_spectrum
 
-from conftest import line_and_nodal_cubic, random_line_forms, two_line_powers
+from conftest import (
+    ARRANGEMENT_NUMBERS,
+    MUTANT_VALUES,
+    SMALL_ARRANGEMENT,
+    line_and_nodal_cubic,
+    manifest_generator,
+    mutated,
+    random_line_forms,
+    two_line_powers,
+)
 
 NODAL_CUBIC = {
     "components": [{"id": "c", "degree": 3}],
@@ -57,7 +65,6 @@ TRIANGLE_LINES = [
     {"form": [0, 0, 1]},
 ]
 
-DATA = Path(__file__).resolve().parent / "data"
 
 DEGREE_BOUNDS_ERROR = "error: max_components * max_degree * max_mult exceeds the total degree limit 100000\n"
 
@@ -116,9 +123,7 @@ class TestCliManifest:
     regenerates the manifest."""
 
     def test_every_call_matches_the_manifest(self, tmp_path, monkeypatch):
-        spec = importlib.util.spec_from_file_location("make_cli_manifest", DATA / "make_cli_manifest.py")
-        make = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(make)
+        make = manifest_generator()
         manifest = json.loads(make.MANIFEST.read_text(encoding="utf-8"))
         counts = make.write_inputs(tmp_path)
         monkeypatch.chdir(tmp_path)
@@ -750,35 +755,9 @@ class TestLongValueEcho:
         assert len(captured.err) < 200
 
 
-# Values put in place of numbers of a small input: ints, bools, floats
-# (NaN and infinities included), and strings in and near the grammar of
-# exact rationals.
-MUTANT_VALUES = st.one_of(
-    st.integers(-3, 12),
-    st.sampled_from([10**6, -(10**30)]),
-    st.booleans(),
-    st.floats(),
-    st.text(alphabet="0123456789+-/ ._e\u00a0\u0663", max_size=8),
-    st.sampled_from(["1/2", "-3/4", " 6/4 ", "+5", "0", "1/0", "7" * 5000]),
-)
 SMALL_LINES = [{"form": [1, 0, 0]}, {"form": [0, 1, 0], "multiplicity": 2}, {"form": ["1/2", "1/3", "-1"]}]
-SMALL_ARRANGEMENT = {
-    "components": [{"id": "c", "degree": 3}, {"id": "l", "degree": 1, "multiplicity": 2}],
-    "points": [
-        {"id": "v", "branches": [{"component": "c", "mult": 2}]},
-        {"id": "w", "branches": [{"component": "c", "mult": 1}, {"component": "l", "mult": 1}]},
-    ],
-}
-# Where the numbers of each input sit, as key paths.
+# Where the numbers of the line file sit, as key paths.
 LINE_NUMBERS = [(i, "form", k) for i in range(3) for k in range(3)] + [(1, "multiplicity")]
-ARRANGEMENT_NUMBERS = [
-    ("components", 0, "degree"),
-    ("components", 1, "degree"),
-    ("components", 1, "multiplicity"),
-    ("points", 0, "branches", 0, "mult"),
-    ("points", 1, "branches", 0, "mult"),
-    ("points", 1, "branches", 1, "mult"),
-]
 
 
 class TestMutatedInputContract:
@@ -789,15 +768,8 @@ class TestMutatedInputContract:
 
     @staticmethod
     def run_mutated(tmp_path, capsys, command, doc, places, replacements):
-        doc = json.loads(json.dumps(doc))
-        for index, value in replacements.items():
-            *path, last = places[index]
-            target = doc
-            for key in path:
-                target = target[key]
-            target[last] = value
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(json.dumps(mutated(doc, places, replacements)), encoding="utf-8")
         code = main([command, str(path), "--verify"])
         out, err = capsys.readouterr()
         assert code in (0, 1, 2), (code, err)
