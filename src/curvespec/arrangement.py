@@ -253,6 +253,11 @@ class ValidationReport:
         return tuple((code, _WARNINGS[code], _point_at(point)) for code, point in self.flagged)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int and not a bool, the rule of :func:`_require`."""
+    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
+
+
 def _component_at(comp: Component) -> str:
     return f"component {_echo(comp.id)}"
 
@@ -276,11 +281,13 @@ def _check_point(
     id.  Errors and warnings are appended to ``errors`` and ``flagged``,
     and an error-free point's type is counted in ``histogram``."""
     point_errors = len(errors)
-    if not point.id:
+    named = isinstance(point.id, str)
+    if not named or not point.id:
         errors.append(("empty-id", "point id must be a nonempty string", _point_at(point)))
-    if point.id in seen_pt:
-        errors.append(("duplicate-point-id", f"point id {_echo(point.id)} repeats", _point_at(point)))
-    seen_pt.add(point.id)
+    if named:
+        if point.id in seen_pt:
+            errors.append(("duplicate-point-id", f"point id {_echo(point.id)} repeats", _point_at(point)))
+        seen_pt.add(point.id)
     if not point.branches:
         errors.append(("empty-branches", "point must lie on at least one component", _point_at(point)))
     branch_comps: set[str] = set()
@@ -289,21 +296,27 @@ def _check_point(
     for br in point.branches:
         component = br.component
         mult = br.mult
-        comp = seen_comp.get(component)
-        m_red += mult
+        named = isinstance(component, str)
+        comp = seen_comp.get(component) if named else None
         if comp is None:
             message = f"branch names unknown component {_echo(component)}"
             errors.append(("unknown-component", message, _point_at(point, br)))
         else:
             pairs.append((comp.multiplicity, mult))
-        if component in branch_comps:
-            message = f"component {_echo(component)} listed twice"
-            errors.append(("duplicate-branch", message, _point_at(point, br)))
-        branch_comps.add(component)
+        if named:
+            if component in branch_comps:
+                message = f"component {_echo(component)} listed twice"
+                errors.append(("duplicate-branch", message, _point_at(point, br)))
+            branch_comps.add(component)
+        if not _is_int(mult):
+            message = f"branch multiplicity must be an integer, got {_echo(mult)}"
+            errors.append(("non-integer", message, _point_at(point, br)))
+            continue
+        m_red += mult
         if mult < 1:
             message = f"branch multiplicity must be >= 1, got {_echo(mult)}"
             errors.append(("nonpositive-branch-mult", message, _point_at(point, br)))
-        elif comp is not None and mult > comp.degree:
+        elif comp is not None and _is_int(comp.degree) and mult > comp.degree:
             message = f"branch multiplicity {_echo(mult)} exceeds component degree {_echo(comp.degree)}"
             errors.append(("branch-mult-exceeds-degree", message, _point_at(point, br)))
     if len(errors) == point_errors:
@@ -326,7 +339,10 @@ def validate(graph: ArrangementGraph) -> ValidationReport:
     ``warnings`` are read.  The same pass over the points sorts them into
     types: the report of a valid graph carries its
     :class:`PointTypeSummary`, the one counting that every graph route
-    reads."""
+    reads.  Records built through the API are held to the file readers'
+    types: a number that is not an int, or is a bool, is a ``non-integer``
+    error and an id that is not a str an ``empty-id`` error, and the
+    arithmetic skips such a field, so no route meets it."""
     errors: list[Tuple[str, str, str]] = []
     flagged: list[Tuple[str, SingularPoint]] = []
     degree_by_mult: dict[int, int] = {}
@@ -337,23 +353,28 @@ def validate(graph: ArrangementGraph) -> ValidationReport:
         errors.append(("empty-components", "arrangement needs at least one component", "components"))
 
     seen_comp: dict[str, Component] = {}
+    total_degree = 0
     for comp in graph.components:
-        if not comp.id:
+        named = isinstance(comp.id, str)
+        if not named or not comp.id:
             errors.append(("empty-id", "component id must be a nonempty string", _component_at(comp)))
-        if comp.id in seen_comp:
+        if named and comp.id in seen_comp:
             message = f"component id {_echo(comp.id)} repeats"
             errors.append(("duplicate-component-id", message, _component_at(comp)))
-        else:
+        elif named:
             seen_comp[comp.id] = comp
-        if comp.degree < 1:
-            message = f"degree must be >= 1, got {_echo(comp.degree)}"
-            errors.append(("nonpositive-degree", message, _component_at(comp)))
-        if comp.multiplicity < 1:
-            message = f"multiplicity must be >= 1, got {_echo(comp.multiplicity)}"
-            errors.append(("nonpositive-multiplicity", message, _component_at(comp)))
-        degree_by_mult[comp.multiplicity] = degree_by_mult.get(comp.multiplicity, 0) + comp.degree
-        comp_pairs += comp.degree * (comp.degree - 1) // 2
-    total_degree = sum(comp.multiplicity * comp.degree for comp in graph.components)
+        numbers = True
+        for name, value in (("degree", comp.degree), ("multiplicity", comp.multiplicity)):
+            if not _is_int(value):
+                errors.append(("non-integer", f"{name} must be an integer, got {_echo(value)}", _component_at(comp)))
+                numbers = False
+            elif value < 1:
+                message = f"{name} must be >= 1, got {_echo(value)}"
+                errors.append((f"nonpositive-{name}", message, _component_at(comp)))
+        if numbers:
+            degree_by_mult[comp.multiplicity] = degree_by_mult.get(comp.multiplicity, 0) + comp.degree
+            comp_pairs += comp.degree * (comp.degree - 1) // 2
+            total_degree += comp.multiplicity * comp.degree
     if total_degree > MAX_TOTAL_DEGREE:
         message = f"total degree {_echo(total_degree)} exceeds the limit {MAX_TOTAL_DEGREE}"
         errors.append(("total-degree-too-large", message, "components"))

@@ -9,10 +9,8 @@ read too (the routes share that counting, no formula code), and walks the
 breakpoints of the twist coefficients: each ceil(j*m/d) is a step function
 of j, so every type is visited only where its uv steps, its changes go
 into difference arrays, and one prefix pass over j fills the three
-coefficient runs.  A type on a single component multiplicity m walks the
-m_v = m*m_red steps of its point multiplicity in closed form, with uv read
-off the step index, and every step computes one quadratic: the other
-follows from it (see :func:`spectrum_of_point_types`).
+coefficient runs.  Every step computes one quadratic: the other follows
+from it (see :func:`spectrum_of_point_types`).
 ``curvespec.lines`` builds that summary straight from line incidence,
 where a point's type is the sorted tuple of (m_l, 1) over the lines
 through it, and leaves out the points on exactly two lines: such a type
@@ -98,14 +96,11 @@ def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
     binom(uv, 2) is computed at a step: binom(m_red - uv - 1, 2) differs
     from it by binom(m_red - 1, 2) - (m_red - 2)*uv, so its change is that
     of binom(uv, 2) less (m_red - 2) times the change of uv, and the
-    constant is seeded once at position 0.  A weight on one component
-    multiplicity m has m_v = m*m_red and every step of m among the steps
-    of m_v, so it walks those m_v steps alone, uv read off the step index,
-    with no event merge and no sort; a weight with m_red <= 2 is skipped,
-    its quadratics being 0 at every j.  One prefix pass over j then fills
-    the coefficient runs, so the cost grows with d plus the breakpoints of
-    the types, however many points share a type.  The summary must come
-    from a valid arrangement.
+    constant is seeded once at position 0.  A weight with m_red <= 2 is
+    skipped, its quadratics being 0 at every j.  One prefix pass over j
+    then fills the coefficient runs, so the cost grows with d plus the
+    breakpoints of the types, however many points share a type.  The
+    summary must come from a valid arrangement.
     """
     degree_by_mult = summary.degree_by_mult
     d = d_red = 0
@@ -168,30 +163,11 @@ def spectrum_of_point_types(summary: PointTypeSummary) -> Spectrum:
         pair_term -= seed
         diff0[0] += seed
         slope = count * (m_red - 2)
-        if len(weight) == 1:
-            # One component multiplicity m, m_v = m*m_red: step k of m is
-            # step k*m_red of m_v, so after step k of m_v (at position
-            # k*d//m_v) uv = m_red - 1 - k mod m_red: no step list, no
-            # events and no sort.
-            uv = old = 0
-            for k in range(m_v):
-                new_uv = top - k % m_red
-                new = count * (new_uv * (new_uv - 1) // 2)
-                change = new - old
-                p = k * d // m_v
-                diff2[p] += change
-                diff0[p] += change - slope * (new_uv - uv)
-                old = new
-                uv = new_uv
-            continue
         # Walked from uv = 0 before j = 1; position 0 is a step of every m,
         # so the first event sets the values at j = 1.  The steps of m_v are
         # made for this weight alone: kept for every distinct m_v, they would
         # grow with the weights, not with d.
-        steps = positions.get(m_v)
-        if steps is None:
-            steps = [k * d // m_v for k in range(m_v)]
-        events = dict.fromkeys(steps, -1)
+        events = dict.fromkeys([k * d // m_v for k in range(m_v)], -1)
         for m, w in weight:
             for p in positions[m]:
                 events[p] = events.get(p, 0) + w

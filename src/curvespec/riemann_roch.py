@@ -259,9 +259,7 @@ def _euler_characteristics(summary: PointTypeSummary):
             row[2] -= count_y * mu
         # The rises of m_v are made for this type alone and added here: kept
         # for every distinct m_v, they would grow with the types, not with d.
-        steps = rises.get(point_mult)
-        if steps is None:
-            steps = _rises(point_mult, d)
+        steps = _rises(point_mult, d)
         for i in steps:
             diff_x[i] += count
             diff_y[i] += count_y

@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
-from .arrangement import RationalLike, _echo, _rational
+from .arrangement import RationalLike, _echo, _is_int, _rational
 
 __all__ = [
     "Spectrum",
@@ -67,10 +67,6 @@ class SpectrumParseError(ValueError):
         super().__init__(f"{message} at position {position}: {_echo(token)}")
         self.position = position
         self.token = token
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _exponent(alpha: RationalLike) -> Fraction:
@@ -153,7 +149,7 @@ class Spectrum:
         normal = self._normal
         if normal is None:
             normal = _lowest(self._grid, enumerate(self._run, 1))
-            _SET_NORMAL(self, normal)
+            object.__setattr__(self, "_normal", normal)
         return normal
 
     def _ordered(self) -> Tuple[int, list[Tuple[int, int]]]:
@@ -256,16 +252,11 @@ class Spectrum:
         return self * other
 
 
-_SET_RUN = Spectrum._run.__set__
-_SET_GRID = Spectrum._grid.__set__
-_SET_NORMAL = Spectrum._normal.__set__
-
-
 def _set(s: Spectrum, run: list[int] | None, grid: int, normal: Tuple[int, dict[int, int]] | None) -> None:
     """Fill the three slots of a new spectrum past its ``__setattr__``."""
-    _SET_RUN(s, run)
-    _SET_GRID(s, grid)
-    _SET_NORMAL(s, normal)
+    object.__setattr__(s, "_run", run)
+    object.__setattr__(s, "_grid", grid)
+    object.__setattr__(s, "_normal", normal)
 
 
 # ---------------------------------------------------------------------

@@ -181,9 +181,9 @@ def arrangement_graphs(
 
 
 # Summaries of types whose branches all sit on one component multiplicity
-# m, where m_v = m*m_red and the general kernel reads the twist in closed
-# form: every type is sorted, no branch multiplicity exceeds the degree it
-# draws on, and so m_v <= d.
+# m, where m_v = m*m_red and every step of m is a step of m_v, so the two
+# step lists meet at every step of m: every type is sorted, no branch
+# multiplicity exceeds the degree it draws on, and so m_v <= d.
 ONE_MULTIPLICITY_SUMMARIES = {
     "smooth-points-m_red=1": PointTypeSummary({1: 2, 3: 2}, 2, {((1, 1),): 3, ((3, 1),): 2}),
     "nodes-on-equal-multiplicities": PointTypeSummary(
@@ -198,6 +198,14 @@ ONE_MULTIPLICITY_SUMMARIES = {
         {((1, 1), (1, 1), (1, 1)): 2, ((1, 1), (2, 1), (3, 1)): 3, ((2, 3),): 1, ((1, 2), (3, 1)): 2, ((3, 2),): 1},
     ),
 }
+
+
+# Types on two or more component multiplicities whose m_v equals a
+# component multiplicity: m_v = 4 and 3 beside components of multiplicity
+# 4 and 3, so the steps of m_v are those of a component multiplicity.
+M_V_AT_COMPONENT_MULTIPLICITY = PointTypeSummary(
+    {1: 3, 2: 2, 3: 1, 4: 1}, 3, {((1, 1), (1, 1), (2, 1)): 2, ((1, 1), (2, 1)): 1}
+)
 
 
 @st.composite

@@ -435,6 +435,78 @@ class TestInvalidPointTypes:
         assert [c for c, _, _ in err.value.report.errors] == [code]
 
 
+def cubic_with_point(point):
+    """The validated cubic "c" with the point v (branch multiplicity 2),
+    with ``point`` appended by ``with_point``."""
+    parent = ArrangementGraph((Component("c", 3),), (SingularPoint("v", (Branch("c", 2),)),))
+    assert parent.point_types is not None
+    return parent.with_point(point)
+
+
+# Records built through the API with a field of a type no file reader
+# accepts, and the error codes validate gives them; a point stands for the
+# cubic with that point appended by with_point.
+MISTYPED_RECORDS = {
+    "str-degree": (ArrangementGraph((Component("c", "3"),)), ["non-integer"]),
+    "str-degree-under-a-branch": (
+        ArrangementGraph((Component("c", "3"),), (SingularPoint("v", (Branch("c", 2),)),)),
+        ["non-integer"],
+    ),
+    "str-branch-mult": (
+        ArrangementGraph((Component("c", 3),), (SingularPoint("v", (Branch("c", "2"),)),)),
+        ["non-integer"],
+    ),
+    "float-multiplicity": (ArrangementGraph((Component("c", 3, 1.5),)), ["non-integer"]),
+    "float-degree": (ArrangementGraph((Component("c", 2.0),)), ["non-integer"]),
+    "bool-multiplicity": (ArrangementGraph((Component("c", 3, True),)), ["non-integer"]),
+    "list-component-id": (ArrangementGraph((Component(["c"], 3), Component(["c"], 1))), ["empty-id", "empty-id"]),
+    "int-point-id-and-branch-component": (
+        ArrangementGraph((Component("c", 3),), (SingularPoint(7, (Branch(3),)),)),
+        ["empty-id", "unknown-component"],
+    ),
+    "list-point-id-and-branch-component": (
+        ArrangementGraph((Component("c", 3),), (SingularPoint(["v"], (Branch(["c"]), Branch(["c"]))),)),
+        ["empty-id", "unknown-component", "unknown-component"],
+    ),
+    "with-point-float-branch-mult": (SingularPoint("w", (Branch("c", 2.0),)), ["non-integer"]),
+    "with-point-list-id": (SingularPoint(["w"], (Branch("c"),)), ["empty-id"]),
+}
+
+
+class TestMistypedRecords:
+    """validate is total on records built through the API: a number that
+    is not an int, or is a bool, and an id that is not a str are errors,
+    so no route meets them."""
+
+    @pytest.mark.parametrize("g, codes", MISTYPED_RECORDS.values(), ids=MISTYPED_RECORDS.keys())
+    def test_every_route_raises_invalid_arrangement(self, g, codes):
+        if isinstance(g, SingularPoint):
+            g = cubic_with_point(g)
+        errors = validate(g).errors
+        assert [code for code, _, _ in errors] == codes
+        assert all("must be an integer, got" in message for code, message, _ in errors if code == "non-integer")
+        assert g._report.errors == errors
+        with pytest.raises(InvalidArrangementError):
+            require_valid(g)
+        for route in (
+            spectrum_general,
+            spectrum_reduced,
+            spectrum_smooth_components,
+            spectrum_hyperplane,
+            spectrum_via_riemann_roch,
+        ):
+            with pytest.raises(InvalidArrangementError):
+                route(g)
+
+    def test_message_names_the_field(self):
+        g = ArrangementGraph((Component("c", 2.0, True),), (SingularPoint("v", (Branch("c", "1"),)),))
+        assert validate(g).errors == (
+            ("non-integer", "degree must be an integer, got 2.0", "component 'c'"),
+            ("non-integer", "multiplicity must be an integer, got True", "component 'c'"),
+            ("non-integer", "branch multiplicity must be an integer, got '1'", "point 'v', branch 'c'"),
+        )
+
+
 class TestDerived:
     def test_line_and_nodal_cubic(self):
         data = derived(line_and_nodal_cubic())

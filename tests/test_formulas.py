@@ -8,6 +8,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import (
+    M_V_AT_COMPONENT_MULTIPLICITY,
     ONE_MULTIPLICITY_SUMMARIES,
     arrangement_graphs,
     crossing_powers_closed_form,
@@ -181,6 +182,7 @@ EDGE_SUMMARIES = {
     "many-points-few-types": line_summary([1] * 30 + [2] * 10, {(1, 1): 435, (1, 2): 300, (2, 2): 45}),
     "many-curves-one-type": PointTypeSummary({3: 12}, 120, {((3, 2),): 40, ((3, 1), (3, 1)): 500}),
     **ONE_MULTIPLICITY_SUMMARIES,
+    "m_v-at-component-multiplicity": M_V_AT_COMPONENT_MULTIPLICITY,
 }
 
 

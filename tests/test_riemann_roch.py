@@ -38,6 +38,7 @@ from curvespec.spectrum import Spectrum
 
 from conftest import (
     CHECK_BOUNDS,
+    M_V_AT_COMPONENT_MULTIPLICITY,
     ONE_MULTIPLICITY_SUMMARIES,
     arrangement_graphs,
     graph,
@@ -396,7 +397,13 @@ class TestIntegerPairing:
         + GROUPING_GRAPHS,
     )
     def test_matches_euler_characteristic(self, g):
-        assert list(_euler_characteristics(g.point_types)) == reference_characteristics(g)
+        # The public per-sheaf route, one HRR integral for each (p, j),
+        # where TestTypedBuild pairs classes built once per graph.
+        expected = [
+            (j, [euler_characteristic(g, p, twist_class(g, j)) for p in range(3)])
+            for j in range(1, derived(g).total_degree + 1)
+        ]
+        assert list(_euler_characteristics(g.point_types)) == expected
 
     @pytest.mark.parametrize("g", HIGH_MULT_GRAPHS + repeated_type_graphs() + GROUPING_GRAPHS)
     def test_no_fraction_between_factor_builds_and_pairing(self, g):
@@ -513,7 +520,9 @@ class TestBreakpointWalk:
         assert list(_euler_characteristics(summary)) == list(per_j_characteristics(summary))
 
     @pytest.mark.parametrize(
-        "summary", ONE_MULTIPLICITY_SUMMARIES.values(), ids=ONE_MULTIPLICITY_SUMMARIES.keys()
+        "summary",
+        [*ONE_MULTIPLICITY_SUMMARIES.values(), M_V_AT_COMPONENT_MULTIPLICITY],
+        ids=[*ONE_MULTIPLICITY_SUMMARIES, "m_v-at-component-multiplicity"],
     )
     def test_one_multiplicity_walk_matches_per_j_pairing(self, summary):
         assert list(_euler_characteristics(summary)) == list(per_j_characteristics(summary))
@@ -619,7 +628,12 @@ class TestTypedBuild:
     characteristics of the per-point classes."""
 
     @pytest.mark.parametrize(
-        "g", seeded_graphs(40) + HIGH_MULT_GRAPHS + repeated_type_graphs() + GROUPING_GRAPHS
+        "g",
+        seeded_graphs(40)
+        + HIGH_MULT_GRAPHS
+        + repeated_type_graphs()
+        + GROUPING_GRAPHS
+        + seeded_graphs(12, GraphBounds(max_degree=3, max_mult=3)),
     )
     def test_matches_per_point_build(self, g):
         assert list(_euler_characteristics(g.point_types)) == reference_characteristics(g)
